@@ -66,6 +66,7 @@ from .thin_wire import (
     RegimeThresholds,
     WireGeometry,
     classify_regime,
+    classify_wire,
     number_integral_quasi1d,
     rhs_eq3,
     sigma_critical,
@@ -101,6 +102,7 @@ __all__ = [
     "WireGeometry",
     "ZETA_THREE_HALVES",
     "classify_regime",
+    "classify_wire",
     "closure_temperature",
     "compare_continuum",
     "constants_for",

@@ -3,8 +3,7 @@
 Exit codes: 0 success, 1 verification/scan failure, 2 configuration error.
 Output files are written in one shot after all rows are computed, so a
 failed run never leaves partial output, and identical invocations produce
-byte-identical files.  FERMIWIRE_THREADS caps how many scan points are
-evaluated concurrently; results are assembled in grid order regardless.
+byte-identical files.
 """
 
 import argparse
@@ -12,9 +11,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +29,7 @@ from .errors import (
 )
 from .gas_statistics import (
     GasParameters,
+    SOMMERFELD_COEFF,
     ThermalState,
     ZETA_THREE_HALVES,
     occupation,
@@ -58,6 +56,7 @@ from .thin_wire import (
     RegimeThresholds,
     WireGeometry,
     classify_regime,
+    classify_wire,
     number_integral_quasi1d,
     rhs_eq3,
 )
@@ -109,9 +108,6 @@ ORACLE_COLUMNS = [
     "truncation_bound",
     "message",
 ]
-
-_SOMMERFELD_COEFF = 0.7522527780636751  # 4/(3 sqrt(pi))
-
 
 @dataclass(frozen=True)
 class AxisSpec:
@@ -263,19 +259,6 @@ def _parse_format(text):
     return text
 
 
-def _thread_count():
-    raw = os.environ.get("FERMIWIRE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ConfigError("FERMIWIRE_THREADS must be an integer, got %r" % (raw,)) from None
-    if count < 1:
-        raise ConfigError("FERMIWIRE_THREADS must be >= 1, got %d" % count)
-    return count
-
-
 def _fmt(value):
     if value is None:
         return ""
@@ -397,11 +380,11 @@ def _check_rows(unit_system=UnitSystem.REDUCED):
             Statistics.FERMI_DIRAC, QuantumIntegralOrder.THREE_HALVES, log_z=lnz
         )
         ratio = val / lnz ** 1.5
-        err = abs(ratio / _SOMMERFELD_COEFF - 1.0)
+        err = abs(ratio / SOMMERFELD_COEFF - 1.0)
         add(
             "sommerfeld_ratio_lnz_%d" % int(lnz),
             ratio,
-            _fmt(_SOMMERFELD_COEFF),
+            _fmt(SOMMERFELD_COEFF),
             _fmt(tol),
             err <= tol,
         )
@@ -525,50 +508,48 @@ def run_verify(unit_system=UnitSystem.REDUCED):
 # scan
 
 
-def _scan_point(config, T, nu, sigma):
-    consts = constants_for(config.unit_system)
-    m = consts.mass_ref
-    try:
-        lam = thermal_wavelength(m, T, config.unit_system)
-        degeneracy = lam ** 3 / nu
-        y = solve_log_fugacity(config.statistics, degeneracy)
-        if y > 709.0:
-            raise DomainError("ln z = %g too degenerate for a plain fugacity" % y)
-        z = math.exp(y)
-        state = ThermalState(z=z, lam=lam, degeneracy=degeneracy)
-        wire = WireGeometry(sigma)
-        params = GasParameters(m=m, T=T, nu=nu, unit_system=config.unit_system)
-        report = classify_regime(params, state, wire, config.thresholds)
-        return [
-            T,
-            nu,
-            sigma,
-            z,
-            lam,
-            degeneracy,
-            report.rhs_approx,
-            report.rhs_exact,
-            report.regime.value,
-            "",
-        ]
-    except (CondensationError, ConvergenceError, DomainError) as exc:
-        return [T, nu, sigma, None, None, None, None, None, "ERROR", str(exc)]
+def _solve_pair(config, m, T, nu):
+    """State and F_{1/2}(z) of one (T, nu) pair: the part of a row free of sigma."""
+    lam = thermal_wavelength(m, T, config.unit_system)
+    degeneracy = lam ** 3 / nu
+    y = solve_log_fugacity(config.statistics, degeneracy)
+    if y > 709.0:
+        raise DomainError("ln z = %g too degenerate for a plain fugacity" % y)
+    state = ThermalState(z=math.exp(y), lam=lam, degeneracy=degeneracy)
+    f_half = quantum_integral(config.statistics, QuantumIntegralOrder.ONE_HALF, log_z=y)
+    return state, f_half
+
+
+def _error_row(T, nu, sigma, exc):
+    return [T, nu, sigma, None, None, None, None, None, "ERROR", str(exc)]
 
 
 def run_scan(config):
-    """Solve and classify every grid point; write one row per point."""
-    points = [
-        (T, nu, sigma)
-        for T in config.t_axis.values()
-        for nu in config.nu_axis.values()
-        for sigma in config.sigma_axis.values()
-    ]
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda p: _scan_point(config, *p), points))
-    else:
-        rows = [_scan_point(config, *p) for p in points]
+    """Solve and classify every grid point; write one row per point.
+
+    Rows follow the grid in lexicographic (T, nu, sigma) order.  The fugacity
+    depends on (T, nu) alone and both count bounds are linear in sigma, so
+    each pair is solved once and its sigma rows reuse that solution.
+    """
+    m = constants_for(config.unit_system).mass_ref
+    nus, sigmas = config.nu_axis.values(), config.sigma_axis.values()
+    rows = []
+    for T in config.t_axis.values():
+        for nu in nus:
+            try:
+                state, f_half = _solve_pair(config, m, T, nu)
+            except (CondensationError, ConvergenceError, DomainError) as exc:
+                rows.extend(_error_row(T, nu, sigma, exc) for sigma in sigmas)
+                continue
+            for sigma in sigmas:
+                try:
+                    wire = WireGeometry(sigma)
+                except DomainError as exc:
+                    rows.append(_error_row(T, nu, sigma, exc))
+                    continue
+                report = classify_wire(state, f_half, wire, config.thresholds)
+                rows.append([T, nu, sigma, state.z, state.lam, state.degeneracy,
+                             report.rhs_approx, report.rhs_exact, report.regime.value, ""])
     text = _render_table(SCAN_COLUMNS, rows, config.out_format)
     _write_output(text, config.out_path)
     succeeded = sum(1 for r in rows if r[8] != "ERROR")

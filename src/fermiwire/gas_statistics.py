@@ -41,12 +41,13 @@ __all__ = [
     "fermi_energy",
     "fermi_temperature",
     "ZETA_THREE_HALVES",
+    "SOMMERFELD_COEFF",
 ]
 
 # zeta(3/2): the Bose degeneracy parameter cannot exceed this.
 ZETA_THREE_HALVES = 2.612375348685488
-# Sommerfeld leading coefficient 4/(3 sqrt(pi)) for the degenerate seed.
-_SOMMERFELD_COEFF = 0.7522527780636751
+# Sommerfeld leading coefficient 4/(3 sqrt(pi)): f_{3/2}(z) ~ it * (ln z)^(3/2).
+SOMMERFELD_COEFF = 0.7522527780636751
 
 _REL_TOL = 1e-12
 _MAX_ITER = 80
@@ -148,7 +149,7 @@ def _solve_fd_log(x):
     if x <= 0.7:
         y = math.log(x)
     else:
-        y = (x / _SOMMERFELD_COEFF) ** (2.0 / 3.0)
+        y = (x / SOMMERFELD_COEFF) ** (2.0 / 3.0)
 
     lo = hi = y
     flo = fhi = _objective(Statistics.FERMI_DIRAC, y) - x
@@ -275,9 +276,10 @@ def solve_fugacity(stat, degeneracy):
     -------
     float
         The fugacity, satisfying |F_{3/2}(z) - degeneracy| <= 1e-10 *
-        degeneracy.  Deeply degenerate Fermi solutions with ln z > 300 are
-        returned in log-space, i.e. the return value is ln z there (use
-        solve_log_fugacity for a uniform representation).
+        degeneracy, except within a few 1e-7 of the Bose limit zeta(3/2),
+        where no double next to 1 resolves the root (errors up to ~1e-8).
+        Deeply degenerate Fermi solutions with ln z > 300 are returned as
+        ln z.  solve_log_fugacity meets the bound in both cases; use it there.
 
     Raises
     ------

@@ -35,6 +35,7 @@ __all__ = [
     "rhs_eq3",
     "number_integral_quasi1d",
     "classify_regime",
+    "classify_wire",
     "sigma_critical",
 ]
 
@@ -104,8 +105,8 @@ def number_integral_quasi1d(stat, state, wire):
     """Exact per-particle quasi-1D count (nu sigma/h^3) integral n(p) dp.
 
     Evaluated by adaptive quadrature in the scaled momentum q = p lambda/h,
-    where beta eps = pi q^2; the analytic reductions are R(MB) = rhs_eq3 and
-    R(FD) = nu sigma_tilde f_{1/2}(z)/lambda^3.
+    where beta eps = pi q^2; it is the independent reference for the closed
+    form R = sigma_tilde F_{1/2}(z)/degeneracy that classify_regime uses.
     """
     log_z = math.log(state.z)
     if stat is Statistics.BOSE_EINSTEIN and not state.z < 1.0:
@@ -130,18 +131,8 @@ def number_integral_quasi1d(stat, state, wire):
     return 2.0 * value * wire.sigma_tilde / state.degeneracy
 
 
-def classify_regime(params, state, wire, thresholds=None):
-    """Classify the wire state into one of the four regimes.
-
-    The decision cascade, honouring the boundary-tie priority
-    DegenerateSubFermi > BoltzmannConverged > BosonizedClassical >
-    Bosonized:
-
-      1. z >= z_degenerate               -> DEGENERATE_SUB_FERMI
-      2. degeneracy <= deg_classical and
-         rhs_approx >= 1                 -> BOLTZMANN_CONVERGED
-      3. degeneracy <= deg_classical     -> BOSONIZED_CLASSICAL
-      4. otherwise                       -> BOSONIZED
+def classify_regime(params, state, wire, thresholds=None, stat=Statistics.FERMI_DIRAC):
+    """Classify the wire state: F_{1/2}(z) in statistics stat, then classify_wire.
 
     params must describe the same state (wavelength and degeneracy agree to
     1e-9 relative), which guards against mixed-up inputs.
@@ -158,11 +149,29 @@ def classify_regime(params, state, wire, thresholds=None):
             "state degeneracy %g inconsistent with parameters (%g)"
             % (state.degeneracy, degeneracy)
         )
+    f_half = quantum_integral(stat, QuantumIntegralOrder.ONE_HALF, state.z)
+    return classify_wire(state, f_half, wire, thresholds)
+
+
+def classify_wire(state, f_half, wire, thresholds=None):
+    """Regime of a solved state at one cross-section, given f_half = F_{1/2}(z).
+
+    Both counts are linear in sigma_tilde: rhs_approx = sigma_tilde z/degeneracy
+    and rhs_exact = sigma_tilde F_{1/2}(z)/degeneracy.  The decision cascade,
+    honouring the boundary-tie priority DegenerateSubFermi >
+    BoltzmannConverged > BosonizedClassical > Bosonized:
+
+      1. z >= z_degenerate               -> DEGENERATE_SUB_FERMI
+      2. degeneracy <= deg_classical and
+         rhs_approx >= 1                 -> BOLTZMANN_CONVERGED
+      3. degeneracy <= deg_classical     -> BOSONIZED_CLASSICAL
+      4. otherwise                       -> BOSONIZED
+    """
     if thresholds is None:
         thresholds = RegimeThresholds()
 
     rhs_approx = rhs_eq3(state, wire)
-    rhs_exact = number_integral_quasi1d(Statistics.FERMI_DIRAC, state, wire)
+    rhs_exact = wire.sigma_tilde * f_half / state.degeneracy
 
     if state.z >= thresholds.z_degenerate:
         regime = Regime.DEGENERATE_SUB_FERMI

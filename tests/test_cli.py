@@ -4,23 +4,31 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from fermiwire import cli
 from fermiwire.cli import AxisSpec, main, parse_axis
 from fermiwire.errors import ConfigError
 
 MODULE_INVOCATION = [sys.executable, "-m", "fermiwire"]
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(args, env_extra=None):
+def run_cli(args):
     env = dict(os.environ)
-    env.pop("FERMIWIRE_THREADS", None)
-    if env_extra:
-        env.update(env_extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run(
         MODULE_INVOCATION + args, capture_output=True, text=True, env=env
     )
+
+
+def scan_rows(capsys, args):
+    """Exit code and data rows (lists of fields) of an in-process scan."""
+    code = main(["scan"] + args)
+    lines = capsys.readouterr().out.strip().split("\n")
+    return code, [line.split(",", 9) for line in lines[1:]]
 
 
 class TestAxisParsing:
@@ -98,18 +106,92 @@ class TestScan:
         assert key == sorted(key)
         assert len(rows) == 8
 
-    def test_byte_identical_and_threaded(self, tmp_path):
+    def test_byte_identical(self, tmp_path):
         args = ["scan", "--T", "1:30:3:log", "--nu", "0.5:4:3:log", "--sigma", "1e-6:1:2:log"]
         first = run_cli(args + ["--out", str(tmp_path / "a.csv")])
         second = run_cli(args + ["--out", str(tmp_path / "b.csv")])
-        threaded = run_cli(
-            args + ["--out", str(tmp_path / "c.csv")],
-            env_extra={"FERMIWIRE_THREADS": "4"},
+        assert first.returncode == second.returncode == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_rhs_exact_uses_scan_statistics(self, capsys):
+        # rhs_exact = sigma_tilde F_{1/2}(z)/degeneracy with F the scan's own
+        # integral; at lambda = nu = sigma_tilde = 1 it is F_{1/2}(z) itself
+        mpmath = pytest.importorskip("mpmath")
+        point = ["--T", "6.283185307179586:6.283185307179586:1", "--nu", "1:1:1"]
+        code, rows = scan_rows(capsys, ["--stat", "be"] + point + ["--sigma", "1:1:1"])
+        assert code == 0
+        z, rhs_exact = float(rows[0][3]), float(rows[0][7])
+        with mpmath.workdps(30):
+            g_half = float(mpmath.polylog(0.5, mpmath.mpf(z)))
+        assert abs(rhs_exact - g_half) / g_half <= 1e-10
+        assert rhs_exact == pytest.approx(1.5721217158913372, rel=1e-10)
+
+        # Maxwell-Boltzmann: F_{1/2}(z) = z, so the exact count is the bound
+        code, rows = scan_rows(
+            capsys, ["--stat", "mb", "--T", "1:1:1", "--nu", "1:1:1", "--sigma", "0.1:0.1:1"]
         )
-        assert first.returncode == second.returncode == threaded.returncode == 0
-        a = (tmp_path / "a.csv").read_bytes()
-        assert a == (tmp_path / "b.csv").read_bytes()
-        assert a == (tmp_path / "c.csv").read_bytes()
+        assert code == 0
+        assert rows[0][7] == rows[0][6]
+        z, deg = float(rows[0][3]), float(rows[0][5])
+        assert float(rows[0][7]) == pytest.approx(0.1 * z / deg, rel=1e-15)
+
+    def test_one_solve_per_temperature_and_volume(self, capsys, monkeypatch):
+        calls = []
+        solve = cli.solve_log_fugacity
+
+        def counted(stat, degeneracy):
+            calls.append(degeneracy)
+            return solve(stat, degeneracy)
+
+        monkeypatch.setattr(cli, "solve_log_fugacity", counted)
+        code, rows = scan_rows(
+            capsys, ["--T", "1:30:3:log", "--nu", "0.5:4:2:log", "--sigma", "1e-6:1:4:log"]
+        )
+        assert code == 0
+        assert len(rows) == 24
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize(
+        "stat, t_min, messages",
+        [
+            (
+                "be",
+                "1",
+                [
+                    "degeneracy %s exceeds zeta(3/2) = 2.612375348685488: condensed phase" % d
+                    for d in ("15.749609945722415", "7.8748049728612077")
+                ],
+            ),
+            (
+                "fd",
+                "0.0050000000000000001",
+                [
+                    "ln z = %s too degenerate for a plain fugacity" % y
+                    for y in ("1519.27", "957.077")
+                ],
+            ),
+        ],
+    )
+    def test_error_rows_per_pair_and_per_row(self, capsys, stat, t_min, messages):
+        # a pair that cannot be solved puts its error on every sigma row; a
+        # bad sigma fails only its own row
+        axes = ["--stat", stat, "--T", t_min + ":6.283185307179586:2:log", "--nu", "1:2:2"]
+        code, rows = scan_rows(capsys, axes + ["--sigma", "0:1:3"])
+        assert code == 0
+        lines = [",".join(r) for r in rows]
+        assert lines[:6] == [
+            "%s,%d,%s,,,,,,ERROR,%s" % (t_min, nu, sigma, message)
+            for nu, message in zip((1, 2), messages)
+            for sigma in ("0", "0.5", "1")
+        ]
+        for index, nu in ((6, 1), (9, 2)):
+            assert lines[index] == (
+                '6.2831853071795862,%d,0,,,,,,ERROR,"sigma_tilde must be positive, got 0.0"'
+                % nu
+            )
+        code, positive = scan_rows(capsys, axes + ["--sigma", "0.5:1:2"])
+        assert rows[7:9] + rows[10:12] == positive[4:8]
+        assert all(r[8] == "Bosonized" for r in positive[4:8])
 
     def test_error_rows_and_exit(self, capsys):
         # condensed BE points produce ERROR rows; exit 0 while any succeeds
@@ -209,12 +291,6 @@ class TestExitCodeTwo:
         capsys.readouterr()
         assert main(["scan", "--format", "xml"]) == 2
         capsys.readouterr()
-
-    def test_bad_thread_env(self, tmp_path):
-        result = run_cli(["scan"], env_extra={"FERMIWIRE_THREADS": "zero"})
-        assert result.returncode == 2
-        result = run_cli(["scan"], env_extra={"FERMIWIRE_THREADS": "0"})
-        assert result.returncode == 2
 
     def test_unknown_subcommand(self):
         result = run_cli(["frobnicate"])

@@ -123,6 +123,17 @@ class TestSolveFugacity:
             back = quantum_integral(BE, N32, z)
             assert abs(back - x) / x < 1e-10
 
+    def test_be_log_solver_near_condensation(self):
+        # within ~1e-7 of zeta(3/2) no double z meets the 1e-10 contract;
+        # ln z does, judged by a 30-digit g_{3/2}
+        mpmath = pytest.importorskip("mpmath")
+        for k in range(3, 10):
+            x = ZETA_THREE_HALVES - 10.0 ** -k
+            y = solve_log_fugacity(BE, x)
+            with mpmath.workdps(30):
+                back = mpmath.polylog(1.5, mpmath.exp(mpmath.mpf(y)))
+                assert abs(back - x) / x <= 1e-10
+
     def test_fd_log_space_return(self):
         # beyond ln z = 300 the plain fugacity overflows; the solver hands
         # back ln z itself, and the companion solver always does

@@ -14,6 +14,7 @@ from fermiwire import (
     Statistics,
     ThermalState,
     WireGeometry,
+    ZETA_THREE_HALVES,
     classify_regime,
     number_integral_quasi1d,
     quantum_integral,
@@ -113,7 +114,7 @@ class TestClassifier:
     def consistent(self, nu, stat=FD, sigma=1e-6, thresholds=None):
         params = GasParameters(m=1.0, T=2.0 * math.pi, nu=nu)
         state = solve_thermal_state(params, stat)
-        return classify_regime(params, state, WireGeometry(sigma), thresholds)
+        return classify_regime(params, state, WireGeometry(sigma), thresholds, stat)
 
     def test_bosonized_example(self):
         params = GasParameters(m=1.0, T=2.0 * math.pi, nu=1.0)
@@ -155,14 +156,23 @@ class TestClassifier:
         assert report.regime is Regime.DEGENERATE_SUB_FERMI
 
     def test_totality_and_determinism(self):
-        for nu in np.geomspace(1e-2, 1e4, 12):
-            for sigma in (1e-6, 0.5, 1e2):
-                first = self.consistent(nu=float(nu), sigma=sigma)
-                second = self.consistent(nu=float(nu), sigma=sigma)
-                assert isinstance(first.regime, Regime)
-                assert first.regime is second.regime
-                assert first.rhs_exact == second.rhs_exact
-                assert first.inequality_holds == (first.rhs_approx > 1.0)
+        # rhs_exact is the closed form sigma_tilde F_{1/2}(z)/degeneracy in the
+        # state's statistics; the q-space quadrature is its reference
+        for stat in (FD, BE, MB):
+            for nu in np.geomspace(1e-2, 1e4, 12):
+                if stat is BE and 1.0 / nu > ZETA_THREE_HALVES:
+                    continue  # condensed: no Bose fugacity
+                params = GasParameters(m=1.0, T=2.0 * math.pi, nu=float(nu))
+                state = solve_thermal_state(params, stat)
+                for sigma in (1e-6, 0.5, 1e2):
+                    first = self.consistent(nu=float(nu), stat=stat, sigma=sigma)
+                    second = self.consistent(nu=float(nu), stat=stat, sigma=sigma)
+                    assert isinstance(first.regime, Regime)
+                    assert first.regime is second.regime
+                    assert first.rhs_exact == second.rhs_exact
+                    assert first.inequality_holds == (first.rhs_approx > 1.0)
+                    quad = number_integral_quasi1d(stat, state, WireGeometry(sigma))
+                    assert abs(first.rhs_exact - quad) / quad <= 1e-9
 
     def test_bosonized_monotone_in_sigma(self):
         params = GasParameters(m=1.0, T=2.0 * math.pi, nu=1.0)
