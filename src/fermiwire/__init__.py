@@ -7,7 +7,6 @@ box-spectrum oracle for validating every continuum formula.
 """
 
 from .box_oracle import (
-    Boundary,
     BoxSpectrum,
     ContinuumComparison,
     compare_continuum,
@@ -75,7 +74,6 @@ from .thin_wire import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Boundary",
     "BoxSpectrum",
     "CLOSURE_RATIO",
     "ChainParameters",

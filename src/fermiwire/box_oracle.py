@@ -3,25 +3,28 @@
 A wire is modelled as an L x a x a box with periodic boundary conditions,
 momenta p_i = h n_i / L_i.  Summing occupations over the enumerated
 spectrum gives particle counts with no continuum approximation at all,
-which is what every integral in the package is checked against.  All
-reductions are numpy pairwise sums over a deterministically ordered level
-array, so repeated runs agree bit for bit.
+which is what every integral in the package is checked against.
+
+Each axis energy (h n_i / L_i)^2 / 2m is even in n_i, so the spectrum is
+stored as three per-axis arrays over n_i = 0..c_i, and a sum over the full
+(2c+1)^3 grid becomes a sum over n_i >= 0 in which every n_i > 0 counts
+twice.  The sum streams over x-slabs in a fixed order, one
+(c_y+1) x (c_z+1) plane at a time, so its memory is that of one plane and
+repeated runs agree bit for bit.  The full sorted level array is built only
+on request, for inspecting small boxes.
 """
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Tuple
 
 import numpy as np
-from scipy.special import erfc, expit
 
 from .constants import UnitSystem, constants_for
 from .errors import CondensationError, DomainError, ResourceLimitError, TruncationError
 from .specfun import QuantumIntegralOrder, Statistics, quantum_integral
 
 __all__ = [
-    "Boundary",
     "BoxSpectrum",
     "ContinuumComparison",
     "enumerate_levels",
@@ -35,35 +38,45 @@ BETA_EPS_CUTOFF = 45.0
 MAX_LEVELS_DEFAULT = 10 ** 8
 
 
-class Boundary(Enum):
-    PERIODIC = "periodic"
-
-
 @dataclass(frozen=True)
 class BoxSpectrum:
     """Complete single-particle spectrum of a periodic box.
 
-    levels holds all (2c_x+1)(2c_y+1)(2c_z+1) energies sorted ascending;
-    levels_transverse_ground is the subset with n_y = n_z = 0, used for
-    mode freeze-out diagnostics.
+    axis_levels holds, per axis, the energies for n_i = 0..c_i; each level
+    of the box is a sum of one energy per axis, and n_i and -n_i share an
+    energy.  levels_transverse_ground is the sorted subset with
+    n_y = n_z = 0, used for mode freeze-out diagnostics.
     """
 
     L_long: float
     a_transverse: float
     m: float
-    boundary: Boundary
     cutoff: Tuple[int, int, int]
-    levels: np.ndarray
+    axis_levels: Tuple[np.ndarray, np.ndarray, np.ndarray]
     levels_transverse_ground: np.ndarray
     unit_system: UnitSystem = UnitSystem.REDUCED
 
     @property
     def level_count(self):
-        return int(self.levels.size)
+        return math.prod(2 * c + 1 for c in self.cutoff)
+
+    @property
+    def levels(self):
+        """All level_count energies sorted ascending, built on each access.
+
+        It takes 8 bytes per level plus a sort copy; meant for small boxes.
+        """
+        ex, ey, ez = (_mirrored(e) for e in self.axis_levels)
+        return np.sort((ex[:, None, None] + ey[None, :, None] + ez[None, None, :]).ravel())
 
     @property
     def edge_lengths(self):
         return (self.L_long, self.a_transverse, self.a_transverse)
+
+
+def _mirrored(energies):
+    # energies for n = 0..c extended to n = -c..c
+    return np.concatenate((energies[:0:-1], energies))
 
 
 def _axis_cutoff(length, m, beta, h):
@@ -81,7 +94,7 @@ def enumerate_levels(
     max_levels=MAX_LEVELS_DEFAULT,
     unit_system=UnitSystem.REDUCED,
 ):
-    """Enumerate all box levels with |n_i| <= cutoff_i, sorted by energy.
+    """Spectrum of all box levels with |n_i| <= cutoff_i.
 
     cutoff may be a single integer (applied to every axis), a 3-tuple, or
     None, in which case the per-axis default keeps everything below
@@ -104,36 +117,40 @@ def enumerate_levels(
     if len(cutoffs) != 3 or any(c < 1 for c in cutoffs):
         raise DomainError("cutoff must be a positive integer or 3 of them")
 
-    count = 1
-    for c in cutoffs:
-        count *= 2 * c + 1
+    count = math.prod(2 * c + 1 for c in cutoffs)
     if count > max_levels:
         raise ResourceLimitError(
             "spectrum would hold %d levels, above the limit %d" % (count, max_levels)
         )
 
-    axis_energies = []
-    for L, c in zip(lengths, cutoffs):
-        n = np.arange(-c, c + 1, dtype=np.float64)
-        axis_energies.append((h * n / L) ** 2 / (2.0 * m))
-    ex, ey, ez = axis_energies
-    levels = (ex[:, None, None] + ey[None, :, None] + ez[None, None, :]).ravel()
+    axis_levels = tuple(
+        (h * np.arange(c + 1, dtype=np.float64) / L) ** 2 / (2.0 * m)
+        for L, c in zip(lengths, cutoffs)
+    )
     return BoxSpectrum(
         L_long=L_long,
         a_transverse=a_transverse,
         m=m,
-        boundary=Boundary.PERIODIC,
         cutoff=cutoffs,
-        levels=np.sort(levels),
-        levels_transverse_ground=np.sort(ex),
+        axis_levels=axis_levels,
+        levels_transverse_ground=np.sort(_mirrored(axis_levels[0])),
         unit_system=unit_system,
     )
+
+
+def _parity_weights(energies):
+    # n = 0 stands for itself, every n > 0 for the pair +n, -n
+    weights = np.full(energies.size, 2.0)
+    weights[0] = 1.0
+    return weights
 
 
 def _occupations(levels, stat, z, beta):
     w = beta * levels - math.log(z)
     if stat is Statistics.FERMI_DIRAC:
-        return expit(-w)
+        # 1/(e^w + 1) through e^-|w|, which cannot overflow
+        e = np.exp(-np.abs(w))
+        return np.where(w > 0.0, e, 1.0) / (1.0 + e)
     if stat is Statistics.BOSE_EINSTEIN:
         if not z < 1.0:
             raise CondensationError(
@@ -161,7 +178,7 @@ def truncation_bound(spec, z, beta):
     for L, c in zip(spec.edge_lengths, spec.cutoff):
         s = beta * h * h / (2.0 * spec.m * L * L)
         thetas.append(math.fsum(math.exp(-s * n * n) for n in range(-c, c + 1)))
-        tails.append(math.sqrt(math.pi / s) * float(erfc(math.sqrt(s) * c)))
+        tails.append(math.sqrt(math.pi / s) * math.erfc(math.sqrt(s) * c))
     # expand prod(theta + tail) - prod(theta) term by term; the direct
     # subtraction cancels to zero once the tails drop below one ulp
     defect = 0.0
@@ -177,7 +194,11 @@ def truncation_bound(spec, z, beta):
 
 
 def direct_number_sum(spec, stat, z, beta, tail_tolerance=None):
-    """Sum occupations over every enumerated level.
+    """Sum occupations over every level of the spectrum.
+
+    The x-slabs n_x = 0..c_x are summed in order, each over the same
+    (c_y+1) x (c_z+1) plane of transverse energies with parity weights, and
+    the slab sums are added with math.fsum.
 
     tail_tolerance, if given, is the highest acceptable ratio of the
     truncation bound to the returned sum; exceeding it raises
@@ -187,7 +208,13 @@ def direct_number_sum(spec, stat, z, beta, tail_tolerance=None):
         raise DomainError("fugacity must be positive, got %r" % (z,))
     if not beta > 0.0:
         raise DomainError("beta must be positive, got %r" % (beta,))
-    total = float(np.sum(_occupations(spec.levels, stat, z, beta)))
+    ex, ey, ez = spec.axis_levels
+    plane = ey[:, None] + ez[None, :]
+    plane_weights = np.outer(_parity_weights(ey), _parity_weights(ez))
+    total = math.fsum(
+        w * float(np.sum(plane_weights * _occupations(e + plane, stat, z, beta)))
+        for e, w in zip(ex, _parity_weights(ex))
+    )
     if tail_tolerance is not None:
         bound = truncation_bound(spec, z, beta)
         if bound > tail_tolerance * total:

@@ -510,8 +510,15 @@ def run_verify(unit_system=UnitSystem.REDUCED):
 
 def _solve_pair(config, m, T, nu):
     """State and F_{1/2}(z) of one (T, nu) pair: the part of a row free of sigma."""
+    if not nu > 0.0:
+        raise DomainError("nu must be positive, got %r" % (nu,))
     lam = thermal_wavelength(m, T, config.unit_system)
-    degeneracy = lam ** 3 / nu
+    try:
+        degeneracy = lam ** 3 / nu
+    except OverflowError:
+        degeneracy = math.inf
+    if not math.isfinite(degeneracy):
+        raise DomainError("lambda^3/nu overflows at T = %r, nu = %r" % (T, nu))
     y = solve_log_fugacity(config.statistics, degeneracy)
     if y > 709.0:
         raise DomainError("ln z = %g too degenerate for a plain fugacity" % y)

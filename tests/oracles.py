@@ -150,3 +150,31 @@ def mb_box_number(z, beta_eps_axes, cutoffs):
     for x, c in zip(beta_eps_axes, cutoffs):
         prod *= theta_sum(x, c)
     return prod
+
+
+def brute_box_number(stat, z, beta_eps_axes, cutoffs):
+    """Occupation sum over every level of the full (2c_x+1)(2c_y+1)(2c_z+1) grid.
+
+    stat is "fd", "be" or "mb"; beta_eps_axes and cutoffs are as for
+    mb_box_number.  Each level's beta*eps is sum_i x_i n_i^2, and the
+    occupations are added with math.fsum, so no symmetry of the spectrum is
+    used.
+    """
+    log_z = math.log(z)
+    (cx, cy, cz), (sx, sy, sz) = cutoffs, beta_eps_axes
+    terms = []
+    for nx in range(-cx, cx + 1):
+        for ny in range(-cy, cy + 1):
+            for nz in range(-cz, cz + 1):
+                w = sx * nx * nx + sy * ny * ny + sz * nz * nz - log_z
+                if stat == "fd":
+                    # 1/(e^w + 1) without overflow for large w
+                    terms.append(math.exp(-w) / (1.0 + math.exp(-w)) if w > 0.0
+                                 else 1.0 / (1.0 + math.exp(w)))
+                elif stat == "be":
+                    terms.append(1.0 / math.expm1(w))
+                elif stat == "mb":
+                    terms.append(math.exp(-w))
+                else:
+                    raise ValueError("stat must be fd, be or mb")
+    return math.fsum(terms)

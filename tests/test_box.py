@@ -1,6 +1,7 @@
 """Discrete box spectrum against its own theta-sum oracle and the continuum."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,13 +18,14 @@ from fermiwire import (
     enumerate_levels,
     truncation_bound,
 )
-from oracles import mb_box_number, theta_sum
+from oracles import brute_box_number, mb_box_number, theta_sum
 
 FD = Statistics.FERMI_DIRAC
 BE = Statistics.BOSE_EINSTEIN
 MB = Statistics.MAXWELL_BOLTZMANN
 
 BETA = 1.0 / (2.0 * math.pi)  # lambda = 1 at m = 1
+H = 2.0 * math.pi  # reduced units
 
 
 class TestEnumerate:
@@ -69,6 +71,12 @@ class TestEnumerate:
         spec = enumerate_levels(4.0, 1.0, 1.0, cutoff=(5, 2, 2))
         assert spec.cutoff == (5, 2, 2)
         assert spec.level_count == 11 * 5 * 5
+
+    def test_axis_levels_hold_nonnegative_n(self):
+        spec = enumerate_levels(4.0, 1.0, 1.0, cutoff=(5, 2, 3))
+        for energies, L, c in zip(spec.axis_levels, spec.edge_lengths, spec.cutoff):
+            n = np.arange(c + 1)
+            assert np.array_equal(energies, (H * n / L) ** 2 / 2.0)
 
     def test_resource_limit(self):
         with pytest.raises(ResourceLimitError):
@@ -141,6 +149,31 @@ class TestDirectSum:
         )
         bound = truncation_bound(small, 0.2, BETA)
         assert 0.0 < missed <= bound
+
+
+    @pytest.mark.parametrize(
+        "L,a,cutoff",
+        [(2.0, 2.0, 6), (3.0, 1.0, None), (4.0, 1.0, (5, 2, 3)), (1.5, 2.5, (1, 4, 2))],
+    )
+    @pytest.mark.parametrize("stat,z", [(FD, 0.7), (FD, 50.0), (BE, 0.9), (MB, 0.3)])
+    def test_folded_sum_matches_full_grid(self, L, a, cutoff, stat, z):
+        spec = enumerate_levels(L, a, 1.0, cutoff=cutoff, beta=BETA)
+        axes = [BETA * H * H / (2.0 * edge * edge) for edge in spec.edge_lengths]
+        want = brute_box_number(stat.value, z, axes, spec.cutoff)
+        got = direct_number_sum(spec, stat, z, BETA)
+        assert abs(got - want) / want < 1e-13
+
+    def test_verify_box_memory(self):
+        # the 15.8M-level box of verify, summed one x-slab at a time
+        tracemalloc.start()
+        try:
+            spec = enumerate_levels(100.0, 100.0, 1.0, cutoff=125)
+            direct_number_sum(spec, MB, 0.1, BETA)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec.level_count == 251 ** 3
+        assert peak < 10 * 2 ** 20
 
 
 class TestCompareContinuum:

@@ -211,6 +211,32 @@ class TestScan:
         capsys.readouterr()
         assert code == 1
 
+    def test_zero_nu_gives_error_rows(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        code = main(["scan", "--nu", "0:1:2", "--sigma", "0.5:1:2", "--out", str(out)])
+        assert code == 0
+        rows = [line.split(",", 9) for line in out.read_text().strip().split("\n")[1:]]
+        assert [r[1] for r in rows] == ["0", "0", "1", "1"]
+        assert all(r[8:] == ["ERROR", '"nu must be positive, got 0.0"'] for r in rows[:2])
+        assert all(r[8] != "ERROR" for r in rows[2:])
+
+    @pytest.mark.parametrize(
+        "T,nu,message",
+        [
+            # lambda^3 itself overflows
+            ("1e-300", "1:2:2", '"lambda^3/nu overflows at T = 1e-300, nu = %s"'),
+            # lambda^3 is finite, the division by nu overflows
+            ("1", "1e-320:1e-320:2", '"lambda^3/nu overflows at T = 1.0, nu = %s"'),
+        ],
+    )
+    def test_overflowing_degeneracy_gives_error_rows(self, tmp_path, T, nu, message):
+        out = tmp_path / "scan.csv"
+        code = main(["scan", "--T", T + ":" + T + ":1", "--nu", nu, "--out", str(out)])
+        assert code == 1
+        rows = [line.split(",", 9) for line in out.read_text().strip().split("\n")[1:]]
+        assert len(rows) == 2
+        assert all(r[8:] == ["ERROR", message % repr(float(r[1]))] for r in rows)
+
     def test_json_format(self, capsys):
         code = main(["scan", "--format", "json"])
         out = capsys.readouterr().out
