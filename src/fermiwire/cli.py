@@ -34,7 +34,7 @@ from .gas_statistics import (
     ZETA_THREE_HALVES,
     occupation,
     solve_fugacity,
-    solve_log_fugacity,
+    solve_thermal_state,
 )
 from .one_dim_chain import CLOSURE_RATIO, ChainParameters, closure_temperature
 from .phonon_map import (
@@ -168,7 +168,7 @@ class ScanConfig:
 
 
 _CONFIG_KEYS = {"T", "nu", "sigma", "stat", "thresholds", "units", "out", "format"}
-_THRESHOLD_KEYS = {"z_degenerate", "deg_classical", "sigma_thin"}
+_THRESHOLD_KEYS = {"z_degenerate", "deg_classical"}
 
 
 def _axis_from_config(entry, name):
@@ -224,7 +224,6 @@ def load_scan_config(path):
         updates["thresholds"] = RegimeThresholds(
             z_degenerate=float(entry.get("z_degenerate", defaults.z_degenerate)),
             deg_classical=float(entry.get("deg_classical", defaults.deg_classical)),
-            sigma_thin=float(entry.get("sigma_thin", defaults.sigma_thin)),
         )
     if "out" in raw:
         updates["out_path"] = str(raw["out"])
@@ -327,7 +326,7 @@ def _check_rows(unit_system=UnitSystem.REDUCED):
 
     # wire count bound: linearity in sigma, the vanishing-sigma regime, MB identity
     params = GasParameters(m=m, T=T_ref, nu=lam ** 3, unit_system=unit_system)
-    state = ThermalState(z=1.0, lam=lam, degeneracy=1.0)
+    state = ThermalState(log_z=0.0, lam=lam, degeneracy=1.0)
     base = rhs_eq3(state, WireGeometry(1e-6)) / 1e-6
     dev = max(
         abs(rhs_eq3(state, WireGeometry(s)) / s / base - 1.0)
@@ -335,7 +334,7 @@ def _check_rows(unit_system=UnitSystem.REDUCED):
     )
     add("rhs_eq3_linear_in_sigma", dev, "0", "1e-12", dev <= 1e-12)
 
-    report = classify_regime(params, state, WireGeometry(1e-6))
+    report = classify_regime(params, WireGeometry(1e-6))
     add(
         "bosonized_at_vanishing_sigma",
         report.regime.value,
@@ -346,7 +345,7 @@ def _check_rows(unit_system=UnitSystem.REDUCED):
 
     worst = 0.0
     for z, deg in ((0.5, 1.0), (2.0, 0.2), (1e-3, 5.0)):
-        mb_state = ThermalState(z=z, lam=lam, degeneracy=deg)
+        mb_state = ThermalState(log_z=math.log(z), lam=lam, degeneracy=deg)
         wire = WireGeometry(0.05)
         exact = number_integral_quasi1d(Statistics.MAXWELL_BOLTZMANN, mb_state, wire)
         worst = max(worst, abs(exact / rhs_eq3(mb_state, wire) - 1.0))
@@ -474,7 +473,7 @@ def _check_rows(unit_system=UnitSystem.REDUCED):
     # wire integral against the f_{1/2} route
     worst = 0.0
     for z in np.geomspace(1e-3, 10.0, 15):
-        st = ThermalState(z=float(z), lam=lam, degeneracy=1.0)
+        st = ThermalState(log_z=math.log(z), lam=lam, degeneracy=1.0)
         wire = WireGeometry(1.0)
         exact = number_integral_quasi1d(Statistics.FERMI_DIRAC, st, wire)
         f_half = quantum_integral(Statistics.FERMI_DIRAC, QuantumIntegralOrder.ONE_HALF, float(z))
@@ -510,21 +509,9 @@ def run_verify(unit_system=UnitSystem.REDUCED):
 
 def _solve_pair(config, m, T, nu):
     """State and F_{1/2}(z) of one (T, nu) pair: the part of a row free of sigma."""
-    if not nu > 0.0:
-        raise DomainError("nu must be positive, got %r" % (nu,))
-    lam = thermal_wavelength(m, T, config.unit_system)
-    try:
-        degeneracy = lam ** 3 / nu
-    except OverflowError:
-        degeneracy = math.inf
-    if not math.isfinite(degeneracy):
-        raise DomainError("lambda^3/nu overflows at T = %r, nu = %r" % (T, nu))
-    y = solve_log_fugacity(config.statistics, degeneracy)
-    if y > 709.0:
-        raise DomainError("ln z = %g too degenerate for a plain fugacity" % y)
-    state = ThermalState(z=math.exp(y), lam=lam, degeneracy=degeneracy)
-    f_half = quantum_integral(config.statistics, QuantumIntegralOrder.ONE_HALF, log_z=y)
-    return state, f_half
+    stat = config.statistics
+    state = solve_thermal_state(GasParameters(m, T, nu, config.unit_system), stat)
+    return state, quantum_integral(stat, QuantumIntegralOrder.ONE_HALF, log_z=state.log_z)
 
 
 def _error_row(T, nu, sigma, exc):
@@ -666,7 +653,6 @@ def _build_parser():
     p_scan.add_argument("--format", dest="out_format", help="csv|json")
     p_scan.add_argument("--z-degenerate", type=float, help="classifier threshold")
     p_scan.add_argument("--deg-classical", type=float, help="classifier threshold")
-    p_scan.add_argument("--sigma-thin", type=float, help="classifier threshold")
 
     p_tab = sub.add_parser("tabulate", help="emit plottable tables")
     p_tab.add_argument("kind", choices=["occupation", "phonon", "oracle"])
@@ -714,9 +700,7 @@ def _scan_config_from_args(args):
     if args.out_format is not None:
         updates["out_format"] = _parse_format(args.out_format)
     thresholds = config.thresholds
-    if any(
-        v is not None for v in (args.z_degenerate, args.deg_classical, args.sigma_thin)
-    ):
+    if args.z_degenerate is not None or args.deg_classical is not None:
         updates["thresholds"] = RegimeThresholds(
             z_degenerate=thresholds.z_degenerate
             if args.z_degenerate is None
@@ -724,7 +708,6 @@ def _scan_config_from_args(args):
             deg_classical=thresholds.deg_classical
             if args.deg_classical is None
             else args.deg_classical,
-            sigma_thin=thresholds.sigma_thin if args.sigma_thin is None else args.sigma_thin,
         )
     return _replace_config(config, updates)
 

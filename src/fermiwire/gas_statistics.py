@@ -11,9 +11,7 @@ textbook (3 pi^2 n)^(2/3).  See README for the comparison.
 """
 
 import math
-from dataclasses import dataclass, field
-
-from scipy.special import expit
+from dataclasses import dataclass
 
 from .constants import UnitSystem, constants_for
 from .errors import (
@@ -23,9 +21,10 @@ from .errors import (
     SingularityError,
 )
 from .specfun import (
-    LOG_SPACE_THRESHOLD,
     QuantumIntegralOrder,
     Statistics,
+    exp_or_inf,
+    fermi_function,
     quantum_integral,
     thermal_wavelength,
 )
@@ -76,17 +75,25 @@ class GasParameters:
 
 @dataclass(frozen=True)
 class ThermalState:
-    """Solved equilibrium state: fugacity, wavelength, degeneracy lambda^3/nu."""
+    """Solved equilibrium state: ln z, wavelength, degeneracy lambda^3/nu."""
 
-    z: float
+    log_z: float
     lam: float
     degeneracy: float
 
     def __post_init__(self):
-        for name in ("z", "lam", "degeneracy"):
+        if not math.isfinite(self.log_z):
+            raise DomainError("log_z must be finite, got %r" % (self.log_z,))
+        for name in ("lam", "degeneracy"):
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise DomainError("%s must be a positive finite number, got %r" % (name, value))
+
+    @property
+    def z(self):
+        """Fugacity e^log_z; math.inf once that overflows a double, as it
+        does deep in the degenerate Fermi regime."""
+        return exp_or_inf(self.log_z)
 
 
 def occupation(stat, z, beta, eps):
@@ -122,7 +129,7 @@ def occupation(stat, z, beta, eps):
         raise DomainError("energy must be non-negative, got %r" % (eps,))
     w = beta * eps - math.log(z)
     if stat is Statistics.FERMI_DIRAC:
-        return float(expit(-w))
+        return fermi_function(w)
     if stat is Statistics.BOSE_EINSTEIN:
         if w <= 0.0:
             raise SingularityError(
@@ -244,8 +251,8 @@ def _solve_be_alpha(x):
 
 def solve_log_fugacity(stat, degeneracy):
     """ln z solving F_{3/2}(z) = degeneracy; exact far into degeneracy."""
-    if not degeneracy > 0.0:
-        raise DomainError("degeneracy must be positive, got %r" % (degeneracy,))
+    if not (degeneracy > 0.0 and math.isfinite(degeneracy)):
+        raise DomainError("degeneracy must be a positive finite number, got %r" % (degeneracy,))
     if stat is Statistics.MAXWELL_BOLTZMANN:
         return math.log(degeneracy)
     if stat is Statistics.FERMI_DIRAC:
@@ -277,9 +284,9 @@ def solve_fugacity(stat, degeneracy):
     float
         The fugacity, satisfying |F_{3/2}(z) - degeneracy| <= 1e-10 *
         degeneracy, except within a few 1e-7 of the Bose limit zeta(3/2),
-        where no double next to 1 resolves the root (errors up to ~1e-8).
-        Deeply degenerate Fermi solutions with ln z > 300 are returned as
-        ln z.  solve_log_fugacity meets the bound in both cases; use it there.
+        where no double next to 1 resolves the root (errors up to ~1e-8),
+        and math.inf for deeply degenerate Fermi states whose z overflows a
+        double.  solve_log_fugacity meets the bound in both cases; use it there.
 
     Raises
     ------
@@ -289,9 +296,7 @@ def solve_fugacity(stat, degeneracy):
         Bracketing or iteration failure (carries the bracket state).
     """
     y = solve_log_fugacity(stat, degeneracy)
-    if stat is Statistics.FERMI_DIRAC and y > LOG_SPACE_THRESHOLD:
-        return y
-    z = math.exp(y)
+    z = exp_or_inf(y)
     if stat is Statistics.BOSE_EINSTEIN and -y < 1e-8:
         # One ulp of z moves g_{3/2} by ~sqrt(pi/alpha)*eps near z = 1;
         # return whichever neighbouring float has the smallest residual.
@@ -309,14 +314,13 @@ def solve_fugacity(stat, degeneracy):
 def solve_thermal_state(params, stat=Statistics.FERMI_DIRAC):
     """Build the ThermalState for GasParameters under the given statistics."""
     lam = thermal_wavelength(params.m, params.T, params.unit_system)
-    degeneracy = lam ** 3 / params.nu
-    y = solve_log_fugacity(stat, degeneracy)
-    if y > 709.0:
-        raise DomainError(
-            "state too degenerate for a plain fugacity (ln z = %g); "
-            "use solve_log_fugacity directly" % y
-        )
-    return ThermalState(z=math.exp(y), lam=lam, degeneracy=degeneracy)
+    try:
+        degeneracy = lam ** 3 / params.nu
+    except OverflowError:
+        degeneracy = math.inf
+    if not math.isfinite(degeneracy):
+        raise DomainError("lambda^3/nu overflows at T = %r, nu = %r" % (params.T, params.nu))
+    return ThermalState(solve_log_fugacity(stat, degeneracy), lam, degeneracy)
 
 
 def fermi_momentum(params):

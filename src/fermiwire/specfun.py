@@ -33,8 +33,6 @@ __all__ = [
 SERIES_FUGACITY_MAX = 0.5
 # Integration window above the Fermi edge: integrand < e^-60 past it.
 TAIL_OFFSET = 60.0
-# Fugacities above exp(LOG_SPACE_THRESHOLD) should be passed as log_z.
-LOG_SPACE_THRESHOLD = 300.0
 # Switch to the alpha-expansion when -ln z drops below this (Bose only).
 BOSE_EXPANSION_ALPHA = 0.25
 
@@ -68,6 +66,19 @@ def _coerce_order(order):
         raise DomainError(
             "order must be one of 1/2, 3/2, 5/2; got %r" % (order,)
         ) from None
+
+
+def exp_or_inf(x):
+    """e^x, or math.inf once that overflows a double."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def fermi_function(w):
+    """1/(e^w + 1); exp_or_inf keeps it free of overflow (0.0 for huge w)."""
+    return 1.0 / (1.0 + exp_or_inf(w))
 
 
 def quad_checked(func, a, b, points=None):
@@ -148,7 +159,7 @@ def _fd_quadrature(order, x):
         + (order - 1.0) * math.log(t_cut)
         - math.lgamma(order)
         + math.log1p(
-            (order - 1.0) / t_cut + (order - 1.0) * (order - 2.0) / t_cut ** 2
+            (order - 1.0) / t_cut + (order - 1.0) * (order - 2.0) / t_cut / t_cut
         )
     )
     return value / math.gamma(order) + math.exp(log_tail)
@@ -208,16 +219,17 @@ def quantum_integral(stat, order, z=None, *, log_z=None):
     z : float, optional
         Fugacity, z > 0.  Bose-Einstein requires z <= 1.
     log_z : float, optional
-        ln z, accepted instead of z.  Required for z > e^300 (Fermi-Dirac
-        degenerate regime, supported up to ln z = 1e4) and useful for Bose
-        fugacities within a few ulp of 1.
+        ln z, accepted instead of z.  Required once z overflows a double
+        (Fermi-Dirac degenerate regime, supported up to ln z = 1e4) and
+        useful for Bose fugacities within a few ulp of 1.
 
     Returns
     -------
     float
         The integral value; relative accuracy 1e-10 or better over
-        z in [1e-12, e^700] (FD) and [1e-12, 1] (BE).  g_{1/2}(1) is the
-        one divergent corner and returns math.inf.
+        ln z in [-28, 1e4] (FD) and [-28, 0] (BE).  g_{1/2}(1) is the one
+        divergent corner and returns math.inf; so does the Maxwell-Boltzmann
+        identity once z overflows.
 
     Raises
     ------
@@ -236,13 +248,13 @@ def quantum_integral(stat, order, z=None, *, log_z=None):
         x = math.log(z)
     else:
         x = float(log_z)
-        z = math.exp(x) if x < 709.0 else None
+        z = exp_or_inf(x)
 
     if stat is Statistics.MAXWELL_BOLTZMANN:
-        return z if z is not None else math.exp(x)
+        return z
 
     if stat is Statistics.FERMI_DIRAC:
-        if z is not None and z <= SERIES_FUGACITY_MAX:
+        if z <= SERIES_FUGACITY_MAX:
             return _fd_series(nu, z)
         return _fd_quadrature(nu, x)
 
@@ -251,7 +263,7 @@ def quantum_integral(stat, order, z=None, *, log_z=None):
         raise DomainError(
             "Bose-Einstein integral needs z <= 1, got ln z = %g" % x
         )
-    if z is not None and z <= SERIES_FUGACITY_MAX:
+    if z <= SERIES_FUGACITY_MAX:
         return _be_series(nu, z)
     alpha = -x
     if alpha == 0.0:

@@ -16,15 +16,14 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from scipy.special import expit
-
 from .errors import DomainError
+from .gas_statistics import solve_thermal_state
 from .specfun import (
     QuantumIntegralOrder,
     Statistics,
+    fermi_function,
     quad_checked,
     quantum_integral,
-    thermal_wavelength,
 )
 
 __all__ = [
@@ -67,15 +66,12 @@ class RegimeThresholds:
 
     z_degenerate: float = 100.0
     deg_classical: float = 0.01
-    sigma_thin: float = 0.1
 
     def __post_init__(self):
         if not (self.z_degenerate > 1.0 > self.deg_classical > 0.0):
             raise DomainError(
                 "thresholds must satisfy z_degenerate > 1 > deg_classical > 0"
             )
-        if not self.sigma_thin > 0.0:
-            raise DomainError("sigma_thin must be positive")
 
 
 @dataclass(frozen=True)
@@ -95,7 +91,7 @@ def rhs_eq3(state, wire):
 def _occupation_of_scaled_momentum(stat, log_z):
     # occupation as a function of q with beta*eps = pi q^2 (p = (h/lambda) q)
     if stat is Statistics.FERMI_DIRAC:
-        return lambda q: float(expit(log_z - math.pi * q * q))
+        return lambda q: fermi_function(math.pi * q * q - log_z)
     if stat is Statistics.BOSE_EINSTEIN:
         return lambda q: 1.0 / math.expm1(math.pi * q * q - log_z)
     return lambda q: math.exp(log_z - math.pi * q * q)
@@ -108,9 +104,9 @@ def number_integral_quasi1d(stat, state, wire):
     where beta eps = pi q^2; it is the independent reference for the closed
     form R = sigma_tilde F_{1/2}(z)/degeneracy that classify_regime uses.
     """
-    log_z = math.log(state.z)
-    if stat is Statistics.BOSE_EINSTEIN and not state.z < 1.0:
-        raise DomainError("Bose wire integral needs z < 1, got z = %r" % (state.z,))
+    log_z = state.log_z
+    if stat is Statistics.BOSE_EINSTEIN and not log_z < 0.0:
+        raise DomainError("Bose wire integral needs z < 1, got ln z = %r" % (log_z,))
     occ = _occupation_of_scaled_momentum(stat, log_z)
     q_max = math.sqrt((max(log_z, 0.0) + 60.0) / math.pi)
 
@@ -131,25 +127,14 @@ def number_integral_quasi1d(stat, state, wire):
     return 2.0 * value * wire.sigma_tilde / state.degeneracy
 
 
-def classify_regime(params, state, wire, thresholds=None, stat=Statistics.FERMI_DIRAC):
-    """Classify the wire state: F_{1/2}(z) in statistics stat, then classify_wire.
+def classify_regime(params, wire, thresholds=None, stat=Statistics.FERMI_DIRAC):
+    """Classify the gas of params in the wire under statistics stat.
 
-    params must describe the same state (wavelength and degeneracy agree to
-    1e-9 relative), which guards against mixed-up inputs.
+    Solves the state (solve_thermal_state), evaluates F_{1/2}(z) in the same
+    statistics and hands both to classify_wire.
     """
-    lam = thermal_wavelength(params.m, params.T, params.unit_system)
-    if abs(lam - state.lam) > 1e-9 * lam:
-        raise DomainError(
-            "state wavelength %g inconsistent with parameters (%g)"
-            % (state.lam, lam)
-        )
-    degeneracy = lam ** 3 / params.nu
-    if abs(degeneracy - state.degeneracy) > 1e-9 * degeneracy:
-        raise DomainError(
-            "state degeneracy %g inconsistent with parameters (%g)"
-            % (state.degeneracy, degeneracy)
-        )
-    f_half = quantum_integral(stat, QuantumIntegralOrder.ONE_HALF, state.z)
+    state = solve_thermal_state(params, stat)
+    f_half = quantum_integral(stat, QuantumIntegralOrder.ONE_HALF, log_z=state.log_z)
     return classify_wire(state, f_half, wire, thresholds)
 
 
@@ -200,5 +185,5 @@ def sigma_critical(state, stat=None):
     """
     if stat is None:
         return state.degeneracy / state.z
-    denom = quantum_integral(stat, QuantumIntegralOrder.ONE_HALF, state.z)
+    denom = quantum_integral(stat, QuantumIntegralOrder.ONE_HALF, log_z=state.log_z)
     return state.degeneracy / denom

@@ -71,7 +71,7 @@ def test_criterion_1_fermi_debye_identity():
 
 def test_criterion_2_count_bound_structure():
     with Budget(1.0):
-        state = fw.ThermalState(z=1.0, lam=1.0, degeneracy=1.0)
+        state = fw.ThermalState(log_z=0.0, lam=1.0, degeneracy=1.0)
         base = fw.rhs_eq3(state, fw.WireGeometry(1e-6)) / 1e-6
         linearity = max(
             abs(fw.rhs_eq3(state, fw.WireGeometry(float(s))) / float(s) / base - 1.0)
@@ -80,12 +80,12 @@ def test_criterion_2_count_bound_structure():
         assert linearity <= 1e-12
 
         params = fw.GasParameters(m=1.0, T=2.0 * math.pi, nu=1.0)
-        report = fw.classify_regime(params, state, fw.WireGeometry(1e-6))
+        report = fw.classify_regime(params, fw.WireGeometry(1e-6))
         assert report.regime is fw.Regime.BOSONIZED
 
         worst_mb = 0.0
         for z, deg in ((0.5, 1.0), (2.0, 0.2), (1e-3, 5.0), (1.0, 1.0)):
-            st = fw.ThermalState(z=z, lam=1.0, degeneracy=deg)
+            st = fw.ThermalState(log_z=math.log(z), lam=1.0, degeneracy=deg)
             wire = fw.WireGeometry(0.05)
             exact = fw.number_integral_quasi1d(MB, st, wire)
             worst_mb = max(worst_mb, abs(exact / fw.rhs_eq3(st, wire) - 1.0))
@@ -207,7 +207,7 @@ def test_criterion_8_quadrature_series_equivalence():
         worst = 0.0
         for z in np.geomspace(1e-3, 10.0, 30):
             z = float(z)
-            state = fw.ThermalState(z=z, lam=1.0, degeneracy=1.0)
+            state = fw.ThermalState(log_z=math.log(z), lam=1.0, degeneracy=1.0)
             quad = fw.number_integral_quasi1d(FD, state, fw.WireGeometry(1.0))
             series = fd_series(0.5, z) if z <= 1.0 else fd_log_series(0.5, math.log(z))
             worst = max(worst, abs(quad - series) / series)

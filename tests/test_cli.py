@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, schemas, reproducibility, config."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from fermiwire import cli
+from fermiwire import cli, gas_statistics
 from fermiwire.cli import AxisSpec, main, parse_axis
 from fermiwire.errors import ConfigError
 
@@ -137,13 +138,13 @@ class TestScan:
 
     def test_one_solve_per_temperature_and_volume(self, capsys, monkeypatch):
         calls = []
-        solve = cli.solve_log_fugacity
+        solve = gas_statistics.solve_log_fugacity
 
         def counted(stat, degeneracy):
             calls.append(degeneracy)
             return solve(stat, degeneracy)
 
-        monkeypatch.setattr(cli, "solve_log_fugacity", counted)
+        monkeypatch.setattr(gas_statistics, "solve_log_fugacity", counted)
         code, rows = scan_rows(
             capsys, ["--T", "1:30:3:log", "--nu", "0.5:4:2:log", "--sigma", "1e-6:1:4:log"]
         )
@@ -163,11 +164,13 @@ class TestScan:
                 ],
             ),
             (
+                # T = 1e-200: lambda^3/nu is finite but ln z ~ 1e201 cannot
+                # be bracketed
                 "fd",
-                "0.0050000000000000001",
+                "9.9999999999999998e-201",
                 [
-                    "ln z = %s too degenerate for a plain fugacity" % y
-                    for y in ("1519.27", "957.077")
+                    "failed to bracket fugacity for degeneracy %s" % d
+                    for d in ("1.57496e+301", "7.8748e+300")
                 ],
             ),
         ],
@@ -217,7 +220,10 @@ class TestScan:
         assert code == 0
         rows = [line.split(",", 9) for line in out.read_text().strip().split("\n")[1:]]
         assert [r[1] for r in rows] == ["0", "0", "1", "1"]
-        assert all(r[8:] == ["ERROR", '"nu must be positive, got 0.0"'] for r in rows[:2])
+        assert all(
+            r[8:] == ["ERROR", '"nu must be a positive finite number, got 0.0"']
+            for r in rows[:2]
+        )
         assert all(r[8] != "ERROR" for r in rows[2:])
 
     @pytest.mark.parametrize(
@@ -236,6 +242,23 @@ class TestScan:
         rows = [line.split(",", 9) for line in out.read_text().strip().split("\n")[1:]]
         assert len(rows) == 2
         assert all(r[8:] == ["ERROR", message % repr(float(r[1]))] for r in rows)
+
+    def test_fugacity_past_double_range(self, capsys):
+        # ln z = 1519 and 760 at T = 0.005 and 0.01: z and rhs_approx read
+        # inf, rhs_exact = sigma_tilde f_{1/2}(z)/degeneracy stays finite
+        mpmath = pytest.importorskip("mpmath")
+        code, rows = scan_rows(capsys, ["--T", "0.005:0.02:3:log", "--nu", "1:1:1"])
+        assert code == 0
+        assert [r[8] for r in rows] == ["DegenerateSubFermi"] * 3
+        for row in rows[:2]:
+            assert row[3] == row[6] == "inf"
+            sigma, deg, rhs_exact = float(row[2]), float(row[5]), float(row[7])
+            y = gas_statistics.solve_log_fugacity(gas_statistics.Statistics.FERMI_DIRAC, deg)
+            assert y > 709.0
+            with mpmath.workdps(30):
+                f_half = float((-mpmath.polylog(0.5, -mpmath.exp(y))).real)
+            assert abs(rhs_exact - sigma * f_half / deg) <= 1e-10 * rhs_exact
+        assert math.isfinite(float(rows[2][3]))
 
     def test_json_format(self, capsys):
         code = main(["scan", "--format", "json"])
@@ -316,6 +339,15 @@ class TestExitCodeTwo:
         assert main(["scan", "--stat", "xx"]) == 2
         capsys.readouterr()
         assert main(["scan", "--format", "xml"]) == 2
+        capsys.readouterr()
+
+    def test_sigma_thin_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["scan", "--sigma-thin", "0.1"])
+        assert exit_info.value.code == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"thresholds": {"sigma_thin": 0.1}}')
+        assert main(["scan", "--config", str(cfg)]) == 2
         capsys.readouterr()
 
     def test_unknown_subcommand(self):

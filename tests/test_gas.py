@@ -7,11 +7,13 @@ import pytest
 
 from fermiwire import (
     CondensationError,
+    ConvergenceError,
     DomainError,
     GasParameters,
     QuantumIntegralOrder,
     SingularityError,
     Statistics,
+    ThermalState,
     UnitSystem,
     ZETA_THREE_HALVES,
     fermi_energy,
@@ -135,12 +137,12 @@ class TestSolveFugacity:
                 assert abs(back - x) / x <= 1e-10
 
     def test_fd_log_space_return(self):
-        # beyond ln z = 300 the plain fugacity overflows; the solver hands
-        # back ln z itself, and the companion solver always does
+        # at ln z = 1e4 the plain fugacity overflows a double and reads inf;
+        # the companion solver hands back ln z itself
         x = quantum_integral(FD, N32, log_z=1e4)
-        y = solve_fugacity(FD, x)
+        assert solve_fugacity(FD, x) == math.inf
+        y = solve_log_fugacity(FD, x)
         assert 9999.0 < y < 10001.0
-        assert solve_log_fugacity(FD, x) == y
         back = quantum_integral(FD, N32, log_z=y)
         assert abs(back - x) / x < 1e-10
 
@@ -162,6 +164,17 @@ class TestSolveFugacity:
         with pytest.raises(DomainError):
             solve_fugacity(FD, -1.0)
 
+    @pytest.mark.parametrize("stat", [FD, BE, MB])
+    def test_rejects_infinite_degeneracy(self, stat):
+        with pytest.raises(DomainError):
+            solve_log_fugacity(stat, math.inf)
+
+    def test_huge_degeneracy_raises_typed_error(self):
+        # ln z ~ 1e167 lies far past the kernel's domain; the tail term
+        # must not overflow on the way to the bracketing failure
+        with pytest.raises(ConvergenceError):
+            solve_log_fugacity(FD, 1e250)
+
 
 class TestThermalState:
     def test_reduced_reference_point(self):
@@ -176,11 +189,25 @@ class TestThermalState:
         state = solve_thermal_state(params, MB)
         assert state.z == pytest.approx(state.degeneracy, rel=1e-14)
 
-    def test_too_degenerate_raises(self):
-        # lambda^3/nu large enough that ln z > 709 has no float fugacity
+    def test_too_degenerate_gives_infinite_fugacity(self):
+        # lambda^3/nu large enough that z = e^(ln z) overflows a double: the
+        # state keeps ln z and reads z as inf
         params = GasParameters(m=1.0, T=2.0 * math.pi, nu=1e-9)
-        with pytest.raises(DomainError):
+        state = solve_thermal_state(params, FD)
+        assert state.log_z > 709.0
+        assert state.z == math.inf
+        back = quantum_integral(FD, N32, log_z=state.log_z)
+        assert abs(back - state.degeneracy) / state.degeneracy < 1e-10
+
+    def test_overflowing_degeneracy_rejected(self):
+        params = GasParameters(m=1.0, T=1e-300, nu=1.0)
+        with pytest.raises(DomainError, match="lambda\\^3/nu overflows"):
             solve_thermal_state(params, FD)
+
+    @pytest.mark.parametrize("log_z", [math.nan, math.inf, -math.inf])
+    def test_state_rejects_non_finite_log_z(self, log_z):
+        with pytest.raises(DomainError):
+            ThermalState(log_z=log_z, lam=1.0, degeneracy=1.0)
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):

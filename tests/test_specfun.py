@@ -1,6 +1,8 @@
 """Quantum-integral and thermal-wavelength checks against independent oracles."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,6 +175,9 @@ class TestMaxwellBoltzmann:
     def test_log_space_identity(self):
         assert quantum_integral(MB, 1.5, log_z=2.0) == math.exp(2.0)
 
+    def test_overflowing_fugacity_is_infinite(self):
+        assert quantum_integral(MB, 1.5, log_z=800.0) == math.inf
+
 
 class TestOrdering:
     def test_fd_below_mb_below_be(self):
@@ -195,6 +200,47 @@ def test_against_mpmath(order):
         want = float(mpmath.polylog(order, z).real)
         got = quantum_integral(BE, order, z)
         assert rel(got, want) < 1e-11
+
+
+# Dense log-spaced grids over the advertised domain: FD ln z in [-28, 1e4]
+# on both sides of 0, BE alpha = -ln z in {0} and [1e-12, 28].
+DENSE_FD_LOG_Z = (
+    [-float(x) for x in np.geomspace(28.0, 1e-6, 13)]
+    + [0.0]
+    + [float(x) for x in np.geomspace(1e-6, 1e4, 26)]
+)
+DENSE_BE_ALPHA = [0.0] + [float(a) for a in np.geomspace(1e-12, 28.0, 39)]
+
+
+@pytest.mark.parametrize("order", [0.5, 1.5, 2.5])
+def test_dense_sweep_against_mpmath(order):
+    """The 1e-10 relative-accuracy contract, checked densely in log space."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for x in DENSE_FD_LOG_Z:
+            want = float((-mpmath.polylog(order, -mpmath.exp(x))).real)
+            assert rel(quantum_integral(FD, order, log_z=x), want) <= 1e-10, x
+        for alpha in DENSE_BE_ALPHA:
+            if order == 0.5 and alpha == 0.0:
+                continue  # g_{1/2}(1) diverges
+            want = float(mpmath.polylog(order, mpmath.exp(-alpha)).real)
+            assert rel(quantum_integral(BE, order, log_z=-alpha), want) <= 1e-10, alpha
+
+
+def test_only_specfun_imports_scipy():
+    package = Path(__file__).resolve().parents[1] / "src" / "fermiwire"
+    importers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                importers.add(path.name)
+    assert importers == {"specfun.py"}
 
 
 def test_quantum_integral_rejects_bad_arguments():

@@ -16,6 +16,7 @@ from fermiwire import (
     WireGeometry,
     ZETA_THREE_HALVES,
     classify_regime,
+    classify_wire,
     number_integral_quasi1d,
     quantum_integral,
     rhs_eq3,
@@ -30,7 +31,7 @@ MB = Statistics.MAXWELL_BOLTZMANN
 
 
 def make_state(z, degeneracy, lam=1.0):
-    return ThermalState(z=z, lam=lam, degeneracy=degeneracy)
+    return ThermalState(log_z=math.log(z), lam=lam, degeneracy=degeneracy)
 
 
 class TestRhs:
@@ -113,13 +114,12 @@ class TestNumberIntegral:
 class TestClassifier:
     def consistent(self, nu, stat=FD, sigma=1e-6, thresholds=None):
         params = GasParameters(m=1.0, T=2.0 * math.pi, nu=nu)
-        state = solve_thermal_state(params, stat)
-        return classify_regime(params, state, WireGeometry(sigma), thresholds, stat)
+        return classify_regime(params, WireGeometry(sigma), thresholds, stat)
 
     def test_bosonized_example(self):
-        params = GasParameters(m=1.0, T=2.0 * math.pi, nu=1.0)
-        state = ThermalState(z=1.0, lam=1.0, degeneracy=1.0)
-        report = classify_regime(params, state, WireGeometry(1e-6))
+        state = make_state(1.0, 1.0)
+        f_half = quantum_integral(FD, QuantumIntegralOrder.ONE_HALF, log_z=0.0)
+        report = classify_wire(state, f_half, WireGeometry(1e-6))
         assert report.regime is Regime.BOSONIZED
         assert report.rhs_approx == pytest.approx(1e-6, rel=1e-12)
         assert not report.inequality_holds
@@ -136,21 +136,19 @@ class TestClassifier:
         assert report.inequality_holds
 
     def test_degenerate_example(self):
-        params = GasParameters(m=1.0, T=2.0 * math.pi, nu=1.0)
         lnz = 200.0
         deg = quantum_integral(FD, QuantumIntegralOrder.THREE_HALVES, log_z=lnz)
         params = GasParameters(m=1.0, T=2.0 * math.pi, nu=1.0 / deg)
-        state = ThermalState(z=math.exp(lnz), lam=1.0, degeneracy=deg)
-        report = classify_regime(params, state, WireGeometry(1e-6))
+        report = classify_regime(params, WireGeometry(1e-6))
         assert report.regime is Regime.DEGENERATE_SUB_FERMI
 
     def test_degenerate_takes_priority(self):
         # a point satisfying both the degenerate and Boltzmann branches must
         # land on DegenerateSubFermi (documented cascade order)
         thresholds = RegimeThresholds(z_degenerate=1.1, deg_classical=0.9)
-        params = GasParameters(m=1.0, T=2.0 * math.pi, nu=1.0 / 0.85)
-        state = ThermalState(z=1.15, lam=1.0, degeneracy=0.85)
-        report = classify_regime(params, state, WireGeometry(10.0), thresholds)
+        state = make_state(1.15, 0.85)
+        f_half = quantum_integral(FD, QuantumIntegralOrder.ONE_HALF, log_z=state.log_z)
+        report = classify_wire(state, f_half, WireGeometry(10.0), thresholds)
         assert report.inequality_holds
         assert state.degeneracy <= thresholds.deg_classical
         assert report.regime is Regime.DEGENERATE_SUB_FERMI
@@ -176,23 +174,11 @@ class TestClassifier:
 
     def test_bosonized_monotone_in_sigma(self):
         params = GasParameters(m=1.0, T=2.0 * math.pi, nu=1.0)
-        state = solve_thermal_state(params, FD)
         sigma0 = 0.3
-        assert classify_regime(params, state, WireGeometry(sigma0)).regime is Regime.BOSONIZED
+        assert classify_regime(params, WireGeometry(sigma0)).regime is Regime.BOSONIZED
         for sigma in np.geomspace(1e-9, sigma0, 12):
-            report = classify_regime(params, state, WireGeometry(float(sigma)))
+            report = classify_regime(params, WireGeometry(float(sigma)))
             assert report.regime is Regime.BOSONIZED
-
-    def test_inconsistent_state_rejected(self):
-        params = GasParameters(m=1.0, T=2.0 * math.pi, nu=1.0)
-        with pytest.raises(DomainError):
-            classify_regime(
-                params, ThermalState(z=1.0, lam=2.0, degeneracy=8.0), WireGeometry(0.1)
-            )
-        with pytest.raises(DomainError):
-            classify_regime(
-                params, ThermalState(z=1.0, lam=1.0, degeneracy=3.0), WireGeometry(0.1)
-            )
 
     def test_threshold_validation(self):
         with pytest.raises(DomainError):
