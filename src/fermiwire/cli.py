@@ -40,10 +40,8 @@ from .one_dim_chain import CLOSURE_RATIO, ChainParameters, closure_temperature
 from .phonon_map import (
     PhononMedium,
     correspondence_check,
-    debye_momentum,
     debye_omega_max,
     debye_wavelength,
-    phonon_max_energy,
 )
 from .specfun import (
     QuantumIntegralOrder,

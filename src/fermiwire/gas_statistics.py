@@ -141,53 +141,22 @@ def occupation(stat, z, beta, eps):
     raise DomainError("stat must be a Statistics member, got %r" % (stat,))
 
 
-def _objective(stat, y):
-    # F_{3/2} evaluated at ln z = y, in log-space for numerical range.
-    return quantum_integral(stat, QuantumIntegralOrder.THREE_HALVES, log_z=y)
+def _solve_log(stat, x, lo, hi, y):
+    """ln z in [lo, hi] solving F_{3/2}(e^y) = x by safeguarded Newton from y.
 
-
-def _derivative(stat, y):
-    # d/dy F_{3/2}(e^y) = F_{1/2}(e^y) for both FD and BE.
-    return quantum_integral(stat, QuantumIntegralOrder.ONE_HALF, log_z=y)
-
-
-def _solve_fd_log(x):
-    """ln z solving f_{3/2}(e^y) = x by bracketed Newton in y."""
-    if x <= 0.7:
-        y = math.log(x)
-    else:
-        y = (x / SOMMERFELD_COEFF) ** (2.0 / 3.0)
-
-    lo = hi = y
-    flo = fhi = _objective(Statistics.FERMI_DIRAC, y) - x
-    step = 1.0
-    for _ in range(200):
-        if flo > 0.0:
-            lo -= step
-            flo = _objective(Statistics.FERMI_DIRAC, lo) - x
-        elif fhi < 0.0:
-            hi += step
-            fhi = _objective(Statistics.FERMI_DIRAC, hi) - x
-        else:
-            break
-        step *= 2.0
-    if flo > 0.0 or fhi < 0.0:
-        raise ConvergenceError(
-            "failed to bracket fugacity for degeneracy %g" % x,
-            bracket=((lo, flo), (hi, fhi)),
-        )
-
-    y = 0.5 * (lo + hi)
+    F_{3/2}(e^y) rises with y, its slope is F_{1/2}(e^y) and its curvature
+    F_{-1/2}(e^y) > 0, so Newton converges from either side; a step that
+    leaves the bracket falls back to bisection.
+    """
     for _ in range(_MAX_ITER):
-        f = _objective(Statistics.FERMI_DIRAC, y) - x
+        f = quantum_integral(stat, QuantumIntegralOrder.THREE_HALVES, log_z=y) - x
         if abs(f) <= _REL_TOL * x:
             return y
         if f > 0.0:
             hi = y
         else:
             lo = y
-        slope = _derivative(Statistics.FERMI_DIRAC, y)
-        y_next = y - f / slope
+        y_next = y - f / quantum_integral(stat, QuantumIntegralOrder.ONE_HALF, log_z=y)
         if not lo < y_next < hi:
             y_next = 0.5 * (lo + hi)
         if y_next == y:
@@ -199,73 +168,38 @@ def _solve_fd_log(x):
     )
 
 
-def _solve_be_alpha(x):
-    """alpha = -ln z solving g_{3/2}(e^-alpha) = x; decreasing objective."""
-    gap = ZETA_THREE_HALVES - x
-    if x <= 0.7:
-        alpha = -math.log(x)
-    elif gap < 0.1:
-        alpha = (gap / (2.0 * math.sqrt(math.pi))) ** 2
-    else:
-        alpha = 1.0
-    alpha = max(alpha, 5e-324)
-
-    lo, hi = alpha, alpha  # g(lo) >= x >= g(hi) wanted, g decreasing
-    glo = ghi = _objective(Statistics.BOSE_EINSTEIN, -alpha) - x
-    for _ in range(200):
-        if glo < 0.0:
-            lo *= 0.25
-            glo = _objective(Statistics.BOSE_EINSTEIN, -lo) - x
-        elif ghi > 0.0:
-            hi *= 4.0
-            ghi = _objective(Statistics.BOSE_EINSTEIN, -hi) - x
-        else:
-            break
-    if glo < 0.0 or ghi > 0.0:
-        raise ConvergenceError(
-            "failed to bracket Bose fugacity for degeneracy %g" % x,
-            bracket=((lo, glo), (hi, ghi)),
-        )
-
-    alpha = math.sqrt(lo * hi) if lo > 0.0 else 0.5 * (lo + hi)
-    for _ in range(_MAX_ITER):
-        g = _objective(Statistics.BOSE_EINSTEIN, -alpha) - x
-        if abs(g) <= _REL_TOL * x:
-            return alpha
-        if g > 0.0:
-            lo = alpha
-        else:
-            hi = alpha
-        slope = _derivative(Statistics.BOSE_EINSTEIN, -alpha)
-        alpha_next = alpha + g / slope
-        if not lo < alpha_next < hi:
-            alpha_next = math.sqrt(lo * hi) if lo > 0.0 else 0.5 * (lo + hi)
-        if alpha_next == alpha:
-            return alpha
-        alpha = alpha_next
-    raise ConvergenceError(
-        "Bose fugacity iteration stalled at degeneracy %g" % x,
-        bracket=((lo, 0.0), (hi, 0.0)),
-    )
-
-
 def solve_log_fugacity(stat, degeneracy):
     """ln z solving F_{3/2}(z) = degeneracy; exact far into degeneracy."""
     if not (degeneracy > 0.0 and math.isfinite(degeneracy)):
         raise DomainError("degeneracy must be a positive finite number, got %r" % (degeneracy,))
     if stat is Statistics.MAXWELL_BOLTZMANN:
         return math.log(degeneracy)
+    # Closed-form brackets, so no search loop:
+    #   FD: f_{3/2}(z) <= z (alternating series) and, for y > 0,
+    #       f_{3/2}(e^y) >= C y^(3/2) with C = SOMMERFELD_COEFF (the smeared
+    #       Fermi edge only adds to the Sommerfeld term), so
+    #       ln x <= y <= (x/C)^(2/3).
+    #   BE: z <= g_{3/2}(z) <= zeta(3/2) z for z <= 1, so
+    #       ln(x/zeta) <= y <= min(ln x, 0).
+    # The BE seed inverts g_{3/2}(e^-a) ~ zeta(3/2) - 2 sqrt(pi a) and is
+    # clipped to ln x when x is small.
+    x = degeneracy
     if stat is Statistics.FERMI_DIRAC:
-        return _solve_fd_log(degeneracy)
+        hi = (x / SOMMERFELD_COEFF) ** (2.0 / 3.0)
+        lo = math.log(x)
+        return _solve_log(stat, x, lo, hi, lo if x <= 0.7 else hi)
     if stat is Statistics.BOSE_EINSTEIN:
-        if degeneracy > ZETA_THREE_HALVES:
+        if x > ZETA_THREE_HALVES:
             raise CondensationError(
                 "degeneracy %.17g exceeds zeta(3/2) = %.16g: condensed phase"
-                % (degeneracy, ZETA_THREE_HALVES)
+                % (x, ZETA_THREE_HALVES)
             )
-        if degeneracy == ZETA_THREE_HALVES:
+        if x == ZETA_THREE_HALVES:
             return 0.0
-        return -_solve_be_alpha(degeneracy)
+        lo = math.log(x / ZETA_THREE_HALVES)
+        hi = min(math.log(x), 0.0)
+        seed = -(((ZETA_THREE_HALVES - x) / (2.0 * math.sqrt(math.pi))) ** 2)
+        return _solve_log(stat, x, lo, hi, min(max(seed, lo), hi))
     raise DomainError("stat must be a Statistics member, got %r" % (stat,))
 
 
@@ -293,7 +227,7 @@ def solve_fugacity(stat, degeneracy):
     CondensationError
         Bose-Einstein degeneracy above zeta(3/2).
     ConvergenceError
-        Bracketing or iteration failure (carries the bracket state).
+        Iteration failure (carries the bracket state).
     """
     y = solve_log_fugacity(stat, degeneracy)
     z = exp_or_inf(y)

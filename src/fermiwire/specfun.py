@@ -234,8 +234,8 @@ def quantum_integral(stat, order, z=None, *, log_z=None):
     Raises
     ------
     DomainError
-        If z <= 0, if both or neither of z/log_z are given, or if a
-        Bose-Einstein fugacity exceeds 1.
+        If z <= 0, if z or log_z is not finite, if both or neither of
+        z/log_z are given, or if a Bose-Einstein fugacity exceeds 1.
     """
     nu = _coerce_order(order)
     if not isinstance(stat, Statistics):
@@ -249,6 +249,8 @@ def quantum_integral(stat, order, z=None, *, log_z=None):
     else:
         x = float(log_z)
         z = exp_or_inf(x)
+    if not math.isfinite(x):
+        raise DomainError("ln z must be finite, got %r" % (x,))
 
     if stat is Statistics.MAXWELL_BOLTZMANN:
         return z

@@ -14,7 +14,6 @@ regime label.  sigma is kept dimensionless as sigma_tilde = sigma
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 from .errors import DomainError
 from .gas_statistics import solve_thermal_state
@@ -41,16 +40,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WireGeometry:
-    """Dimensionless transverse cross-section; length only aids box checks."""
+    """Dimensionless transverse cross-section."""
 
     sigma_tilde: float
-    length_L: Optional[float] = None
 
     def __post_init__(self):
         if not self.sigma_tilde > 0.0:
             raise DomainError("sigma_tilde must be positive, got %r" % (self.sigma_tilde,))
-        if self.length_L is not None and not self.length_L > 0.0:
-            raise DomainError("length_L must be positive, got %r" % (self.length_L,))
 
 
 class Regime(Enum):
@@ -80,7 +76,6 @@ class RegimeReport:
     rhs_exact: float
     inequality_holds: bool
     regime: Regime
-    thresholds_used: RegimeThresholds
 
 
 def rhs_eq3(state, wire):
@@ -172,7 +167,6 @@ def classify_wire(state, f_half, wire, thresholds=None):
         rhs_exact=rhs_exact,
         inequality_holds=rhs_approx > 1.0,
         regime=regime,
-        thresholds_used=thresholds,
     )
 
 

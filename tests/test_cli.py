@@ -164,13 +164,12 @@ class TestScan:
                 ],
             ),
             (
-                # T = 1e-200: lambda^3/nu is finite but ln z ~ 1e201 cannot
-                # be bracketed
+                # T = 1e-300: lambda^3 overflows a double
                 "fd",
-                "9.9999999999999998e-201",
+                "1e-300",
                 [
-                    "failed to bracket fugacity for degeneracy %s" % d
-                    for d in ("1.57496e+301", "7.8748e+300")
+                    '"lambda^3/nu overflows at T = 1e-300, nu = %s"' % nu
+                    for nu in ("1.0", "2.0")
                 ],
             ),
         ],
@@ -259,6 +258,19 @@ class TestScan:
                 f_half = float((-mpmath.polylog(0.5, -mpmath.exp(y))).real)
             assert abs(rhs_exact - sigma * f_half / deg) <= 1e-10 * rhs_exact
         assert math.isfinite(float(rows[2][3]))
+
+    def test_deep_degenerate_pair_solves(self, capsys):
+        # lambda^3/nu ~ 1.6e301 puts ln z ~ 7.6e200; there f_{1/2}(e^y) =
+        # (2/sqrt(pi)) sqrt(y) and y = (deg/C)^(2/3) to double precision
+        code, rows = scan_rows(
+            capsys, ["--T", "1e-200:1e-200:1", "--nu", "1:1:1", "--sigma", "1:1:1"]
+        )
+        assert code == 0
+        assert len(rows) == 1 and rows[0][8] == "DegenerateSubFermi"
+        sigma, deg, rhs_exact = float(rows[0][2]), float(rows[0][5]), float(rows[0][7])
+        y = (deg / gas_statistics.SOMMERFELD_COEFF) ** (2.0 / 3.0)
+        expected = 2.0 / math.sqrt(math.pi) * math.sqrt(y) * sigma / deg
+        assert abs(rhs_exact - expected) <= 1e-10 * expected
 
     def test_json_format(self, capsys):
         code = main(["scan", "--format", "json"])

@@ -7,7 +7,6 @@ import pytest
 
 from fermiwire import (
     CondensationError,
-    ConvergenceError,
     DomainError,
     GasParameters,
     QuantumIntegralOrder,
@@ -25,6 +24,7 @@ from fermiwire import (
     solve_log_fugacity,
     solve_thermal_state,
 )
+from fermiwire import gas_statistics
 from oracles import EPS_F_REDUCED, ETA_THREE_HALVES, fd_series
 
 FD = Statistics.FERMI_DIRAC
@@ -169,11 +169,56 @@ class TestSolveFugacity:
         with pytest.raises(DomainError):
             solve_log_fugacity(stat, math.inf)
 
-    def test_huge_degeneracy_raises_typed_error(self):
-        # ln z ~ 1e167 lies far past the kernel's domain; the tail term
-        # must not overflow on the way to the bracketing failure
-        with pytest.raises(ConvergenceError):
-            solve_log_fugacity(FD, 1e250)
+    @pytest.mark.parametrize(
+        "stat, degeneracies",
+        [
+            (FD, np.geomspace(1e-300, 1e300, 400)),
+            (
+                BE,
+                np.concatenate(
+                    [
+                        np.geomspace(1e-300, 2.6, 200),
+                        [ZETA_THREE_HALVES - 10.0 ** -k for k in range(3, 16)],
+                    ]
+                ),
+            ),
+        ],
+        ids=["fd", "be"],
+    )
+    def test_residual_sweep(self, stat, degeneracies):
+        # every finite degeneracy solves: up to 1e300 (ln z ~ 1e200) for FD,
+        # and up to a few ulp below zeta(3/2) for BE
+        for x in degeneracies:
+            x = float(x)
+            y = solve_log_fugacity(stat, x)
+            back = quantum_integral(stat, N32, log_z=y)
+            assert abs(back - x) <= 1e-10 * x, (x, y, back)
+
+    def test_kernel_calls_per_solve(self, monkeypatch):
+        # the closed-form bracket and seed keep each solve to a few Newton
+        # steps of two kernel calls each
+        calls = []
+        kernel = gas_statistics.quantum_integral
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(gas_statistics, "quantum_integral", counted)
+        sweeps = {
+            FD: np.geomspace(1e-6, 1e6, 60),
+            BE: np.concatenate(
+                [
+                    np.geomspace(1e-6, 2.6, 60),
+                    [ZETA_THREE_HALVES - 10.0 ** -k for k in range(3, 13)],
+                ]
+            ),
+        }
+        for stat, degeneracies in sweeps.items():
+            calls.clear()
+            for x in degeneracies:
+                solve_log_fugacity(stat, float(x))
+            assert len(calls) / len(degeneracies) <= 8.0, stat
 
 
 class TestThermalState:

@@ -256,6 +256,24 @@ def test_quantum_integral_rejects_bad_arguments():
         quantum_integral(FD, 1.5, 1.0, log_z=0.0)  # both
 
 
+@pytest.mark.parametrize("stat", [FD, BE, MB], ids=["fd", "be", "mb"])
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"log_z": math.inf},
+        {"log_z": math.nan},
+        {"log_z": -math.inf},  # z = 0, rejected as z=0.0 is
+        {"z": math.inf},
+    ],
+    ids=["log_z=inf", "log_z=nan", "log_z=-inf", "z=inf"],
+)
+def test_quantum_integral_rejects_non_finite(stat, kwargs):
+    # a finite ln z whose z overflows stays valid: see
+    # TestMaxwellBoltzmann.test_overflowing_fugacity_is_infinite
+    with pytest.raises(DomainError):
+        quantum_integral(stat, 1.5, **kwargs)
+
+
 class TestThermalWavelength:
     def test_reduced_reference_point(self):
         assert thermal_wavelength(1.0, 2.0 * math.pi) == pytest.approx(1.0, rel=1e-15)

@@ -216,5 +216,3 @@ def test_wire_geometry_validation():
         WireGeometry(0.0)
     with pytest.raises(DomainError):
         WireGeometry(-0.5)
-    wire = WireGeometry(0.25, length_L=10.0)
-    assert wire.length_L == 10.0
