@@ -7,16 +7,18 @@ The central objects are the Fermi-Dirac and Bose-Einstein integrals
 
 for nu in {1/2, 3/2, 5/2}, with the Maxwell-Boltzmann member of the family
 degenerating to the identity f(z) = z.  Evaluation is by power series for
-small fugacity and adaptive quadrature with an analytic tail elsewhere;
-near the Bose condensation point an expansion in alpha = -ln z takes over
-because the quadrature peak at the origin becomes unresolvable.
+small fugacity and elsewhere by fixed-panel Gauss-Legendre quadrature in
+u = sqrt(t) (quad_checked, panel_edges), with the tail below e^-60
+dropped; near the Bose condensation point an expansion in alpha = -ln z,
+with tabulated zeta values, takes over because the peak at the origin
+narrows to width sqrt(alpha).
 """
 
 import math
-import warnings
 from enum import Enum
 
-from scipy import integrate, special
+import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .constants import UnitSystem, constants_for
 from .errors import ConvergenceError, DomainError
@@ -35,10 +37,27 @@ SERIES_FUGACITY_MAX = 0.5
 TAIL_OFFSET = 60.0
 # Switch to the alpha-expansion when -ln z drops below this (Bose only).
 BOSE_EXPANSION_ALPHA = 0.25
+# quad_checked fails once its 16- and 8-node values differ by more than this.
+_QUAD_RTOL = 1e-6
 
-_QUAD_EPSABS = 1e-12
-_QUAD_EPSREL = 1e-13
-_QUAD_LIMIT = 200
+# Gauss-Legendre nodes on [-1, 1], 16 then 8; column 0 of _WEIGHTS weighs
+# the 16-node rule and column 1 the 8-node rule, each 0 at the other's nodes.
+(_X16, _W16), (_X8, _W8) = leggauss(16), leggauss(8)
+_NODES = np.concatenate([_X16, _X8])
+_WEIGHTS = np.stack([np.r_[_W16, 0.0 * _W8], np.r_[0.0 * _W16, _W8]], axis=1)
+_FD_T_STEPS = np.linspace(0.0, 1.0, 26)
+_BE_EDGES = np.linspace(0.0, math.sqrt(TAIL_OFFSET), 17)
+
+# zeta(5/2 - j) for j = 0..16 (float(mpmath.zeta) at 30 digits): the
+# alpha-expansion reads zeta(nu - k) at j = k + 5/2 - nu.
+_ZETA_HALF_INTEGERS = (
+    1.341487257250917, 2.612375348685488, -1.4603545088095868,
+    -0.20788622497735457, -0.025485201889833036, 0.008516928777850331,
+    0.004441011335479432, -0.0030916692472158338, -0.0026714580198992244,
+    0.0027467679395368687, 0.00326903957260022, -0.00441603287300489,
+    -0.006672172296466641, 0.011146122473942813, 0.02039697871594279,
+    -0.04057496748119458, -0.08717525590621725,
+)
 
 
 class Statistics(Enum):
@@ -82,27 +101,53 @@ def fermi_function(w):
 
 
 def quad_checked(func, a, b, points=None):
-    """scipy.integrate.quad that raises ConvergenceError instead of warning.
+    """Composite 16-node Gauss-Legendre rule over the panels [a, *points, b].
 
-    Returns (value, error_estimate).
+    func takes a numpy array of abscissae and returns the integrand at each,
+    elementwise.  Overflow inside func is ignored, so e^w -> inf may stand
+    for an occupation of 0.  The error estimate is the gap to the 8-node
+    rule on the same panels.
+
+    Returns (value, error_estimate); raises ConvergenceError when the
+    estimate exceeds 1e-6 of the value.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            value, estimate = integrate.quad(
-                func,
-                a,
-                b,
-                epsabs=_QUAD_EPSABS,
-                epsrel=_QUAD_EPSREL,
-                limit=_QUAD_LIMIT,
-                points=points,
-            )
-        except integrate.IntegrationWarning as warn:
-            raise ConvergenceError(
-                "quadrature did not converge: %s" % warn, error_estimate=None
-            ) from None
+    edges = np.concatenate(([a], [] if points is None else points, [b]))
+    centre = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    with np.errstate(over="ignore"):
+        f = func(centre[:, None] + half[:, None] * _NODES)
+    value, coarse = (half @ f @ _WEIGHTS).tolist()
+    estimate = abs(value - coarse)
+    if not estimate <= _QUAD_RTOL * abs(value):
+        raise ConvergenceError(
+            "quadrature did not converge: 16- and 8-node rules differ by %g on %g"
+            % (estimate, value),
+            error_estimate=estimate,
+        )
     return value, estimate
+
+
+def panel_edges(stat, log_z):
+    """Edges in u = sqrt(t) of the quad_checked panels for F_nu(e^log_z).
+
+    FD: one panel up to 40 below the Fermi edge t = ln z, then 25 panels
+    even in t up to max(ln z, 0) + 60; the integrand past that is below
+    e^-60 and is dropped.  MB: the FD edges at ln z = 0.  BE: 16 equal
+    panels over [0, sqrt(60)], plus edges at sqrt(alpha) 2^k (alpha = -ln z)
+    that resolve the peak of width sqrt(alpha) at the origin.
+    """
+    if stat is Statistics.BOSE_EINSTEIN:
+        graded = []
+        u = math.sqrt(-log_z)
+        while u < _BE_EDGES[-1]:
+            graded.append(u)
+            u *= 2.0
+        return np.union1d(_BE_EDGES, graded)
+    if stat is Statistics.MAXWELL_BOLTZMANN:
+        log_z = 0.0
+    t_lo = max(log_z - 40.0, 0.0)
+    t = t_lo + (max(log_z, 0.0) + TAIL_OFFSET - t_lo) * _FD_T_STEPS
+    return np.sqrt(np.concatenate(([0.0], t)))
 
 
 def _fd_series(order, z):
@@ -129,64 +174,26 @@ def _be_series(order, z):
     return math.fsum(terms)
 
 
-def _fd_quadrature(order, x):
-    """f_order(e^x) for any real x by quadrature plus analytic tail.
+def mean_occupation(stat, w):
+    """Elementwise occupation at w = beta eps - ln z; e^w -> inf reads as 0."""
+    if stat is Statistics.FERMI_DIRAC:
+        return 1.0 / (np.exp(w) + 1.0)
+    if stat is Statistics.BOSE_EINSTEIN:
+        return 1.0 / np.expm1(w)
+    return np.exp(-w)
 
-    Substituting t = u^2 removes the t^(order-1) endpoint singularity.  The
-    integration window [0, x+60] covers everything above round-off; the
-    remainder is the Boltzmann tail, integrated analytically to second
-    order in 1/T at the cut.  Interior break points pin the Fermi edge so
-    the adaptive rule cannot overlook it when x is large.
+
+def _quadrature(stat, order, log_z, edges):
+    """F_order(e^log_z) by quad_checked over u = sqrt(t) panels.
+
+    Substituting t = u^2 removes the t^(order-1) endpoint singularity.
     """
-    t_cut = max(x, 0.0) + TAIL_OFFSET
-    u_max = math.sqrt(t_cut)
     p = 2.0 * order - 1.0
-
-    def integrand(u):
-        return 2.0 * u ** p / (math.exp(u * u - x) + 1.0)
-
-    if x > 45.0:
-        points = [math.sqrt(x - 45.0), math.sqrt(x), math.sqrt(x + 45.0)]
-    elif x > 0.0:
-        points = [math.sqrt(x)]
-    else:
-        points = None
-    value, _ = quad_checked(integrand, 0.0, u_max, points=points)
-
-    log_tail = (
-        x
-        - t_cut
-        + (order - 1.0) * math.log(t_cut)
-        - math.lgamma(order)
-        + math.log1p(
-            (order - 1.0) / t_cut + (order - 1.0) * (order - 2.0) / t_cut / t_cut
-        )
+    value, _ = quad_checked(
+        lambda u: 2.0 * u ** p * mean_occupation(stat, u * u - log_z),
+        edges[0], edges[-1], edges[1:-1],
     )
-    return value / math.gamma(order) + math.exp(log_tail)
-
-
-def _be_quadrature(order, alpha):
-    """g_order(e^-alpha) by quadrature for alpha >= BOSE_EXPANSION_ALPHA or 0."""
-    u_max = math.sqrt(TAIL_OFFSET)
-    p = 2.0 * order - 1.0
-
-    def integrand(u):
-        return 2.0 * u ** p / math.expm1(u * u + alpha)
-
-    points = [math.sqrt(alpha)] if 0.0 < alpha < TAIL_OFFSET else None
-    value, _ = quad_checked(integrand, 0.0, u_max, points=points)
-
-    log_tail = (
-        -alpha
-        - TAIL_OFFSET
-        + (order - 1.0) * math.log(TAIL_OFFSET)
-        - math.lgamma(order)
-        + math.log1p(
-            (order - 1.0) / TAIL_OFFSET
-            + (order - 1.0) * (order - 2.0) / TAIL_OFFSET ** 2
-        )
-    )
-    return value / math.gamma(order) + math.exp(log_tail)
+    return value / math.gamma(order)
 
 
 def _be_expansion(order, alpha):
@@ -194,12 +201,13 @@ def _be_expansion(order, alpha):
 
     g_nu(e^-a) = Gamma(1-nu) a^(nu-1) + sum_k zeta(nu-k) (-a)^k / k!,
     convergent for a < 2*pi; terms fall off like (a/2pi)^k, so the loop
-    below is far past double precision at alpha <= 0.25.
+    below is far past double precision at alpha < 0.25, where it stops by
+    k = 14.
     """
     terms = [math.gamma(1.0 - order) * alpha ** (order - 1.0)]
     factor = 1.0
-    for k in range(0, 30):
-        terms.append(float(special.zeta(order - k)) * factor)
+    for k, zeta in enumerate(_ZETA_HALF_INTEGERS[int(2.5 - order):]):
+        terms.append(zeta * factor)
         factor *= -alpha / (k + 1.0)
         if abs(factor) * 1e3 < 1e-18:
             break
@@ -258,7 +266,7 @@ def quantum_integral(stat, order, z=None, *, log_z=None):
     if stat is Statistics.FERMI_DIRAC:
         if z <= SERIES_FUGACITY_MAX:
             return _fd_series(nu, z)
-        return _fd_quadrature(nu, x)
+        return _quadrature(stat, nu, x, panel_edges(stat, x))
 
     # Bose-Einstein
     if x > 0.0:
@@ -271,10 +279,11 @@ def quantum_integral(stat, order, z=None, *, log_z=None):
     if alpha == 0.0:
         if nu == 0.5:
             return math.inf
-        return _be_quadrature(nu, 0.0)
-    if alpha < BOSE_EXPANSION_ALPHA:
+    elif alpha < BOSE_EXPANSION_ALPHA:
         return _be_expansion(nu, alpha)
-    return _be_quadrature(nu, alpha)
+    # 16 equal u-panels keep the pole at u = i sqrt(alpha) outside each
+    # panel's convergence ellipse
+    return _quadrature(stat, nu, x, _BE_EDGES)
 
 
 def thermal_wavelength(m, T, unit_system=UnitSystem.REDUCED):

@@ -20,7 +20,8 @@ from .gas_statistics import solve_thermal_state
 from .specfun import (
     QuantumIntegralOrder,
     Statistics,
-    fermi_function,
+    mean_occupation,
+    panel_edges,
     quad_checked,
     quantum_integral,
 )
@@ -83,42 +84,23 @@ def rhs_eq3(state, wire):
     return wire.sigma_tilde * state.z / state.degeneracy
 
 
-def _occupation_of_scaled_momentum(stat, log_z):
-    # occupation as a function of q with beta*eps = pi q^2 (p = (h/lambda) q)
-    if stat is Statistics.FERMI_DIRAC:
-        return lambda q: fermi_function(math.pi * q * q - log_z)
-    if stat is Statistics.BOSE_EINSTEIN:
-        return lambda q: 1.0 / math.expm1(math.pi * q * q - log_z)
-    return lambda q: math.exp(log_z - math.pi * q * q)
-
-
 def number_integral_quasi1d(stat, state, wire):
     """Exact per-particle quasi-1D count (nu sigma/h^3) integral n(p) dp.
 
-    Evaluated by adaptive quadrature in the scaled momentum q = p lambda/h,
-    where beta eps = pi q^2; it is the independent reference for the closed
-    form R = sigma_tilde F_{1/2}(z)/degeneracy that classify_regime uses.
+    Evaluated by fixed-panel Gauss-Legendre quadrature (quad_checked) in the
+    scaled momentum q = p lambda/h, where beta eps = pi q^2, on panel_edges
+    mapped to q = u/sqrt(pi).  It takes neither the series nor the Bose
+    alpha-expansion, so it is an independent reference for the closed form
+    R = sigma_tilde F_{1/2}(z)/degeneracy that classify_regime uses.
     """
     log_z = state.log_z
     if stat is Statistics.BOSE_EINSTEIN and not log_z < 0.0:
         raise DomainError("Bose wire integral needs z < 1, got ln z = %r" % (log_z,))
-    occ = _occupation_of_scaled_momentum(stat, log_z)
-    q_max = math.sqrt((max(log_z, 0.0) + 60.0) / math.pi)
-
-    points = None
-    if stat is Statistics.FERMI_DIRAC and log_z > 45.0:
-        points = [
-            math.sqrt((log_z - 45.0) / math.pi),
-            math.sqrt(log_z / math.pi),
-            math.sqrt((log_z + 45.0) / math.pi),
-        ]
-    elif stat is Statistics.FERMI_DIRAC and log_z > 0.0:
-        points = [math.sqrt(log_z / math.pi)]
-    elif stat is Statistics.BOSE_EINSTEIN:
-        scale = math.sqrt(-log_z / math.pi)
-        points = [p for p in (scale, 10.0 * scale) if 0.0 < p < q_max] or None
-
-    value, _ = quad_checked(occ, 0.0, q_max, points=points)
+    edges = panel_edges(stat, log_z) / math.sqrt(math.pi)
+    value, _ = quad_checked(
+        lambda q: mean_occupation(stat, math.pi * q * q - log_z),
+        edges[0], edges[-1], edges[1:-1],
+    )
     return 2.0 * value * wire.sigma_tilde / state.degeneracy
 
 

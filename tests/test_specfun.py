@@ -2,12 +2,16 @@
 
 import ast
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fermiwire import (
+    ConvergenceError,
     DomainError,
     QuantumIntegralOrder,
     Statistics,
@@ -15,6 +19,7 @@ from fermiwire import (
     quantum_integral,
     thermal_wavelength,
 )
+from fermiwire.specfun import _ZETA_HALF_INTEGERS, quad_checked
 from oracles import (
     ETA_FIVE_HALVES,
     ETA_HALF,
@@ -227,10 +232,12 @@ def test_dense_sweep_against_mpmath(order):
             assert rel(quantum_integral(BE, order, log_z=-alpha), want) <= 1e-10, alpha
 
 
-def test_only_specfun_imports_scipy():
-    package = Path(__file__).resolve().parents[1] / "src" / "fermiwire"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_nothing_imports_scipy():
     importers = set()
-    for path in package.glob("*.py"):
+    for path in (SRC / "fermiwire").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -240,7 +247,41 @@ def test_only_specfun_imports_scipy():
                 continue
             if any(n == "scipy" or n.startswith("scipy.") for n in names):
                 importers.add(path.name)
-    assert importers == {"specfun.py"}
+    assert importers == set()
+
+
+def test_cli_import_loads_no_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, fermiwire.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_quad_checked_contract():
+    # exact for a cubic on any panels; an integrand the 8-node rule cannot
+    # resolve raises, carrying the 16- vs 8-node gap
+    value, estimate = quad_checked(lambda u: u ** 3, 0.0, 2.0, points=[0.5, 1.0])
+    assert rel(value, 4.0) < 1e-15
+    assert estimate < 1e-14
+    with pytest.raises(ConvergenceError) as info:
+        quad_checked(lambda u: np.cos(40.0 * u), 0.0, 1.0)
+    assert info.value.error_estimate > 1e-6 * abs(math.sin(40.0) / 40.0)
+
+
+def test_zeta_table_against_mpmath():
+    """_ZETA_HALF_INTEGERS[j] = zeta(5/2 - j), the alpha-expansion's table."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for j, value in enumerate(_ZETA_HALF_INTEGERS):
+            want = float(mpmath.zeta(mpmath.mpf(5) / 2 - j))
+            assert rel(value, want) <= 1e-15, j
 
 
 def test_quantum_integral_rejects_bad_arguments():

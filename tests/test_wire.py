@@ -111,6 +111,37 @@ class TestNumberIntegral:
         assert abs(value - f_half) / f_half < 1e-9
 
 
+# Dense sweeps of number_integral_quasi1d at sigma_tilde = degeneracy = 1,
+# where it equals F_{1/2}(z): BE alpha = -ln z, FD ln z on both sides of 0
+# up to 1e4, MB ln z up to 700 (the count is then z itself).
+DENSE_BE_ALPHA = [float(a) for a in np.geomspace(1e-12, 28.0, 60)]
+DENSE_FD_LOG_Z = (
+    [-float(x) for x in np.geomspace(28.0, 1e-6, 20)]
+    + [0.0]
+    + [float(x) for x in np.geomspace(1e-6, 1e4, 30)]
+)
+DENSE_MB_LOG_Z = [float(x) for x in np.linspace(-28.0, 700.0, 40)]
+
+
+@pytest.mark.parametrize(
+    "stat, log_zs, reference",
+    [
+        (BE, [-a for a in DENSE_BE_ALPHA], lambda mp, x: mp.polylog(0.5, mp.exp(x))),
+        (FD, DENSE_FD_LOG_Z, lambda mp, x: -mp.polylog(0.5, -mp.exp(x))),
+        (MB, DENSE_MB_LOG_Z, lambda mp, x: mp.exp(x)),
+    ],
+    ids=["be", "fd", "mb"],
+)
+def test_number_integral_dense_against_mpmath(stat, log_zs, reference):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for log_z in log_zs:
+            want = float(mpmath.re(reference(mpmath, mpmath.mpf(log_z))))
+            state = ThermalState(log_z=log_z, lam=1.0, degeneracy=1.0)
+            got = number_integral_quasi1d(stat, state, WireGeometry(1.0))
+            assert abs(got - want) / want <= 1e-12, log_z
+
+
 class TestClassifier:
     def consistent(self, nu, stat=FD, sigma=1e-6, thresholds=None):
         params = GasParameters(m=1.0, T=2.0 * math.pi, nu=nu)
