@@ -102,8 +102,10 @@ def enumerate_levels(
 
     Raises ResourceLimitError when the level count would exceed max_levels.
     """
-    if not (L_long > 0.0 and a_transverse > 0.0 and m > 0.0):
-        raise DomainError("box lengths and mass must be positive")
+    if not all(0.0 < v < math.inf for v in (L_long, a_transverse, m)):
+        raise DomainError("box lengths and mass must be positive and finite")
+    if beta is not None and not 0.0 < beta < math.inf:
+        raise DomainError("beta must be positive and finite, got %r" % (beta,))
     h = constants_for(unit_system).h
     lengths = (L_long, a_transverse, a_transverse)
     if cutoff is None:

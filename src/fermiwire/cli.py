@@ -1,6 +1,7 @@
 """Command-line front end: verification suite, phase-map scans, tables.
 
-Exit codes: 0 success, 1 verification/scan failure, 2 configuration error.
+Exit codes: 0 success, 1 a failed check or no row computed, 2 configuration
+error (a flag the command does not take, or a bad flag or config value).
 Output files are written in one shot after all rows are computed, so a
 failed run never leaves partial output, and identical invocations produce
 byte-identical files.
@@ -25,7 +26,6 @@ from .errors import (
     DomainError,
     ResourceLimitError,
     SingularityError,
-    TruncationError,
 )
 from .gas_statistics import (
     GasParameters,
@@ -165,77 +165,6 @@ class ScanConfig:
     out_format: str = "csv"
 
 
-_CONFIG_KEYS = {"T", "nu", "sigma", "stat", "thresholds", "units", "out", "format"}
-_THRESHOLD_KEYS = {"z_degenerate", "deg_classical"}
-
-
-def _axis_from_config(entry, name):
-    if isinstance(entry, str):
-        return parse_axis(entry)
-    if isinstance(entry, dict):
-        unknown = set(entry) - {"min", "max", "points", "spacing"}
-        if unknown:
-            raise ConfigError("unknown %s axis keys: %s" % (name, sorted(unknown)))
-        try:
-            return AxisSpec(
-                float(entry["min"]),
-                float(entry["max"]),
-                int(entry["points"]),
-                str(entry.get("spacing", "linear")),
-            )
-        except KeyError as missing:
-            raise ConfigError("%s axis needs min/max/points" % name) from missing
-    raise ConfigError("%s axis must be a string or object" % name)
-
-
-def load_scan_config(path):
-    """Read a JSON scan configuration; raises ConfigError on anything off."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except OSError as exc:
-        raise ConfigError("cannot read config %s: %s" % (path, exc)) from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config %s is not valid JSON: %s" % (path, exc)) from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError("unknown config keys: %s" % sorted(unknown))
-    config = ScanConfig()
-    updates = {}
-    if "T" in raw:
-        updates["t_axis"] = _axis_from_config(raw["T"], "T")
-    if "nu" in raw:
-        updates["nu_axis"] = _axis_from_config(raw["nu"], "nu")
-    if "sigma" in raw:
-        updates["sigma_axis"] = _axis_from_config(raw["sigma"], "sigma")
-    if "stat" in raw:
-        updates["statistics"] = _parse_stat(raw["stat"])
-    if "units" in raw:
-        updates["unit_system"] = _parse_units(raw["units"])
-    if "thresholds" in raw:
-        entry = raw["thresholds"]
-        if not isinstance(entry, dict) or set(entry) - _THRESHOLD_KEYS:
-            raise ConfigError("thresholds must be an object with keys %s" % sorted(_THRESHOLD_KEYS))
-        defaults = RegimeThresholds()
-        updates["thresholds"] = RegimeThresholds(
-            z_degenerate=float(entry.get("z_degenerate", defaults.z_degenerate)),
-            deg_classical=float(entry.get("deg_classical", defaults.deg_classical)),
-        )
-    if "out" in raw:
-        updates["out_path"] = str(raw["out"])
-    if "format" in raw:
-        updates["out_format"] = _parse_format(raw["format"])
-    return _replace_config(config, updates)
-
-
-def _replace_config(config, updates):
-    from dataclasses import replace
-
-    return replace(config, **updates) if updates else config
-
-
 def _parse_stat(text):
     try:
         return Statistics(str(text))
@@ -254,6 +183,85 @@ def _parse_format(text):
     if text not in ("csv", "json"):
         raise ConfigError("format must be csv or json, got %r" % (text,))
     return text
+
+
+def _parse_path(value):
+    if not isinstance(value, str):
+        raise ConfigError("out must be a path, got %r" % (value,))
+    return value
+
+
+def _parse_threshold(value):
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError("threshold must be a number, got %r" % (value,))
+
+
+def _parse_scan_axis(value):
+    """A scan axis as min:max:points[:log] text or a {min, max, points[, spacing]} object."""
+    if isinstance(value, dict):
+        keys = set(value)
+        if not {"min", "max", "points"} <= keys <= {"min", "max", "points", "spacing"}:
+            raise ConfigError("axis object needs min, max, points [, spacing]; got %s" % sorted(keys))
+        value = "%s:%s:%s:%s" % (
+            value["min"], value["max"], value["points"], value.get("spacing", "linear"))
+    if not isinstance(value, str):
+        raise ConfigError("axis must be min:max:points[:log] or an object, got %r" % (value,))
+    return parse_axis(value)
+
+
+# Every scan setting: its flag dest and config key, its ScanConfig field (or
+# RegimeThresholds field), its parser and its flag help.  The config file
+# nests the two thresholds in a "thresholds" object.
+_SCAN_SETTINGS = {
+    "T": ("t_axis", _parse_scan_axis, "axis min:max:points[:log]"),
+    "nu": ("nu_axis", _parse_scan_axis, "axis min:max:points[:log]"),
+    "sigma": ("sigma_axis", _parse_scan_axis, "axis min:max:points[:log]"),
+    "stat": ("statistics", _parse_stat, "fd|be|mb"),
+    "units": ("unit_system", _parse_units, "reduced|si"),
+    "out": ("out_path", _parse_path, "output path, - for stdout"),
+    "format": ("out_format", _parse_format, "csv|json"),
+    "z_degenerate": ("z_degenerate", _parse_threshold, "classifier threshold"),
+    "deg_classical": ("deg_classical", _parse_threshold, "classifier threshold"),
+}
+_THRESHOLD_KEYS = ("z_degenerate", "deg_classical")
+
+
+def _read_scan_file(path):
+    """Settings of a JSON scan config, its thresholds object flattened."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            raw = json.load(handle)
+    except OSError as exc:
+        raise ConfigError("cannot read config %s: %s" % (path, exc)) from None
+    except ValueError as exc:
+        raise ConfigError("config %s is not valid JSON: %s" % (path, exc)) from None
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be a JSON object")
+    thresholds = raw.pop("thresholds", {})
+    unknown = set(raw) - set(_SCAN_SETTINGS).difference(_THRESHOLD_KEYS)
+    if unknown:
+        raise ConfigError("unknown config keys: %s" % sorted(unknown))
+    if not isinstance(thresholds, dict) or set(thresholds) - set(_THRESHOLD_KEYS):
+        raise ConfigError("thresholds must be an object with keys %s" % list(_THRESHOLD_KEYS))
+    return {**raw, **thresholds}
+
+
+def _scan_config(config=None, **flags):
+    """ScanConfig from the --config file's settings with the flags given laid over them."""
+    settings = {} if config is None else _read_scan_file(config)
+    settings.update((key, value) for key, value in flags.items() if value is not None)
+    fields = {
+        _SCAN_SETTINGS[key][0]: _SCAN_SETTINGS[key][1](value) for key, value in settings.items()
+    }
+    thresholds = {key: fields.pop(key) for key in _THRESHOLD_KEYS if key in fields}
+    try:
+        return ScanConfig(thresholds=RegimeThresholds(**thresholds), **fields)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _fmt(value):
@@ -283,8 +291,11 @@ def _write_output(text, path):
     if path in (None, "-"):
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ConfigError("cannot write %s: %s" % (path, exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -565,25 +576,19 @@ def run_tabulate_occupation(stat, z, grid, out_path, out_format):
 
 
 def run_tabulate_phonon(nu_axis, m, c, unit_system, out_path, out_format):
+    """One row per nu; m defaults to the unit system's reference mass."""
+    if m is None:
+        m = constants_for(unit_system).mass_ref
     rows = []
-    for nu in nu_axis.values():
-        medium = PhononMedium(c=c, nu=nu)
-        report = correspondence_check(medium, m, unit_system)
-        rows.append(
-            [
-                nu,
-                m,
-                c,
-                debye_omega_max(medium),
-                debye_wavelength(medium),
-                report.p_m,
-                report.eps_m,
-                report.eps_F,
-                report.p_F,
-                report.rel_diff_energy,
-                report.rel_diff_momentum,
-            ]
-        )
+    try:
+        for nu in nu_axis.values():
+            medium = PhononMedium(c=c, nu=nu)
+            report = correspondence_check(medium, m, unit_system)
+            rows.append([nu, m, c, debye_omega_max(medium), debye_wavelength(medium),
+                         report.p_m, report.eps_m, report.eps_F, report.p_F,
+                         report.rel_diff_energy, report.rel_diff_momentum])
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
     _write_output(_render_table(PHONON_COLUMNS, rows, out_format), out_path)
     return 0
 
@@ -591,35 +596,17 @@ def run_tabulate_phonon(nu_axis, m, c, unit_system, out_path, out_format):
 def run_tabulate_oracle(stat, L, a, z, T, cutoff, unit_system, out_path, out_format):
     consts = constants_for(unit_system)
     m = consts.mass_ref
-    beta = 1.0 / (consts.k_B * T)
+    kT = consts.k_B * T
+    beta = 1.0 / kT if kT else math.inf  # enumerate_levels rejects it
     try:
-        spec = enumerate_levels(
-            L, a, m, cutoff=cutoff, beta=beta, unit_system=unit_system
-        )
+        spec = enumerate_levels(L, a, m, cutoff=cutoff, beta=beta, unit_system=unit_system)
         cmp_ = compare_continuum(spec, stat, z, beta)
-        row = [
-            L,
-            a,
-            m,
-            T,
-            z,
-            stat.value,
-            spec.cutoff[0],
-            spec.cutoff[1],
-            spec.cutoff[2],
-            spec.level_count,
-            cmp_.N_discrete,
-            cmp_.N_continuum_3d,
-            cmp_.N_continuum_quasi1d,
-            cmp_.rel_err_3d,
-            cmp_.rel_err_quasi1d,
-            cmp_.ground_mode_fraction,
-            cmp_.sigma_tilde_fitted,
-            cmp_.truncation_bound,
-            "",
-        ]
+        row = [L, a, m, T, z, stat.value, *spec.cutoff, spec.level_count,
+               cmp_.N_discrete, cmp_.N_continuum_3d, cmp_.N_continuum_quasi1d,
+               cmp_.rel_err_3d, cmp_.rel_err_quasi1d, cmp_.ground_mode_fraction,
+               cmp_.sigma_tilde_fitted, cmp_.truncation_bound, ""]
         code = 0
-    except (CondensationError, DomainError, ResourceLimitError, TruncationError) as exc:
+    except (CondensationError, DomainError, ResourceLimitError) as exc:
         row = [L, a, m, T, z, stat.value] + [None] * 12 + [str(exc)]
         code = 1
     _write_output(_render_table(ORACLE_COLUMNS, [row], out_format), out_path)
@@ -630,112 +617,78 @@ def run_tabulate_oracle(stat, L, a, z, T, cutoff, unit_system, out_path, out_for
 # argument parsing
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="fermiwire",
-        description="Quantum statistics of fermions in a quasi-1D wire",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _flag_type(parse):
+    """An argparse type that reports parse's ConfigError as a usage error."""
 
-    p_verify = sub.add_parser("verify", help="run the identity/property suite")
-    p_verify.add_argument("--units", default="reduced", help="reduced|si")
+    def convert(text):
+        try:
+            return parse(text)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-    p_scan = sub.add_parser("scan", help="phase-map scan over (T, nu, sigma)")
-    p_scan.add_argument("--config", help="JSON file mirroring the scan configuration")
-    p_scan.add_argument("--T", dest="t_axis", help="axis min:max:points[:log]")
-    p_scan.add_argument("--nu", dest="nu_axis", help="axis min:max:points[:log]")
-    p_scan.add_argument("--sigma", dest="sigma_axis", help="axis min:max:points[:log]")
-    p_scan.add_argument("--stat", help="fd|be|mb")
-    p_scan.add_argument("--units", help="reduced|si")
-    p_scan.add_argument("--out", help="output path, - for stdout")
-    p_scan.add_argument("--format", dest="out_format", help="csv|json")
-    p_scan.add_argument("--z-degenerate", type=float, help="classifier threshold")
-    p_scan.add_argument("--deg-classical", type=float, help="classifier threshold")
+    return convert
 
-    p_tab = sub.add_parser("tabulate", help="emit plottable tables")
-    p_tab.add_argument("kind", choices=["occupation", "phonon", "oracle"])
-    _add_table_flags(p_tab)
 
-    p_oracle = sub.add_parser("oracle", help="box-spectrum versus continuum table")
-    _add_table_flags(p_oracle)
+# Flags of verify and the tables, each named after the runner parameter it fills.
+_FLAGS = {
+    "stat": dict(type=_flag_type(_parse_stat), default="fd", help="fd|be|mb"),
+    "z": dict(type=float, default=1.0, help="fugacity"),
+    "grid": dict(type=_flag_type(parse_axis), default="0:10:101",
+                 help="beta*eps axis min:max:points[:log]"),
+    "nu": dict(dest="nu_axis", type=_flag_type(parse_axis), default="1:1:1",
+               help="specific-volume axis min:max:points[:log]"),
+    "m": dict(type=float, help="mass (default: unit-system reference)"),
+    "c": dict(type=float, default=1.0, help="sound speed"),
+    "L": dict(type=float, default=3.0, help="box long edge"),
+    "a": dict(type=float, default=3.0, help="box transverse edge"),
+    "T": dict(type=float, default=2.0 * math.pi, help="temperature"),
+    "cutoff": dict(type=int, help="per-axis max |n|"),
+    "units": dict(dest="unit_system", type=_flag_type(_parse_units), default="reduced",
+                  help="reduced|si"),
+    "out": dict(dest="out_path", default="-", help="output path, - for stdout"),
+    "format": dict(dest="out_format", type=_flag_type(_parse_format), default="csv",
+                   help="csv|json"),
+}
+_TABLES = {
+    "occupation": (run_tabulate_occupation, "occupation number over a beta*eps grid",
+                   ("stat", "z", "grid", "out", "format")),
+    "phonon": (run_tabulate_phonon, "Debye scales against the Fermi scale",
+               ("nu", "m", "c", "units", "out", "format")),
+    "oracle": (run_tabulate_oracle, "box-spectrum versus continuum table",
+               ("stat", "z", "L", "a", "T", "cutoff", "units", "out", "format")),
+}
 
+
+def _add_command(subparsers, name, run, help_text, flags=()):
+    parser = subparsers.add_parser(name, help=help_text, allow_abbrev=False)
+    for flag in flags:
+        parser.add_argument("--" + flag, metavar=flag.upper(), **_FLAGS[flag])
+    parser.set_defaults(run=run)
     return parser
 
 
-def _add_table_flags(parser):
-    parser.add_argument("--stat", default="fd", help="fd|be|mb")
-    parser.add_argument("--units", default="reduced", help="reduced|si")
-    parser.add_argument("--out", default="-", help="output path, - for stdout")
-    parser.add_argument("--format", dest="out_format", default="csv", help="csv|json")
-    parser.add_argument("--z", type=float, default=1.0, help="fugacity")
-    parser.add_argument(
-        "--grid", default="0:10:101", help="beta*eps axis min:max:points[:log]"
-    )
-    parser.add_argument("--nu", default="1:1:1", help="specific-volume axis")
-    parser.add_argument("--m", type=float, default=None, help="mass (default: unit-system reference)")
-    parser.add_argument("--c", type=float, default=1.0, help="sound speed")
-    parser.add_argument("--L", type=float, default=3.0, help="box long edge")
-    parser.add_argument("--a", type=float, default=3.0, help="box transverse edge")
-    parser.add_argument("--T", type=float, default=2.0 * math.pi, help="temperature")
-    parser.add_argument("--cutoff", type=int, default=None, help="per-axis max |n|")
-
-
-def _scan_config_from_args(args):
-    config = ScanConfig() if args.config is None else load_scan_config(args.config)
-    updates = {}
-    if args.t_axis is not None:
-        updates["t_axis"] = parse_axis(args.t_axis)
-    if args.nu_axis is not None:
-        updates["nu_axis"] = parse_axis(args.nu_axis)
-    if args.sigma_axis is not None:
-        updates["sigma_axis"] = parse_axis(args.sigma_axis)
-    if args.stat is not None:
-        updates["statistics"] = _parse_stat(args.stat)
-    if args.units is not None:
-        updates["unit_system"] = _parse_units(args.units)
-    if args.out is not None:
-        updates["out_path"] = args.out
-    if args.out_format is not None:
-        updates["out_format"] = _parse_format(args.out_format)
-    thresholds = config.thresholds
-    if args.z_degenerate is not None or args.deg_classical is not None:
-        updates["thresholds"] = RegimeThresholds(
-            z_degenerate=thresholds.z_degenerate
-            if args.z_degenerate is None
-            else args.z_degenerate,
-            deg_classical=thresholds.deg_classical
-            if args.deg_classical is None
-            else args.deg_classical,
-        )
-    return _replace_config(config, updates)
-
-
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    parser = argparse.ArgumentParser(
+        prog="fermiwire",
+        description="Quantum statistics of fermions in a quasi-1D wire",
+        allow_abbrev=False,
+    )
+    sub = parser.add_subparsers(required=True)
+    _add_command(sub, "verify", run_verify, "run the identity/property suite", ("units",))
+    p_scan = _add_command(sub, "scan", lambda **flags: run_scan(_scan_config(**flags)),
+                          "phase-map scan over (T, nu, sigma)")
+    p_scan.add_argument("--config", help="JSON file of scan settings; flags override it")
+    for key, (_, _, help_text) in _SCAN_SETTINGS.items():
+        p_scan.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text)
+    kinds = sub.add_parser("tabulate", help="emit plottable tables").add_subparsers(required=True)
+    for kind, spec in _TABLES.items():
+        _add_command(kinds, kind, *spec)
+    _add_command(sub, "oracle", *_TABLES["oracle"])
+
+    inputs = vars(parser.parse_args(argv))
+    run = inputs.pop("run")
     try:
-        if args.command == "verify":
-            return run_verify(_parse_units(args.units))
-        if args.command == "scan":
-            return run_scan(_scan_config_from_args(args))
-        if args.command in ("tabulate", "oracle"):
-            kind = args.kind if args.command == "tabulate" else "oracle"
-            stat = _parse_stat(args.stat)
-            units = _parse_units(args.units)
-            out_format = _parse_format(args.out_format)
-            if kind == "occupation":
-                return run_tabulate_occupation(
-                    stat, args.z, parse_axis(args.grid), args.out, out_format
-                )
-            if kind == "phonon":
-                m = args.m if args.m is not None else constants_for(units).mass_ref
-                return run_tabulate_phonon(
-                    parse_axis(args.nu), m, args.c, units, args.out, out_format
-                )
-            return run_tabulate_oracle(
-                stat, args.L, args.a, args.z, args.T, args.cutoff, units, args.out, out_format
-            )
-        raise ConfigError("unknown command %r" % (args.command,))
+        return run(**inputs)
     except ConfigError as exc:
         print("configuration error: %s" % exc, file=sys.stderr)
         return 2

@@ -186,6 +186,8 @@ def solve_log_fugacity(stat, degeneracy):
     x = degeneracy
     if stat is Statistics.FERMI_DIRAC:
         hi = (x / SOMMERFELD_COEFF) ** (2.0 / 3.0)
+        if math.isinf(hi):  # x/C overflows above ~1.35e308
+            hi = x ** (2.0 / 3.0) / SOMMERFELD_COEFF ** (2.0 / 3.0)
         lo = math.log(x)
         return _solve_log(stat, x, lo, hi, lo if x <= 0.7 else hi)
     if stat is Statistics.BOSE_EINSTEIN:

@@ -114,9 +114,9 @@ def quad_checked(func, a, b, points=None):
     edges = np.concatenate(([a], [] if points is None else points, [b]))
     centre = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         f = func(centre[:, None] + half[:, None] * _NODES)
-    value, coarse = (half @ f @ _WEIGHTS).tolist()
+        value, coarse = (half @ f @ _WEIGHTS).tolist()
     estimate = abs(value - coarse)
     if not estimate <= _QUAD_RTOL * abs(value):
         raise ConvergenceError(
@@ -189,11 +189,14 @@ def _quadrature(stat, order, log_z, edges):
     Substituting t = u^2 removes the t^(order-1) endpoint singularity.
     """
     p = 2.0 * order - 1.0
+    # The integrand carries 2/16: deep in the Fermi sea the node sums reach
+    # about 6.6 F, so the 1/16 keeps them finite wherever F is, and being a
+    # power of two it moves no bit.
     value, _ = quad_checked(
-        lambda u: 2.0 * u ** p * mean_occupation(stat, u * u - log_z),
+        lambda u: 0.125 * u ** p * mean_occupation(stat, u * u - log_z),
         edges[0], edges[-1], edges[1:-1],
     )
-    return value / math.gamma(order)
+    return value / math.gamma(order) * 16.0
 
 
 def _be_expansion(order, alpha):
@@ -237,7 +240,9 @@ def quantum_integral(stat, order, z=None, *, log_z=None):
         The integral value; relative accuracy 1e-10 or better over
         ln z in [-28, 1e4] (FD) and [-28, 0] (BE).  g_{1/2}(1) is the one
         divergent corner and returns math.inf; so does the Maxwell-Boltzmann
-        identity once z overflows.
+        identity once z overflows.  An FD value past double range (ln z
+        above ~3.9e205 for F_{3/2}, ~1.6e123 for F_{5/2}) reads math.inf
+        or raises ConvergenceError.
 
     Raises
     ------

@@ -95,6 +95,17 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_levels(1.0, 1.0, 1.0)  # neither cutoff nor beta
 
+    @pytest.mark.parametrize("beta", [-1.0, 0.0, math.inf, math.nan])
+    @pytest.mark.parametrize("cutoff", [None, 2])
+    def test_rejects_bad_beta(self, beta, cutoff):
+        with pytest.raises(DomainError, match="beta must be positive and finite"):
+            enumerate_levels(1.0, 1.0, 1.0, cutoff, beta=beta)
+
+    @pytest.mark.parametrize("length", [math.inf, math.nan])
+    def test_rejects_non_finite_length(self, length):
+        with pytest.raises(DomainError):
+            enumerate_levels(length, 1.0, 1.0, beta=1.0)
+
 
 class TestDirectSum:
     def test_mb_matches_theta_product(self):

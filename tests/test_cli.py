@@ -304,6 +304,34 @@ class TestScan:
         z = float(overridden.strip().split("\n")[1].split(",")[3])
         assert z != pytest.approx(1.0, rel=1e-6)  # fd root differs from mb
 
+    def test_config_keys_match_flags(self, tmp_path, capsys):
+        # every scan setting reads the same from a flag and from the file
+        config = tmp_path / "scan.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "T": "6.283185307179586:6.283185307179586:1",
+                    "nu": {"min": 10, "max": 1000, "points": 3, "spacing": "log"},
+                    "sigma": "1:1:1",
+                    "stat": "mb",
+                    "units": "reduced",
+                    "format": "json",
+                    "thresholds": {"z_degenerate": 50, "deg_classical": "0.5"},
+                }
+            )
+        )
+        assert main(["scan", "--config", str(config)]) == 0
+        from_file = capsys.readouterr().out
+        flags = ["--T", "6.283185307179586:6.283185307179586:1", "--nu", "10:1000:3:log",
+                 "--sigma", "1:1:1", "--stat", "mb",
+                 "--units", "reduced", "--format", "json", "--z-degenerate", "50",
+                 "--deg-classical", "0.5"]
+        assert main(["scan"] + flags) == 0
+        assert capsys.readouterr().out == from_file
+        # degeneracy 0.1 is classical under deg_classical = 0.5, not under 0.01
+        assert main(["scan"] + flags[:-4]) == 0
+        assert capsys.readouterr().out != from_file
+
     def test_threshold_flags(self, capsys):
         code = main(
             [
@@ -322,6 +350,26 @@ class TestScan:
         assert code == 0
         # degeneracy 1e-3 < 0.002 and rhs >= 1: the Boltzmann branch
         assert out.strip().split("\n")[1].split(",")[8] == "BoltzmannConverged"
+
+
+# Invocations that must exit 2 with no traceback; a config is written to
+# scan.json and passed with --config.
+EXIT_TWO_CASES = [
+    # a flag another command or kind reads
+    (["oracle", "--m", "5"], None),
+    (["tabulate", "phonon", "--stat", "be"], None),
+    (["tabulate", "occupation", "--units", "si"], None),
+    (["tabulate", "occupation", "--cutoff", "7"], None),
+    (["oracle", "--grid", "0:1:2"], None),
+    # scan values that flags and the config file reject alike
+    (["scan", "--z-degenerate", "0.5"], None),
+    (["scan"], {"thresholds": {"z_degenerate": "abc"}}),
+    (["scan"], {"T": {"min": "x", "max": 1, "points": 1}}),
+    (["scan"], {"out": 5}),
+    (["scan"], {"T": {"min": 1, "max": 2, "points": 2.5}}),
+    # a table input outside its domain
+    (["tabulate", "phonon", "--nu", "0:1:2"], None),
+]
 
 
 class TestExitCodeTwo:
@@ -365,6 +413,25 @@ class TestExitCodeTwo:
     def test_unknown_subcommand(self):
         result = run_cli(["frobnicate"])
         assert result.returncode == 2
+
+    @pytest.mark.parametrize(
+        "args, config",
+        EXIT_TWO_CASES,
+        ids=[" ".join(a) + ("" if c is None else " " + json.dumps(c)) for a, c in EXIT_TWO_CASES],
+    )
+    def test_exit_two_without_traceback(self, tmp_path, monkeypatch, capsys, args, config):
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            (tmp_path / "scan.json").write_text(json.dumps(config))
+            args = args + ["--config", "scan.json"]
+        try:
+            code = main(args)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        assert code == 2
+        assert "error" in capsys.readouterr().err
+        # nothing written, not even a file named after a bad "out"
+        assert [p.name for p in tmp_path.iterdir()] == (["scan.json"] if config else [])
 
 
 class TestTabulate:
@@ -415,6 +482,14 @@ class TestTabulate:
             == 0
         )
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("T, beta", [("-1", "-1.0"), ("0", "inf"), ("inf", "0.0")])
+    def test_oracle_bad_temperature_row(self, capsys, T, beta):
+        # enumerate_levels rejects beta = 1/(k_B T) outside (0, inf)
+        code = main(["oracle", "--T", T])
+        row = capsys.readouterr().out.strip().split("\n")[1]
+        assert code == 1
+        assert row.endswith(',"beta must be positive and finite, got %s"' % beta)
 
     def test_oracle_error_row(self, capsys):
         # BE at z = 1 cannot be summed over a spectrum whose ground state is 0

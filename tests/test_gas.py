@@ -172,7 +172,7 @@ class TestSolveFugacity:
     @pytest.mark.parametrize(
         "stat, degeneracies",
         [
-            (FD, np.geomspace(1e-300, 1e300, 400)),
+            (FD, np.concatenate([np.geomspace(1e-300, 1e300, 400), [1.3e308, 1.7e308]])),
             (
                 BE,
                 np.concatenate(
@@ -186,7 +186,7 @@ class TestSolveFugacity:
         ids=["fd", "be"],
     )
     def test_residual_sweep(self, stat, degeneracies):
-        # every finite degeneracy solves: up to 1e300 (ln z ~ 1e200) for FD,
+        # every finite degeneracy solves: up to 1.7e308 (ln z ~ 3.7e205) for FD,
         # and up to a few ulp below zeta(3/2) for BE
         for x in degeneracies:
             x = float(x)

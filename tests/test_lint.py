@@ -34,3 +34,56 @@ def test_detector_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def orphaned_helpers(sources):
+    """Module-level _names (dunders aside) that no module in sources reads.
+
+    sources maps a module name to its text; a read is a loaded name, an
+    attribute or an imported name anywhere in any of them.
+    """
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.extend(
+                    (module, name.id)
+                    for target in targets
+                    for name in ast.walk(target)
+                    if isinstance(name, ast.Name)
+                )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return sorted(
+        (module, name)
+        for module, name in defined
+        if name.startswith("_") and not name.endswith("__") and name not in read
+    )
+
+
+def test_detector_flags_an_orphaned_helper():
+    sources = {
+        "a.py": "_LIMIT = 3\n_A, (_B, _C) = 1, (2, 3)\ndef _kept():\n    return _B\n"
+                "def _orphan():\n    pass\nclass _Gone:\n    pass\n__all__ = []\n",
+        "b.py": "from .a import _LIMIT\nimport a\nprint(a._kept(), _LIMIT)\n",
+    }
+    assert orphaned_helpers(sources) == [
+        ("a.py", "_A"),
+        ("a.py", "_C"),
+        ("a.py", "_Gone"),
+        ("a.py", "_orphan"),
+    ]
+
+
+def test_no_orphaned_helpers():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert orphaned_helpers(sources) == []
