@@ -11,14 +11,13 @@ stored as three per-axis arrays over n_i = 0..c_i, and a sum over the full
 twice.  The sum streams over x-slabs in a fixed order, one
 (c_y+1) x (c_z+1) plane at a time, so its memory is that of one plane and
 repeated runs agree bit for bit.  The full sorted level array is built only
-on request, for inspecting small boxes.
+on request, for inspecting small boxes.  numpy is imported on first use, so
+importing the package does not load it.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
-
-import numpy as np
+from typing import Any, Tuple
 
 from .constants import UnitSystem, constants_for
 from .errors import CondensationError, DomainError, ResourceLimitError, TruncationError
@@ -42,18 +41,19 @@ MAX_LEVELS_DEFAULT = 10 ** 8
 class BoxSpectrum:
     """Complete single-particle spectrum of a periodic box.
 
-    axis_levels holds, per axis, the energies for n_i = 0..c_i; each level
-    of the box is a sum of one energy per axis, and n_i and -n_i share an
-    energy.  levels_transverse_ground is the sorted subset with
-    n_y = n_z = 0, used for mode freeze-out diagnostics.
+    axis_levels holds, per axis, a numpy array of the energies for
+    n_i = 0..c_i; each level of the box is a sum of one energy per axis, and
+    n_i and -n_i share an energy.  levels_transverse_ground is the sorted
+    array of the subset with n_y = n_z = 0, used for mode freeze-out
+    diagnostics.
     """
 
     L_long: float
     a_transverse: float
     m: float
     cutoff: Tuple[int, int, int]
-    axis_levels: Tuple[np.ndarray, np.ndarray, np.ndarray]
-    levels_transverse_ground: np.ndarray
+    axis_levels: Tuple[Any, Any, Any]
+    levels_transverse_ground: Any
     unit_system: UnitSystem = UnitSystem.REDUCED
 
     @property
@@ -66,6 +66,8 @@ class BoxSpectrum:
 
         It takes 8 bytes per level plus a sort copy; meant for small boxes.
         """
+        import numpy as np
+
         ex, ey, ez = (_mirrored(e) for e in self.axis_levels)
         return np.sort((ex[:, None, None] + ey[None, :, None] + ez[None, None, :]).ravel())
 
@@ -76,6 +78,8 @@ class BoxSpectrum:
 
 def _mirrored(energies):
     # energies for n = 0..c extended to n = -c..c
+    import numpy as np
+
     return np.concatenate((energies[:0:-1], energies))
 
 
@@ -125,6 +129,8 @@ def enumerate_levels(
             "spectrum would hold %d levels, above the limit %d" % (count, max_levels)
         )
 
+    import numpy as np
+
     axis_levels = tuple(
         (h * np.arange(c + 1, dtype=np.float64) / L) ** 2 / (2.0 * m)
         for L, c in zip(lengths, cutoffs)
@@ -142,25 +148,54 @@ def enumerate_levels(
 
 def _parity_weights(energies):
     # n = 0 stands for itself, every n > 0 for the pair +n, -n
+    import numpy as np
+
     weights = np.full(energies.size, 2.0)
     weights[0] = 1.0
     return weights
 
 
-def _occupations(levels, stat, z, beta):
-    w = beta * levels - math.log(z)
+def _scratch(levels):
+    """Buffers for _occupations shaped like levels: two float, one bool."""
+    import numpy as np
+
+    return np.empty_like(levels), np.empty_like(levels), np.empty(levels.shape, bool)
+
+
+def _occupations(levels, stat, z, beta, scratch):
+    """Occupation of each level, in scratch[1]; levels is overwritten.
+
+    Each step writes through out= into levels or scratch, in the order of
+    the plain expressions in the comments, so every element gets the same
+    bits as from them, with no temporary arrays.
+    """
+    import numpy as np
+
+    w, (e, n, positive) = levels, scratch
+    if stat is Statistics.MAXWELL_BOLTZMANN:
+        # z * exp(-beta * levels)
+        np.multiply(w, -beta, out=w)
+        np.exp(w, out=w)
+        return np.multiply(w, z, out=n)
+    # w = beta * levels - ln z
+    np.multiply(w, beta, out=w)
+    np.subtract(w, math.log(z), out=w)
     if stat is Statistics.FERMI_DIRAC:
-        # 1/(e^w + 1) through e^-|w|, which cannot overflow
-        e = np.exp(-np.abs(w))
-        return np.where(w > 0.0, e, 1.0) / (1.0 + e)
+        # 1/(e^w + 1) as where(w > 0, e, 1) / (1 + e) with e = exp(-|w|),
+        # which cannot overflow
+        np.exp(np.negative(np.abs(w, out=e), out=e), out=e)
+        np.greater(w, 0.0, out=positive)
+        np.add(e, 1.0, out=n)
+        w.fill(1.0)
+        np.copyto(w, e, where=positive)
+        return np.divide(w, n, out=n)
     if stat is Statistics.BOSE_EINSTEIN:
         if not z < 1.0:
             raise CondensationError(
                 "Bose box sum needs z < 1 (ground level at eps = 0), got %r" % (z,)
             )
-        return 1.0 / np.expm1(w)
-    if stat is Statistics.MAXWELL_BOLTZMANN:
-        return z * np.exp(-beta * levels)
+        # 1 / expm1(w)
+        return np.divide(1.0, np.expm1(w, out=n), out=n)
     raise DomainError("stat must be a Statistics member, got %r" % (stat,))
 
 
@@ -210,13 +245,20 @@ def direct_number_sum(spec, stat, z, beta, tail_tolerance=None):
         raise DomainError("fugacity must be positive, got %r" % (z,))
     if not beta > 0.0:
         raise DomainError("beta must be positive, got %r" % (beta,))
+    import numpy as np
+
     ex, ey, ez = spec.axis_levels
     plane = ey[:, None] + ez[None, :]
     plane_weights = np.outer(_parity_weights(ey), _parity_weights(ez))
-    total = math.fsum(
-        w * float(np.sum(plane_weights * _occupations(e + plane, stat, z, beta)))
-        for e, w in zip(ex, _parity_weights(ex))
-    )
+    # one set of plane buffers for all slabs: the speed of per-slab
+    # temporaries depended on the heap layout left by import order
+    levels, scratch = np.empty_like(plane), _scratch(plane)
+    slab_sums = []
+    for e, w in zip(ex, _parity_weights(ex)):
+        np.add(plane, e, out=levels)
+        n = _occupations(levels, stat, z, beta, scratch)
+        slab_sums.append(w * float(np.sum(np.multiply(n, plane_weights, out=n))))
+    total = math.fsum(slab_sums)
     if tail_tolerance is not None:
         bound = truncation_bound(spec, z, beta)
         if bound > tail_tolerance * total:
@@ -265,7 +307,8 @@ def compare_continuum(spec, stat, z, beta, wire_convention=None):
     )
     n_q1d = volume * sigma_tilde * f12 / lam ** 3
 
-    ground = float(np.sum(_occupations(spec.levels_transverse_ground, stat, z, beta)))
+    levels = spec.levels_transverse_ground.copy()
+    ground = float(_occupations(levels, stat, z, beta, _scratch(levels)).sum())
     return ContinuumComparison(
         N_discrete=n_disc,
         N_continuum_3d=n_3d,

@@ -23,8 +23,8 @@ from .errors import (
 from .specfun import (
     QuantumIntegralOrder,
     Statistics,
+    density_and_slope,
     exp_or_inf,
-    fermi_function,
     quantum_integral,
     thermal_wavelength,
 )
@@ -129,7 +129,7 @@ def occupation(stat, z, beta, eps):
         raise DomainError("energy must be non-negative, got %r" % (eps,))
     w = beta * eps - math.log(z)
     if stat is Statistics.FERMI_DIRAC:
-        return fermi_function(w)
+        return 1.0 / (1.0 + exp_or_inf(w))  # 0.0 once e^w overflows
     if stat is Statistics.BOSE_EINSTEIN:
         if w <= 0.0:
             raise SingularityError(
@@ -146,17 +146,19 @@ def _solve_log(stat, x, lo, hi, y):
 
     F_{3/2}(e^y) rises with y, its slope is F_{1/2}(e^y) and its curvature
     F_{-1/2}(e^y) > 0, so Newton converges from either side; a step that
-    leaves the bracket falls back to bisection.
+    leaves the bracket falls back to bisection.  Each step takes F_{3/2}
+    and its slope from one density_and_slope call.
     """
     for _ in range(_MAX_ITER):
-        f = quantum_integral(stat, QuantumIntegralOrder.THREE_HALVES, log_z=y) - x
+        density, slope = density_and_slope(stat, y)
+        f = density - x
         if abs(f) <= _REL_TOL * x:
             return y
         if f > 0.0:
             hi = y
         else:
             lo = y
-        y_next = y - f / quantum_integral(stat, QuantumIntegralOrder.ONE_HALF, log_z=y)
+        y_next = y - f / slope
         if not lo < y_next < hi:
             y_next = 0.5 * (lo + hi)
         if y_next == y:

@@ -1,63 +1,33 @@
 """Quantum occupation integrals and the thermal de Broglie wavelength.
 
-The central objects are the Fermi-Dirac and Bose-Einstein integrals
-
-    f_nu(z) = (1/Gamma(nu)) * integral_0^inf t^(nu-1) dt / (exp(t)/z + 1)
-    g_nu(z) = (1/Gamma(nu)) * integral_0^inf t^(nu-1) dt / (exp(t)/z - 1)
-
-for nu in {1/2, 3/2, 5/2}, with the Maxwell-Boltzmann member of the family
-degenerating to the identity f(z) = z.  Evaluation is by power series for
-small fugacity and elsewhere by fixed-panel Gauss-Legendre quadrature in
-u = sqrt(t) (quad_checked, panel_edges), with the tail below e^-60
-dropped; near the Bose condensation point an expansion in alpha = -ln z,
-with tabulated zeta values, takes over because the peak at the origin
-narrows to width sqrt(alpha).
+F_nu(z) = integral_0^inf t^(nu-1) dt / (Gamma(nu) (e^t/z +- 1)), nu in {1/2,
+3/2, 5/2}, is f_nu for Fermi-Dirac (+) and g_nu for Bose-Einstein (-); the
+Maxwell-Boltzmann value is z.  Every branch is a pure-Python closed form: the
+power series for z <= 1/e; for FD, Taylor series in y = ln z < 65 from mpmath
+tables of f_{5/2-k}(e^c) (d/dy f_nu(e^y) = f_{nu-1}(e^y), so one walk gives a
+value and its slope), then the Sommerfeld series; for BE, Robinson's
+expansion in alpha = -ln z < 1.  Only quad_checked uses numpy, imported on use.
 """
 
 import math
+from bisect import bisect
 from enum import Enum
+from functools import lru_cache
 
-import numpy as np
-from numpy.polynomial.legendre import leggauss
-
+from ._kernel_tables import FD_CENTRES, FD_EDGES, FD_ROWS, TWO_ETA_EVEN
+from ._kernel_tables import ZETA_HALF_INTEGERS as _ZETA_HALF_INTEGERS
 from .constants import UnitSystem, constants_for
 from .errors import ConvergenceError, DomainError
 
-__all__ = [
-    "Statistics",
-    "QuantumIntegralOrder",
-    "quantum_integral",
-    "thermal_wavelength",
-    "quad_checked",
-]
+__all__ = ["Statistics", "QuantumIntegralOrder", "quantum_integral", "density_and_slope",
+           "thermal_wavelength", "quad_checked"]
 
-# Power series below this fugacity, quadrature above.
-SERIES_FUGACITY_MAX = 0.5
-# Integration window above the Fermi edge: integrand < e^-60 past it.
-TAIL_OFFSET = 60.0
-# Switch to the alpha-expansion when -ln z drops below this (Bose only).
-BOSE_EXPANSION_ALPHA = 0.25
-# quad_checked fails once its 16- and 8-node values differ by more than this.
-_QUAD_RTOL = 1e-6
-
-# Gauss-Legendre nodes on [-1, 1], 16 then 8; column 0 of _WEIGHTS weighs
-# the 16-node rule and column 1 the 8-node rule, each 0 at the other's nodes.
-(_X16, _W16), (_X8, _W8) = leggauss(16), leggauss(8)
-_NODES = np.concatenate([_X16, _X8])
-_WEIGHTS = np.stack([np.r_[_W16, 0.0 * _W8], np.r_[0.0 * _W16, _W8]], axis=1)
-_FD_T_STEPS = np.linspace(0.0, 1.0, 26)
-_BE_EDGES = np.linspace(0.0, math.sqrt(TAIL_OFFSET), 17)
-
-# zeta(5/2 - j) for j = 0..16 (float(mpmath.zeta) at 30 digits): the
-# alpha-expansion reads zeta(nu - k) at j = k + 5/2 - nu.
-_ZETA_HALF_INTEGERS = (
-    1.341487257250917, 2.612375348685488, -1.4603545088095868,
-    -0.20788622497735457, -0.025485201889833036, 0.008516928777850331,
-    0.004441011335479432, -0.0030916692472158338, -0.0026714580198992244,
-    0.0027467679395368687, 0.00326903957260022, -0.00441603287300489,
-    -0.006672172296466641, 0.011146122473942813, 0.02039697871594279,
-    -0.04057496748119458, -0.08717525590621725,
-)
+# Power series at or below this fugacity (ln z <= -1), both statistics.
+SERIES_FUGACITY_MAX = math.exp(-1.0)
+# BE alpha-expansion for 0 <= -ln z < 1; past 1 it cancels against Gamma(1-nu) a^(nu-1).
+BOSE_EXPANSION_ALPHA = 1.0
+# FD Taylor tables below this ln z, the Sommerfeld series from it on.
+SOMMERFELD_LOG_Z = 65.0
 
 
 class Statistics(Enum):
@@ -76,17 +46,6 @@ class QuantumIntegralOrder(Enum):
     FIVE_HALVES = 2.5
 
 
-def _coerce_order(order):
-    if isinstance(order, QuantumIntegralOrder):
-        return order.value
-    try:
-        return QuantumIntegralOrder(float(order)).value
-    except ValueError:
-        raise DomainError(
-            "order must be one of 1/2, 3/2, 5/2; got %r" % (order,)
-        ) from None
-
-
 def exp_or_inf(x):
     """e^x, or math.inf once that overflows a double."""
     try:
@@ -95,222 +54,146 @@ def exp_or_inf(x):
         return math.inf
 
 
-def fermi_function(w):
-    """1/(e^w + 1); exp_or_inf keeps it free of overflow (0.0 for huge w)."""
-    return 1.0 / (1.0 + exp_or_inf(w))
+@lru_cache(maxsize=None)
+def _gauss_legendre():
+    # 16 then 8 nodes on [-1, 1]; weight column 0 is the 16-node rule, 1 the 8
+    import numpy as np
+
+    (x16, w16), (x8, w8) = (np.polynomial.legendre.leggauss(n) for n in (16, 8))
+    return np.r_[x16, x8], np.stack([np.r_[w16, 0.0 * w8], np.r_[0.0 * w16, w8]], axis=1)
 
 
 def quad_checked(func, a, b, points=None):
-    """Composite 16-node Gauss-Legendre rule over the panels [a, *points, b].
+    """(value, error_estimate) of a composite 16-node Gauss-Legendre rule on
+    the panels [a, *points, b]; the estimate is the gap to the 8-node rule,
+    and ConvergenceError is raised past 1e-6 of the value.  func maps a numpy
+    array elementwise; its overflow is ignored (e^w -> inf: occupation 0)."""
+    import numpy as np
 
-    func takes a numpy array of abscissae and returns the integrand at each,
-    elementwise.  Overflow inside func is ignored, so e^w -> inf may stand
-    for an occupation of 0.  The error estimate is the gap to the 8-node
-    rule on the same panels.
-
-    Returns (value, error_estimate); raises ConvergenceError when the
-    estimate exceeds 1e-6 of the value.
-    """
+    nodes, weights = _gauss_legendre()
     edges = np.concatenate(([a], [] if points is None else points, [b]))
-    centre = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
+    centre, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
     with np.errstate(over="ignore", invalid="ignore"):
-        f = func(centre[:, None] + half[:, None] * _NODES)
-        value, coarse = (half @ f @ _WEIGHTS).tolist()
+        f = func(centre[:, None] + half[:, None] * nodes)
+        value, coarse = (half @ f @ weights).tolist()
     estimate = abs(value - coarse)
-    if not estimate <= _QUAD_RTOL * abs(value):
-        raise ConvergenceError(
-            "quadrature did not converge: 16- and 8-node rules differ by %g on %g"
-            % (estimate, value),
-            error_estimate=estimate,
-        )
+    if not estimate <= 1e-6 * abs(value):
+        raise ConvergenceError("quadrature did not converge: 16- and 8-node rules differ by "
+                               "%g on %g" % (estimate, value), error_estimate=estimate)
     return value, estimate
 
 
-def panel_edges(stat, log_z):
-    """Edges in u = sqrt(t) of the quad_checked panels for F_nu(e^log_z).
-
-    FD: one panel up to 40 below the Fermi edge t = ln z, then 25 panels
-    even in t up to max(ln z, 0) + 60; the integrand past that is below
-    e^-60 and is dropped.  MB: the FD edges at ln z = 0.  BE: 16 equal
-    panels over [0, sqrt(60)], plus edges at sqrt(alpha) 2^k (alpha = -ln z)
-    that resolve the peak of width sqrt(alpha) at the origin.
-    """
-    if stat is Statistics.BOSE_EINSTEIN:
-        graded = []
-        u = math.sqrt(-log_z)
-        while u < _BE_EDGES[-1]:
-            graded.append(u)
-            u *= 2.0
-        return np.union1d(_BE_EDGES, graded)
-    if stat is Statistics.MAXWELL_BOLTZMANN:
-        log_z = 0.0
-    t_lo = max(log_z - 40.0, 0.0)
-    t = t_lo + (max(log_z, 0.0) + TAIL_OFFSET - t_lo) * _FD_T_STEPS
-    return np.sqrt(np.concatenate(([0.0], t)))
-
-
-def _fd_series(order, z):
-    terms = []
-    zk = 1.0
+def _series(nu, z, sign):
+    # sum_k sign^(k+1) z^k / k^nu: FD alternates (sign -1), BE does not
+    terms, zk = [], 1.0
     for k in range(1, 200):
         zk *= z
-        term = zk / k ** order if k % 2 else -zk / k ** order
-        terms.append(term)
-        if abs(term) < 1e-18 * terms[0]:
+        term = zk / k ** nu
+        terms.append(term if k % 2 else sign * term)
+        if term <= 1e-18 * terms[0]:  # also stops at once when z underflows to 0
             break
     return math.fsum(terms)
 
 
-def _be_series(order, z):
-    terms = []
-    zk = 1.0
-    for k in range(1, 200):
-        zk *= z
-        term = zk / k ** order
-        terms.append(term)
-        if term < 1e-18 * terms[0]:
+def _fd_taylor(nu, y):
+    """(f_nu(e^y), f_{nu-1}(e^y)) by Horner over the table row nearest y: 46
+    terms, since 0.4^46 < 1e-18 and |y - c| <= 0.4 of the radius there."""
+    i = bisect(FD_EDGES, y)
+    row, h = FD_ROWS[i][int(2.5 - nu):], y - FD_CENTRES[i]
+    value, slope = row[45], row[46]
+    for n in range(45, 0, -1):
+        value = row[n - 1] + value * h / n
+        slope = row[n] + slope * h / n
+    return value, slope
+
+
+def _sommerfeld(nu, y):
+    # sum_k 2 eta(2k) y^(nu-2k)/Gamma(nu+1-2k); y^nu as (y^(nu/2))^2, as it overflows first
+    try:
+        root = y ** (0.5 * nu)
+    except OverflowError:
+        return math.inf
+    t, total, power = 1.0 / (y * y), 0.0, 1.0
+    for k, two_eta in enumerate(TWO_ETA_EVEN):
+        term = two_eta * power / math.gamma(nu + 1.0 - 2 * k)
+        total += term
+        if abs(term) < 1e-17 * total:
             break
-    return math.fsum(terms)
+        power *= t
+    return root * (root * total)
 
 
-def mean_occupation(stat, w):
-    """Elementwise occupation at w = beta eps - ln z; e^w -> inf reads as 0."""
-    if stat is Statistics.FERMI_DIRAC:
-        return 1.0 / (np.exp(w) + 1.0)
-    if stat is Statistics.BOSE_EINSTEIN:
-        return 1.0 / np.expm1(w)
-    return np.exp(-w)
-
-
-def _quadrature(stat, order, log_z, edges):
-    """F_order(e^log_z) by quad_checked over u = sqrt(t) panels.
-
-    Substituting t = u^2 removes the t^(order-1) endpoint singularity.
-    """
-    p = 2.0 * order - 1.0
-    # The integrand carries 2/16: deep in the Fermi sea the node sums reach
-    # about 6.6 F, so the 1/16 keeps them finite wherever F is, and being a
-    # power of two it moves no bit.
-    value, _ = quad_checked(
-        lambda u: 0.125 * u ** p * mean_occupation(stat, u * u - log_z),
-        edges[0], edges[-1], edges[1:-1],
-    )
-    return value / math.gamma(order) * 16.0
-
-
-def _be_expansion(order, alpha):
-    """g_order(e^-alpha) for small alpha > 0.
-
-    g_nu(e^-a) = Gamma(1-nu) a^(nu-1) + sum_k zeta(nu-k) (-a)^k / k!,
-    convergent for a < 2*pi; terms fall off like (a/2pi)^k, so the loop
-    below is far past double precision at alpha < 0.25, where it stops by
-    k = 14.
-    """
-    terms = [math.gamma(1.0 - order) * alpha ** (order - 1.0)]
-    factor = 1.0
-    for k, zeta in enumerate(_ZETA_HALF_INTEGERS[int(2.5 - order):]):
+def _be_expansion(nu, alpha):
+    # Gamma(1-nu) alpha^(nu-1) + sum_k zeta(nu-k) (-alpha)^k/k!: the terms
+    # fall like (alpha/2pi)^k, so the table's 40 reach far past 1e-18
+    if alpha == 0.0 and nu == 0.5:
+        return math.inf  # g_{1/2} diverges at z = 1
+    terms, factor = [math.gamma(1.0 - nu) * alpha ** (nu - 1.0)], 1.0
+    for k, zeta in enumerate(_ZETA_HALF_INTEGERS[int(2.5 - nu):]):
         terms.append(zeta * factor)
-        factor *= -alpha / (k + 1.0)
-        if abs(factor) * 1e3 < 1e-18:
+        if abs(terms[-1]) < 1e-18:
             break
+        factor *= -alpha / (k + 1.0)
     return math.fsum(terms)
+
+
+def _integral(stat, nu, y, z):
+    # F_nu(z = e^y) for FD or BE, with y finite (y <= 0 for BE)
+    if z <= SERIES_FUGACITY_MAX:
+        return _series(nu, z, -1.0 if stat is Statistics.FERMI_DIRAC else 1.0)
+    if stat is Statistics.BOSE_EINSTEIN:
+        return _be_expansion(nu, -y)
+    if y < SOMMERFELD_LOG_Z:
+        return _fd_taylor(nu, y)[0]
+    return _sommerfeld(nu, y)
+
+
+def density_and_slope(stat, log_z):
+    """(F_{3/2}, F_{1/2}) at e^log_z for FD or BE, the density and its slope in ln z, as
+    quantum_integral gives them but from one FD table walk; log_z is not checked."""
+    z = exp_or_inf(log_z)
+    if stat is Statistics.FERMI_DIRAC and SERIES_FUGACITY_MAX < z and log_z < SOMMERFELD_LOG_Z:
+        return _fd_taylor(1.5, log_z)
+    return _integral(stat, 1.5, log_z, z), _integral(stat, 0.5, log_z, z)
 
 
 def quantum_integral(stat, order, z=None, *, log_z=None):
-    """Evaluate f_order(z), g_order(z), or the Boltzmann identity z.
+    """f_order(z) (FERMI_DIRAC), g_order(z) (BOSE_EINSTEIN) or z (MAXWELL_BOLTZMANN).
 
-    Parameters
-    ----------
-    stat : Statistics
-        FERMI_DIRAC gives f_order, BOSE_EINSTEIN gives g_order,
-        MAXWELL_BOLTZMANN returns the fugacity unchanged.
-    order : QuantumIntegralOrder or float
-        One of 1/2, 3/2, 5/2.
-    z : float, optional
-        Fugacity, z > 0.  Bose-Einstein requires z <= 1.
-    log_z : float, optional
-        ln z, accepted instead of z.  Required once z overflows a double
-        (Fermi-Dirac degenerate regime, supported up to ln z = 1e4) and
-        useful for Bose fugacities within a few ulp of 1.
-
-    Returns
-    -------
-    float
-        The integral value; relative accuracy 1e-10 or better over
-        ln z in [-28, 1e4] (FD) and [-28, 0] (BE).  g_{1/2}(1) is the one
-        divergent corner and returns math.inf; so does the Maxwell-Boltzmann
-        identity once z overflows.  An FD value past double range (ln z
-        above ~3.9e205 for F_{3/2}, ~1.6e123 for F_{5/2}) reads math.inf
-        or raises ConvergenceError.
-
-    Raises
-    ------
-    DomainError
-        If z <= 0, if z or log_z is not finite, if both or neither of
-        z/log_z are given, or if a Bose-Einstein fugacity exceeds 1.
+    order is 1/2, 3/2 or 5/2; pass z > 0 (<= 1 for BE) or log_z = ln z, which
+    FD needs once z overflows.  Relative accuracy is 1e-10 or better over ln z
+    in [-28, 1e4] (FD) and [-28, 0] (BE).  math.inf stands for g_{1/2}(1), the
+    MB identity once z overflows and an FD value past double range (ln z above
+    ~3.9e205 for F_{3/2}, ~1.6e123 for F_{5/2}).  DomainError: z <= 0, z or
+    log_z not finite, both or neither given, an unknown order or stat, BE z > 1.
     """
-    nu = _coerce_order(order)
+    try:
+        nu = QuantumIntegralOrder(order if isinstance(order, QuantumIntegralOrder)
+                                  else float(order)).value
+    except ValueError:
+        raise DomainError("order must be one of 1/2, 3/2, 5/2; got %r" % (order,)) from None
     if not isinstance(stat, Statistics):
         raise DomainError("stat must be a Statistics member, got %r" % (stat,))
     if (z is None) == (log_z is None):
         raise DomainError("pass exactly one of z or log_z")
-    if z is not None:
-        if not z > 0.0:
-            raise DomainError("fugacity must be positive, got %r" % (z,))
-        x = math.log(z)
-    else:
-        x = float(log_z)
-        z = exp_or_inf(x)
+    if z is not None and not z > 0.0:
+        raise DomainError("fugacity must be positive, got %r" % (z,))
+    x = math.log(z) if log_z is None else float(log_z)
     if not math.isfinite(x):
         raise DomainError("ln z must be finite, got %r" % (x,))
-
+    z = exp_or_inf(x) if z is None else z
     if stat is Statistics.MAXWELL_BOLTZMANN:
         return z
-
-    if stat is Statistics.FERMI_DIRAC:
-        if z <= SERIES_FUGACITY_MAX:
-            return _fd_series(nu, z)
-        return _quadrature(stat, nu, x, panel_edges(stat, x))
-
-    # Bose-Einstein
-    if x > 0.0:
-        raise DomainError(
-            "Bose-Einstein integral needs z <= 1, got ln z = %g" % x
-        )
-    if z <= SERIES_FUGACITY_MAX:
-        return _be_series(nu, z)
-    alpha = -x
-    if alpha == 0.0:
-        if nu == 0.5:
-            return math.inf
-    elif alpha < BOSE_EXPANSION_ALPHA:
-        return _be_expansion(nu, alpha)
-    # 16 equal u-panels keep the pole at u = i sqrt(alpha) outside each
-    # panel's convergence ellipse
-    return _quadrature(stat, nu, x, _BE_EDGES)
+    if stat is Statistics.BOSE_EINSTEIN and x > 0.0:
+        raise DomainError("Bose-Einstein integral needs z <= 1, got ln z = %g" % x)
+    return _integral(stat, nu, x, z)
 
 
 def thermal_wavelength(m, T, unit_system=UnitSystem.REDUCED):
-    """Thermal de Broglie wavelength lambda = sqrt(2 pi hbar^2 / (m k T)).
-
-    Parameters
-    ----------
-    m : float
-        Particle mass, > 0.
-    T : float
-        Temperature, > 0.
-    unit_system : UnitSystem
-        REDUCED (hbar = k = 1) or SI (CODATA-2018 constants).
-
-    Returns
-    -------
-    float
-        The wavelength in the length unit of the active system.
-    """
-    if not m > 0.0:
-        raise DomainError("mass must be positive, got %r" % (m,))
-    if not T > 0.0:
-        raise DomainError("temperature must be positive, got %r" % (T,))
+    """lambda = sqrt(2 pi hbar^2 / (m k T)) for m > 0 and T > 0, in the length
+    unit of unit_system: REDUCED (hbar = k = 1) or SI (CODATA-2018)."""
+    for name, value in (("mass", m), ("temperature", T)):
+        if not value > 0.0:
+            raise DomainError("%s must be positive, got %r" % (name, value))
     consts = constants_for(unit_system)
     return consts.hbar * math.sqrt(2.0 * math.pi / (m * consts.k_B * T))

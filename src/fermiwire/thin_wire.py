@@ -20,8 +20,6 @@ from .gas_statistics import solve_thermal_state
 from .specfun import (
     QuantumIntegralOrder,
     Statistics,
-    mean_occupation,
-    panel_edges,
     quad_checked,
     quantum_integral,
 )
@@ -41,12 +39,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WireGeometry:
-    """Dimensionless transverse cross-section."""
+    """Dimensionless transverse cross-section, positive and finite."""
 
     sigma_tilde: float
 
     def __post_init__(self):
-        if not self.sigma_tilde > 0.0:
+        if not 0.0 < self.sigma_tilde < math.inf:
             raise DomainError("sigma_tilde must be positive, got %r" % (self.sigma_tilde,))
 
 
@@ -84,21 +82,62 @@ def rhs_eq3(state, wire):
     return wire.sigma_tilde * state.z / state.degeneracy
 
 
+# Integration window above the Fermi edge: the integrand is below e^-60 past it.
+_TAIL_OFFSET = 60.0
+
+
+def _panel_edges(stat, log_z):
+    """Edges in u = sqrt(t) of the quadrature panels for F_nu(e^log_z).
+
+    FD: one panel up to 40 below the Fermi edge t = ln z, then 25 panels
+    even in t up to max(ln z, 0) + 60; the integrand past that is below
+    e^-60 and is dropped.  MB: the FD edges at ln z = 0.  BE: 16 equal
+    panels over [0, sqrt(60)], plus edges at sqrt(alpha) 2^k (alpha = -ln z)
+    that resolve the peak of width sqrt(alpha) at the origin.
+    """
+    import numpy as np
+
+    if stat is Statistics.BOSE_EINSTEIN:
+        even = np.linspace(0.0, math.sqrt(_TAIL_OFFSET), 17)
+        graded = []
+        u = math.sqrt(-log_z)
+        while u < even[-1]:
+            graded.append(u)
+            u *= 2.0
+        return np.union1d(even, graded)
+    if stat is Statistics.MAXWELL_BOLTZMANN:
+        log_z = 0.0
+    t_lo = max(log_z - 40.0, 0.0)
+    t = t_lo + (max(log_z, 0.0) + _TAIL_OFFSET - t_lo) * np.linspace(0.0, 1.0, 26)
+    return np.sqrt(np.concatenate(([0.0], t)))
+
+
+def _mean_occupation(stat, w):
+    """Elementwise occupation at w = beta eps - ln z; e^w -> inf reads as 0."""
+    import numpy as np
+
+    if stat is Statistics.FERMI_DIRAC:
+        return 1.0 / (np.exp(w) + 1.0)
+    if stat is Statistics.BOSE_EINSTEIN:
+        return 1.0 / np.expm1(w)
+    return np.exp(-w)
+
+
 def number_integral_quasi1d(stat, state, wire):
     """Exact per-particle quasi-1D count (nu sigma/h^3) integral n(p) dp.
 
     Evaluated by fixed-panel Gauss-Legendre quadrature (quad_checked) in the
-    scaled momentum q = p lambda/h, where beta eps = pi q^2, on panel_edges
-    mapped to q = u/sqrt(pi).  It takes neither the series nor the Bose
-    alpha-expansion, so it is an independent reference for the closed form
-    R = sigma_tilde F_{1/2}(z)/degeneracy that classify_regime uses.
+    scaled momentum q = p lambda/h, where beta eps = pi q^2, on the panels
+    of _panel_edges mapped to q = u/sqrt(pi).  It shares no branch with
+    quantum_integral's closed forms, so it is an independent reference for
+    the R = sigma_tilde F_{1/2}(z)/degeneracy that classify_regime uses.
     """
     log_z = state.log_z
     if stat is Statistics.BOSE_EINSTEIN and not log_z < 0.0:
         raise DomainError("Bose wire integral needs z < 1, got ln z = %r" % (log_z,))
-    edges = panel_edges(stat, log_z) / math.sqrt(math.pi)
+    edges = _panel_edges(stat, log_z) / math.sqrt(math.pi)
     value, _ = quad_checked(
-        lambda q: mean_occupation(stat, math.pi * q * q - log_z),
+        lambda q: _mean_occupation(stat, math.pi * q * q - log_z),
         edges[0], edges[-1], edges[1:-1],
     )
     return 2.0 * value * wire.sigma_tilde / state.degeneracy

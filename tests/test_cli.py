@@ -195,6 +195,17 @@ class TestScan:
         assert rows[7:9] + rows[10:12] == positive[4:8]
         assert all(r[8] == "Bosonized" for r in positive[4:8])
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_gives_error_row(self, capsys, sigma):
+        # sigma_tilde = inf would make both counts inf in a solved row
+        code, rows = scan_rows(
+            capsys, ["--T", "1:1:1", "--nu", "1:1:1", "--sigma", "%s:%s:1" % (sigma, sigma)]
+        )
+        assert code == 1
+        assert [",".join(r) for r in rows] == [
+            '1,1,%s,,,,,,ERROR,"sigma_tilde must be positive, got %s"' % (sigma, sigma)
+        ]
+
     def test_error_rows_and_exit(self, capsys):
         # condensed BE points produce ERROR rows; exit 0 while any succeeds
         code = main(

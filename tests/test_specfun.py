@@ -19,7 +19,8 @@ from fermiwire import (
     quantum_integral,
     thermal_wavelength,
 )
-from fermiwire.specfun import _ZETA_HALF_INTEGERS, quad_checked
+from fermiwire import _kernel_tables, specfun
+from fermiwire.specfun import _ZETA_HALF_INTEGERS, density_and_slope, quad_checked
 from oracles import (
     ETA_FIVE_HALVES,
     ETA_HALF,
@@ -250,6 +251,30 @@ def test_nothing_imports_scipy():
     assert importers == set()
 
 
+def test_scan_and_tables_load_no_numpy(tmp_path):
+    # numpy is for the box oracle, verify and the reference quadrature only
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = str(tmp_path / "out.csv")
+    commands = [
+        ["scan", "--T", "0.05:160:4:log", "--nu", "0.5:8:3:log", "--sigma", "1e-4:100:3:log"],
+        ["scan", "--stat", "be", "--T", "3.4:170:4:log", "--sigma", "2:2:1"],
+        ["tabulate", "occupation", "--stat", "be", "--z", "0.5"],
+        ["tabulate", "phonon", "--nu", "0.5:4:3:log"],
+    ]
+    for argv in commands:
+        probe = (
+            "import sys; from fermiwire.cli import main; code = main(%r); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+            % (argv + ["--out", out],)
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0 []", argv
+
+
 def test_cli_import_loads_no_scipy():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -273,6 +298,110 @@ def test_quad_checked_contract():
     with pytest.raises(ConvergenceError) as info:
         quad_checked(lambda u: np.cos(40.0 * u), 0.0, 1.0)
     assert info.value.error_estimate > 1e-6 * abs(math.sin(40.0) / 40.0)
+
+
+def test_kernel_tables_regenerate():
+    """Every entry of _kernel_tables.py within 1e-15 of a fresh mpmath run."""
+    pytest.importorskip("mpmath")
+    from make_kernel_tables import tables
+
+    fresh = tables()
+    assert sorted(fresh) == sorted(
+        name for name in vars(_kernel_tables) if name.isupper()
+    )
+    for name, want_rows in fresh.items():
+        got_rows = getattr(_kernel_tables, name)
+        if not isinstance(want_rows[0], tuple):
+            want_rows, got_rows = [want_rows], [got_rows]
+        assert len(got_rows) == len(want_rows), name
+        for got_row, want_row in zip(got_rows, want_rows):
+            assert len(got_row) == len(want_row), name
+            for k, (got, want) in enumerate(zip(got_row, want_row)):
+                assert abs(got - want) <= 1e-15 * abs(want), (name, k)
+
+
+def _fd_mpmath(order, y):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        return float((-mpmath.polylog(order, -mpmath.exp(mpmath.mpf(y)))).real)
+
+
+def _be_mpmath(order, alpha):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        return float(mpmath.polylog(order, mpmath.exp(-mpmath.mpf(alpha))).real)
+
+
+def _both_sides(y):
+    return [y - 1e-9, math.nextafter(y, -math.inf), y, math.nextafter(y, math.inf), y + 1e-9]
+
+
+# ln z of every switch between two closed forms: series / Taylor at
+# ln(SERIES_FUGACITY_MAX), the Taylor centres' shared edges, and Taylor /
+# Sommerfeld at SOMMERFELD_LOG_Z
+FD_SEAMS = (
+    [math.log(specfun.SERIES_FUGACITY_MAX)]
+    + list(_kernel_tables.FD_EDGES)
+    + [specfun.SOMMERFELD_LOG_Z]
+)
+
+
+@pytest.mark.parametrize("order", [0.5, 1.5, 2.5])
+@pytest.mark.parametrize("seam", FD_SEAMS, ids=lambda y: "%.4g" % y)
+def test_fd_seams_against_mpmath(order, seam):
+    for y in _both_sides(seam):
+        want = _fd_mpmath(order, y)
+        assert rel(quantum_integral(FD, order, log_z=y), want) <= 2e-15, y
+
+
+@pytest.mark.parametrize("order", [0.5, 1.5, 2.5])
+def test_be_seam_against_mpmath(order):
+    # power series for alpha = -ln z >= BOSE_EXPANSION_ALPHA, the
+    # alpha-expansion below it
+    for y in _both_sides(-specfun.BOSE_EXPANSION_ALPHA):
+        want = _be_mpmath(order, -y)
+        assert rel(quantum_integral(BE, order, log_z=y), want) <= 3e-15, y
+
+
+def test_seams_select_both_branches():
+    # the seam tests straddle real switches: the series fugacity and the
+    # Bose expansion's alpha are the same point, ln z = -1
+    assert specfun.SERIES_FUGACITY_MAX == math.exp(-specfun.BOSE_EXPANSION_ALPHA)
+    edges = list(_kernel_tables.FD_EDGES)
+    centres = list(_kernel_tables.FD_CENTRES)
+    assert all(c < e < d for c, e, d in zip(centres, edges, centres[1:]))
+    assert edges[-1] < specfun.SOMMERFELD_LOG_Z
+
+
+@pytest.mark.parametrize("stat", [FD, BE], ids=["fd", "be"])
+def test_density_and_slope_matches_quantum_integral(stat):
+    # the solver's fused call gives F_{3/2} and F_{1/2} bit for bit as
+    # quantum_integral does, in every branch
+    grid = [-30.0, -1.5, -1.0, -0.3, -1e-9, 0.0]
+    if stat is FD:
+        grid += [0.5, 3.0, 9.0, 20.0, 50.0, 65.0, 300.0, 1e150]
+    for y in grid:
+        pair = density_and_slope(stat, y)
+        assert pair == (
+            quantum_integral(stat, 1.5, log_z=y),
+            quantum_integral(stat, 0.5, log_z=y),
+        ), y
+
+
+def test_fd_past_double_range_reads_inf():
+    # an FD value past the largest double reads inf, however far past; the
+    # Sommerfeld lead y^nu/Gamma(nu+1) says which values those are
+    for y in (1e124, 1e206, 1e300):
+        for order in ORDERS:
+            nu = order.value
+            value = quantum_integral(FD, order, log_z=y)
+            if nu * math.log(y) - math.lgamma(nu + 1.0) > math.log(sys.float_info.max):
+                assert value == math.inf, (y, order)
+            else:
+                assert rel(value, y ** nu / math.gamma(nu + 1.0)) < 1e-15, (y, order)
+    assert quantum_integral(FD, 2.5, log_z=1e124) == math.inf
+    assert quantum_integral(FD, 1.5, log_z=1e206) == math.inf
+    assert math.isfinite(quantum_integral(FD, 0.5, log_z=1e300))
 
 
 def test_zeta_table_against_mpmath():

@@ -247,3 +247,6 @@ def test_wire_geometry_validation():
         WireGeometry(0.0)
     with pytest.raises(DomainError):
         WireGeometry(-0.5)
+    for value in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="sigma_tilde must be positive"):
+            WireGeometry(value)
