@@ -21,6 +21,7 @@ from typing import Any, Tuple
 
 from .constants import UnitSystem, constants_for
 from .errors import CondensationError, DomainError, ResourceLimitError, TruncationError
+from .gas_statistics import _occupations
 from .specfun import QuantumIntegralOrder, Statistics, quantum_integral
 
 __all__ = [
@@ -34,7 +35,8 @@ __all__ = [
 
 # Default per-axis truncation: keep levels up to beta*eps = 45 (tail e^-45).
 BETA_EPS_CUTOFF = 45.0
-MAX_LEVELS_DEFAULT = 10 ** 8
+# Largest spectrum enumerate_levels builds.
+MAX_LEVELS = 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,6 @@ def enumerate_levels(
     cutoff=None,
     *,
     beta=None,
-    max_levels=MAX_LEVELS_DEFAULT,
     unit_system=UnitSystem.REDUCED,
 ):
     """Spectrum of all box levels with |n_i| <= cutoff_i.
@@ -104,7 +105,9 @@ def enumerate_levels(
     None, in which case the per-axis default keeps everything below
     beta*eps = 45 and beta must be supplied.
 
-    Raises ResourceLimitError when the level count would exceed max_levels.
+    Raises DomainError when an axis's top level (h c_i/L_i)^2/2m overflows a
+    double, and ResourceLimitError when the level count would exceed
+    MAX_LEVELS.
     """
     if not all(0.0 < v < math.inf for v in (L_long, a_transverse, m)):
         raise DomainError("box lengths and mass must be positive and finite")
@@ -122,11 +125,14 @@ def enumerate_levels(
         cutoffs = (int(cutoff),) * 3
     if len(cutoffs) != 3 or any(c < 1 for c in cutoffs):
         raise DomainError("cutoff must be a positive integer or 3 of them")
+    for L, c in zip(lengths, cutoffs):
+        if not math.isfinite((h * c / L) * (h * c / L) / (2.0 * m)):
+            raise DomainError("level (h n/L)^2/2m overflows at L = %r, n = %d" % (L, c))
 
     count = math.prod(2 * c + 1 for c in cutoffs)
-    if count > max_levels:
+    if count > MAX_LEVELS:
         raise ResourceLimitError(
-            "spectrum would hold %d levels, above the limit %d" % (count, max_levels)
+            "spectrum would hold %d levels, above the limit %d" % (count, MAX_LEVELS)
         )
 
     import numpy as np
@@ -153,50 +159,6 @@ def _parity_weights(energies):
     weights = np.full(energies.size, 2.0)
     weights[0] = 1.0
     return weights
-
-
-def _scratch(levels):
-    """Buffers for _occupations shaped like levels: two float, one bool."""
-    import numpy as np
-
-    return np.empty_like(levels), np.empty_like(levels), np.empty(levels.shape, bool)
-
-
-def _occupations(levels, stat, z, beta, scratch):
-    """Occupation of each level, in scratch[1]; levels is overwritten.
-
-    Each step writes through out= into levels or scratch, in the order of
-    the plain expressions in the comments, so every element gets the same
-    bits as from them, with no temporary arrays.
-    """
-    import numpy as np
-
-    w, (e, n, positive) = levels, scratch
-    if stat is Statistics.MAXWELL_BOLTZMANN:
-        # z * exp(-beta * levels)
-        np.multiply(w, -beta, out=w)
-        np.exp(w, out=w)
-        return np.multiply(w, z, out=n)
-    # w = beta * levels - ln z
-    np.multiply(w, beta, out=w)
-    np.subtract(w, math.log(z), out=w)
-    if stat is Statistics.FERMI_DIRAC:
-        # 1/(e^w + 1) as where(w > 0, e, 1) / (1 + e) with e = exp(-|w|),
-        # which cannot overflow
-        np.exp(np.negative(np.abs(w, out=e), out=e), out=e)
-        np.greater(w, 0.0, out=positive)
-        np.add(e, 1.0, out=n)
-        w.fill(1.0)
-        np.copyto(w, e, where=positive)
-        return np.divide(w, n, out=n)
-    if stat is Statistics.BOSE_EINSTEIN:
-        if not z < 1.0:
-            raise CondensationError(
-                "Bose box sum needs z < 1 (ground level at eps = 0), got %r" % (z,)
-            )
-        # 1 / expm1(w)
-        return np.divide(1.0, np.expm1(w, out=n), out=n)
-    raise DomainError("stat must be a Statistics member, got %r" % (stat,))
 
 
 def truncation_bound(spec, z, beta):
@@ -245,19 +207,25 @@ def direct_number_sum(spec, stat, z, beta, tail_tolerance=None):
         raise DomainError("fugacity must be positive, got %r" % (z,))
     if not beta > 0.0:
         raise DomainError("beta must be positive, got %r" % (beta,))
+    if stat is Statistics.BOSE_EINSTEIN and not z < 1.0:
+        raise CondensationError(
+            "Bose box sum needs z < 1 (ground level at eps = 0), got %r" % (z,)
+        )
     import numpy as np
 
+    log_z = math.log(z)
     ex, ey, ez = spec.axis_levels
     plane = ey[:, None] + ez[None, :]
     plane_weights = np.outer(_parity_weights(ey), _parity_weights(ez))
     # one set of plane buffers for all slabs: the speed of per-slab
     # temporaries depended on the heap layout left by import order
-    levels, scratch = np.empty_like(plane), _scratch(plane)
+    w, n = np.empty_like(plane), np.empty_like(plane)
     slab_sums = []
-    for e, w in zip(ex, _parity_weights(ex)):
-        np.add(plane, e, out=levels)
-        n = _occupations(levels, stat, z, beta, scratch)
-        slab_sums.append(w * float(np.sum(np.multiply(n, plane_weights, out=n))))
+    for e, weight in zip(ex, _parity_weights(ex)):
+        # w = beta * (plane + e) - ln z
+        np.subtract(np.multiply(np.add(plane, e, out=w), beta, out=w), log_z, out=w)
+        _occupations(stat, w, n)
+        slab_sums.append(weight * float(np.sum(np.multiply(n, plane_weights, out=n))))
     total = math.fsum(slab_sums)
     if tail_tolerance is not None:
         bound = truncation_bound(spec, z, beta)
@@ -281,34 +249,34 @@ class ContinuumComparison:
     truncation_bound: float
 
 
-def compare_continuum(spec, stat, z, beta, wire_convention=None):
+def compare_continuum(spec, stat, z, beta):
     """Discrete sum against both continuum replacements of it.
 
     N_continuum_3d is (V/h^3) integral d^3p n(p) = V F_{3/2}(z)/lambda^3;
-    the quasi-1D variant uses sigma_tilde from wire_convention, or the
-    freeze-out value (lambda/a)^2 when none is given, under which it is
-    the pure 1D count (L/lambda) F_{1/2}(z).  Relative errors are against
-    N_discrete; ground_mode_fraction is the occupation share of levels
-    with no transverse excitation.
+    the quasi-1D variant takes the freeze-out cross-section
+    sigma_tilde = (lambda/a)^2, under which it is the pure 1D count
+    (L/lambda) F_{1/2}(z).  Relative errors are against N_discrete;
+    ground_mode_fraction is the occupation share of levels with no
+    transverse excitation.  DomainError when lambda^3 or (lambda/a)^2
+    overflows a double.
     """
     h = constants_for(spec.unit_system).h
     lam = h * math.sqrt(beta / (2.0 * math.pi * spec.m))
     volume = spec.L_long * spec.a_transverse ** 2
 
     n_disc = direct_number_sum(spec, stat, z, beta)
+    try:
+        lam3, sigma_tilde = lam ** 3, (lam / spec.a_transverse) ** 2
+    except OverflowError:
+        raise DomainError("lambda^3 or (lambda/a)^2 overflows at lambda = %r" % (lam,)) from None
     f32 = quantum_integral(stat, QuantumIntegralOrder.THREE_HALVES, z)
     f12 = quantum_integral(stat, QuantumIntegralOrder.ONE_HALF, z)
-    n_3d = volume * f32 / lam ** 3
+    n_3d = volume * f32 / lam3
+    n_q1d = volume * sigma_tilde * f12 / lam3
 
-    sigma_tilde = (
-        wire_convention.sigma_tilde
-        if wire_convention is not None
-        else (lam / spec.a_transverse) ** 2
-    )
-    n_q1d = volume * sigma_tilde * f12 / lam ** 3
-
-    levels = spec.levels_transverse_ground.copy()
-    ground = float(_occupations(levels, stat, z, beta, _scratch(levels)).sum())
+    w = spec.levels_transverse_ground * beta
+    w -= math.log(z)
+    ground = float(_occupations(stat, w).sum())
     return ContinuumComparison(
         N_discrete=n_disc,
         N_continuum_3d=n_3d,
@@ -316,6 +284,6 @@ def compare_continuum(spec, stat, z, beta, wire_convention=None):
         rel_err_3d=abs(n_disc - n_3d) / n_disc,
         rel_err_quasi1d=abs(n_disc - n_q1d) / n_disc,
         ground_mode_fraction=ground / n_disc,
-        sigma_tilde_fitted=n_disc * lam ** 3 / (volume * f12),
+        sigma_tilde_fitted=n_disc * lam3 / (volume * f12),
         truncation_bound=truncation_bound(spec, z, beta),
     )

@@ -308,8 +308,6 @@ def _write_output(text, path):
 
 
 def _check_rows(unit_system=UnitSystem.REDUCED):
-    import numpy as np  # the suite's grids stay numpy's, so its bytes do too
-
     rows = []
 
     def add(name, computed, expected, tol, ok):
@@ -346,7 +344,7 @@ def _check_rows(unit_system=UnitSystem.REDUCED):
     base = rhs_eq3(state, WireGeometry(1e-6)) / 1e-6
     dev = max(
         abs(rhs_eq3(state, WireGeometry(s)) / s / base - 1.0)
-        for s in np.geomspace(1e-6, 1.0, 10)
+        for s in AxisSpec(1e-6, 1.0, 10, "log").values()
     )
     add("rhs_eq3_linear_in_sigma", dev, "0", "1e-12", dev <= 1e-12)
 
@@ -369,15 +367,15 @@ def _check_rows(unit_system=UnitSystem.REDUCED):
 
     # fugacity round trips
     worst = 0.0
-    for x in np.geomspace(1e-6, 50.0, 50):
-        z = solve_fugacity(Statistics.FERMI_DIRAC, float(x))
+    for x in AxisSpec(1e-6, 50.0, 50, "log").values():
+        z = solve_fugacity(Statistics.FERMI_DIRAC, x)
         back = quantum_integral(Statistics.FERMI_DIRAC, QuantumIntegralOrder.THREE_HALVES, z)
         worst = max(worst, abs(back - x) / x)
     add("fd_fugacity_roundtrip", worst, "0", "1e-10", worst <= 1e-10)
 
     worst = 0.0
-    for x in np.geomspace(1e-6, ZETA_THREE_HALVES - 1e-6, 50):
-        z = solve_fugacity(Statistics.BOSE_EINSTEIN, float(x))
+    for x in AxisSpec(1e-6, ZETA_THREE_HALVES - 1e-6, 50, "log").values():
+        z = solve_fugacity(Statistics.BOSE_EINSTEIN, x)
         back = quantum_integral(Statistics.BOSE_EINSTEIN, QuantumIntegralOrder.THREE_HALVES, z)
         worst = max(worst, abs(back - x) / x)
     add("be_fugacity_roundtrip", worst, "0", "1e-10", worst <= 1e-10)
@@ -406,13 +404,13 @@ def _check_rows(unit_system=UnitSystem.REDUCED):
 
     # classical convergence of both quantum statistics
     z = 1e-4
-    grid_be = np.linspace(0.0, 50.0, 501)
+    grid_be = AxisSpec(0.0, 50.0, 501).values()
     worst_fd = max(
-        abs(occupation(Statistics.FERMI_DIRAC, z, 1.0, float(be)) / occupation(Statistics.MAXWELL_BOLTZMANN, z, 1.0, float(be)) - 1.0)
+        abs(occupation(Statistics.FERMI_DIRAC, z, 1.0, be) / occupation(Statistics.MAXWELL_BOLTZMANN, z, 1.0, be) - 1.0)
         for be in grid_be
     )
     worst_be = max(
-        abs(occupation(Statistics.BOSE_EINSTEIN, z, 1.0, float(be)) / occupation(Statistics.MAXWELL_BOLTZMANN, z, 1.0, float(be)) - 1.0)
+        abs(occupation(Statistics.BOSE_EINSTEIN, z, 1.0, be) / occupation(Statistics.MAXWELL_BOLTZMANN, z, 1.0, be) - 1.0)
         for be in grid_be
     )
     add("boltzmann_convergence_fd", worst_fd, "0", "1e-4", worst_fd <= 1e-4)
@@ -488,11 +486,11 @@ def _check_rows(unit_system=UnitSystem.REDUCED):
 
     # wire integral against the f_{1/2} route
     worst = 0.0
-    for z in np.geomspace(1e-3, 10.0, 15):
+    for z in AxisSpec(1e-3, 10.0, 15, "log").values():
         st = ThermalState(log_z=math.log(z), lam=lam, degeneracy=1.0)
         wire = WireGeometry(1.0)
         exact = number_integral_quasi1d(Statistics.FERMI_DIRAC, st, wire)
-        f_half = quantum_integral(Statistics.FERMI_DIRAC, QuantumIntegralOrder.ONE_HALF, float(z))
+        f_half = quantum_integral(Statistics.FERMI_DIRAC, QuantumIntegralOrder.ONE_HALF, z)
         worst = max(worst, abs(exact - f_half) / f_half)
     add("fd_wire_integral_matches_f_half", worst, "0", "1e-9", worst <= 1e-9)
 

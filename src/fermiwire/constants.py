@@ -40,7 +40,5 @@ _CONSTANTS = {
 
 
 def constants_for(unit_system):
-    """Constants table for a UnitSystem (or its string value)."""
-    if isinstance(unit_system, str):
-        unit_system = UnitSystem(unit_system)
+    """Constants table for a UnitSystem."""
     return _CONSTANTS[unit_system]

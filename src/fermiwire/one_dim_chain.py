@@ -48,7 +48,6 @@ class ChainParameters:
 class ClosureResult(NamedTuple):
     T: float
     ratio: float
-    ratio_closed_form: float
     residual: float
 
 
@@ -87,6 +86,5 @@ def closure_temperature(chain, unit_system=UnitSystem.REDUCED):
     return ClosureResult(
         T=T,
         ratio=kT / kT_F,
-        ratio_closed_form=CLOSURE_RATIO,
         residual=residual,
     )

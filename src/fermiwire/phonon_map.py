@@ -32,10 +32,12 @@ class PhononMedium:
     nu: float
 
     def __post_init__(self):
-        if not self.c > 0.0:
-            raise DomainError("sound speed must be positive")
+        if not 0.0 < self.c < math.inf:
+            raise DomainError("sound speed must be positive and finite")
         if not self.nu > 0.0:
             raise DomainError("specific volume must be positive")
+        if not math.isfinite(debye_omega_max(self)):
+            raise DomainError("Debye frequency overflows at c = %r, nu = %r" % (self.c, self.nu))
 
 
 @dataclass(frozen=True)

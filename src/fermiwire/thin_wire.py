@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError
-from .gas_statistics import solve_thermal_state
+from .gas_statistics import _occupations, solve_thermal_state
 from .specfun import (
     QuantumIntegralOrder,
     Statistics,
@@ -112,17 +112,6 @@ def _panel_edges(stat, log_z):
     return np.sqrt(np.concatenate(([0.0], t)))
 
 
-def _mean_occupation(stat, w):
-    """Elementwise occupation at w = beta eps - ln z; e^w -> inf reads as 0."""
-    import numpy as np
-
-    if stat is Statistics.FERMI_DIRAC:
-        return 1.0 / (np.exp(w) + 1.0)
-    if stat is Statistics.BOSE_EINSTEIN:
-        return 1.0 / np.expm1(w)
-    return np.exp(-w)
-
-
 def number_integral_quasi1d(stat, state, wire):
     """Exact per-particle quasi-1D count (nu sigma/h^3) integral n(p) dp.
 
@@ -137,7 +126,7 @@ def number_integral_quasi1d(stat, state, wire):
         raise DomainError("Bose wire integral needs z < 1, got ln z = %r" % (log_z,))
     edges = _panel_edges(stat, log_z) / math.sqrt(math.pi)
     value, _ = quad_checked(
-        lambda q: _mean_occupation(stat, math.pi * q * q - log_z),
+        lambda q: _occupations(stat, math.pi * q * q - log_z),
         edges[0], edges[-1], edges[1:-1],
     )
     return 2.0 * value * wire.sigma_tilde / state.degeneracy

@@ -12,7 +12,6 @@ from fermiwire import (
     ResourceLimitError,
     Statistics,
     TruncationError,
-    WireGeometry,
     compare_continuum,
     direct_number_sum,
     enumerate_levels,
@@ -80,7 +79,7 @@ class TestEnumerate:
 
     def test_resource_limit(self):
         with pytest.raises(ResourceLimitError):
-            enumerate_levels(1.0, 1.0, 1.0, cutoff=300, max_levels=10 ** 6)
+            enumerate_levels(1.0, 1.0, 1.0, cutoff=300)
 
     def test_determinism(self):
         one = enumerate_levels(2.5, 1.25, 1.0, cutoff=4)
@@ -227,16 +226,6 @@ class TestCompareContinuum:
         spec = enumerate_levels(50.0, a, 1.0, beta=BETA)
         report = compare_continuum(spec, MB, 0.05, BETA)
         assert report.rel_err_quasi1d < 1e-3
-
-    def test_explicit_wire_convention(self):
-        spec = enumerate_levels(5.0, 1.0, 1.0, beta=BETA)
-        wire = WireGeometry(0.25)
-        report = compare_continuum(spec, MB, 0.1, BETA, wire_convention=wire)
-        default = compare_continuum(spec, MB, 0.1, BETA)
-        assert report.N_continuum_quasi1d == pytest.approx(
-            default.N_continuum_quasi1d * 0.25 / 1.0, rel=1e-12
-        )
-        assert report.N_discrete == default.N_discrete
 
     def test_fd_continuum_agreement(self):
         spec = enumerate_levels(20.0, 20.0, 1.0, beta=BETA)

@@ -69,7 +69,6 @@ def test_closure_fixed_point_residual():
 def test_closure_ratio_value():
     result = closure_temperature(ChainParameters(N=1.0, L=1.0, m=1.0))
     assert abs(result.ratio - CLOSURE_RATIO_ORACLE) < 1e-13
-    assert abs(result.ratio_closed_form - CLOSURE_RATIO_ORACLE) < 1e-15
     assert abs(CLOSURE_RATIO - CLOSURE_RATIO_ORACLE) < 1e-15
 
 

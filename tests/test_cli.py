@@ -380,6 +380,8 @@ EXIT_TWO_CASES = [
     (["scan"], {"T": {"min": 1, "max": 2, "points": 2.5}}),
     # a table input outside its domain
     (["tabulate", "phonon", "--nu", "0:1:2"], None),
+    (["tabulate", "phonon", "--c", "inf"], None),
+    (["tabulate", "phonon", "--nu", "1e-320:1e-320:1"], None),  # Debye frequency overflows
 ]
 
 
@@ -494,6 +496,17 @@ class TestTabulate:
         )
         assert a.read_bytes() == b.read_bytes()
 
+    def test_oracle_bose_levels_past_expm1_overflow(self, capsys):
+        # the 0.2-wide axes put beta*eps ~ 987 at n_y = n_z = 1, where expm1
+        # overflows: those levels hold 0, with no RuntimeWarning (an error here)
+        code = main(["oracle", "--stat", "be", "--a", "0.2", "--T", "1", "--z", "0.5"])
+        assert code == 0
+        assert capsys.readouterr().out.split("\n")[1] == (
+            "3,0.20000000000000001,1,1,0.5,be,5,1,1,99,1.1182987119066414,"
+            "0.0047607809181810408,0.96479409954974849,0.99574283608887981,"
+            "0.137266197950971,0.99999999999999978,182.07195812476451,6.9531137395435894e-26,"
+        )
+
     @pytest.mark.parametrize("T, beta", [("-1", "-1.0"), ("0", "inf"), ("inf", "0.0")])
     def test_oracle_bad_temperature_row(self, capsys, T, beta):
         # enumerate_levels rejects beta = 1/(k_B T) outside (0, inf)
@@ -502,13 +515,25 @@ class TestTabulate:
         assert code == 1
         assert row.endswith(',"beta must be positive and finite, got %s"' % beta)
 
-    def test_oracle_error_row(self, capsys):
-        # BE at z = 1 cannot be summed over a spectrum whose ground state is 0
-        code = main(["oracle", "--stat", "be", "--z", "1.0"])
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            # BE at z = 1 cannot be summed over a spectrum whose ground state is 0
+            (["--stat", "be", "--z", "1.0"], "Bose box sum needs z < 1"),
+            # lambda^3 overflows a double
+            (["--T", "1e-300"], "lambda^3 or (lambda/a)^2 overflows"),
+            # the level spacing (h/L)^2/2m overflows a double
+            (["--L", "1e-300", "--a", "1e-300"], "level (h n/L)^2/2m overflows"),
+        ],
+        ids=["be z=1", "T=1e-300", "L=a=1e-300"],
+    )
+    def test_oracle_error_row(self, capsys, args, message):
+        code = main(["oracle", *args])
         out = capsys.readouterr().out
         assert code == 1
         row = out.strip().split("\n")[1]
         assert row.split(",")[-1] != ""
+        assert message in row
 
 
 class TestVerifySubprocess:

@@ -87,3 +87,42 @@ def test_detector_flags_an_orphaned_helper():
 def test_no_orphaned_helpers():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert orphaned_helpers(sources) == []
+
+
+def module_level_imports(source, package="numpy"):
+    """Lines of source that import package when the module is imported:
+    outside every function body (class bodies and if/try blocks count)."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                names = [child.module]
+            else:
+                names = []
+            if any(name.split(".")[0] == package for name in names):
+                found.append(child.lineno)
+            visit(child)
+
+    visit(ast.parse(source))
+    return sorted(found)
+
+
+def test_detector_flags_a_module_level_numpy_import():
+    source = (
+        "import numpy as np\nfrom numpy import linalg\nimport numpyro\n"
+        "if np:\n    import numpy.random\nclass A:\n    import numpy\n"
+        "def f():\n    import numpy\n    return numpy\nfrom . import numpy\n"
+    )
+    assert module_level_imports(source) == [1, 2, 5, 7]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_numpy_imported_on_use_only(path):
+    # scan and the occupation and phonon tables run without numpy, and its
+    # import (about 0.1 s) would add to every command's start-up
+    assert module_level_imports(path.read_text()) == []
