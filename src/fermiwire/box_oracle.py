@@ -87,7 +87,13 @@ def _mirrored(energies):
 
 def _axis_cutoff(length, m, beta, h):
     # smallest c with beta * (h c / L)^2 / (2m) >= BETA_EPS_CUTOFF
-    return max(1, math.ceil(length * math.sqrt(2.0 * m * BETA_EPS_CUTOFF / beta) / h))
+    c = length * math.sqrt(2.0 * m * BETA_EPS_CUTOFF / beta) / h
+    if not math.isfinite(c):
+        raise ResourceLimitError(
+            "default cutoff overflows at L = %r: spectrum would hold more than %d levels"
+            % (length, MAX_LEVELS)
+        )
+    return max(1, math.ceil(c))
 
 
 def enumerate_levels(
@@ -107,7 +113,7 @@ def enumerate_levels(
 
     Raises DomainError when an axis's top level (h c_i/L_i)^2/2m overflows a
     double, and ResourceLimitError when the level count would exceed
-    MAX_LEVELS.
+    MAX_LEVELS or a default cutoff overflows a double.
     """
     if not all(0.0 < v < math.inf for v in (L_long, a_transverse, m)):
         raise DomainError("box lengths and mass must be positive and finite")

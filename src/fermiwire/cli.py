@@ -8,8 +8,6 @@ byte-identical files.
 """
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -270,13 +268,32 @@ def _scan_config(config=None, **flags):
 
 
 def _fmt(value):
+    """CSV text of one cell: floats as %.17g, a str holding a comma, a double
+    quote, CR or LF quoted with each double quote doubled (QUOTE_MINIMAL)."""
     if value is None:
         return ""
     if isinstance(value, str):
+        if "," in value or '"' in value or "\r" in value or "\n" in value:
+            return '"%s"' % value.replace('"', '""')
         return value
     if isinstance(value, int):
         return str(int(value))
     return "%.17g" % value
+
+
+def _column_text(column):
+    """CSV text of one column's cells.
+
+    A column of floats alone, none of them zero, formats each distinct value
+    once: 0.0 == -0.0 would share a dict key, while a NaN key is found by
+    identity and always reads nan.  Any other column formats cell by cell.
+    """
+    if set(map(type, column)) == {float}:
+        text = dict.fromkeys(column)
+        if 0.0 not in text:
+            text = dict(zip(text, map("%.17g".__mod__, text)))
+            return map(text.__getitem__, column)
+    return map(_fmt, column)
 
 
 def _render_table(columns, rows, out_format):
@@ -284,12 +301,8 @@ def _render_table(columns, rows, out_format):
     if out_format == "json":
         payload = {"columns": columns, "rows": [list(r) for r in rows]}
         return json.dumps(payload, separators=(",", ":")) + "\n"
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    return buffer.getvalue()
+    cells = zip(*map(_column_text, zip(*rows)))
+    return "\n".join([",".join(map(_fmt, columns)), *map(",".join, cells)]) + "\n"
 
 
 def _write_output(text, path):
@@ -537,26 +550,32 @@ def run_scan(config):
 
     Rows follow the grid in lexicographic (T, nu, sigma) order.  The fugacity
     depends on (T, nu) alone and both count bounds are linear in sigma, so
-    each pair is solved once and its sigma rows reuse that solution.
+    each pair is solved once and its sigma rows reuse that solution; each
+    sigma's wire (or the DomainError that rejects it) is built once.
     """
     m = constants_for(config.unit_system).mass_ref
-    nus, sigmas = config.nu_axis.values(), config.sigma_axis.values()
+    nus = config.nu_axis.values()
+    wires = []
+    for sigma in config.sigma_axis.values():
+        try:
+            wires.append((sigma, WireGeometry(sigma)))
+        except DomainError as exc:
+            wires.append((sigma, exc))
     rows = []
     for T in config.t_axis.values():
         for nu in nus:
             try:
                 state, f_half = _solve_pair(config, m, T, nu)
             except (CondensationError, ConvergenceError, DomainError) as exc:
-                rows.extend(_error_row(T, nu, sigma, exc) for sigma in sigmas)
+                rows.extend(_error_row(T, nu, sigma, exc) for sigma, _ in wires)
                 continue
-            for sigma in sigmas:
-                try:
-                    wire = WireGeometry(sigma)
-                except DomainError as exc:
-                    rows.append(_error_row(T, nu, sigma, exc))
+            z = state.z
+            for sigma, wire in wires:
+                if isinstance(wire, DomainError):
+                    rows.append(_error_row(T, nu, sigma, wire))
                     continue
                 report = classify_wire(state, f_half, wire, config.thresholds)
-                rows.append([T, nu, sigma, state.z, state.lam, state.degeneracy,
+                rows.append([T, nu, sigma, z, state.lam, state.degeneracy,
                              report.rhs_approx, report.rhs_exact, report.regime.value, ""])
     text = _render_table(SCAN_COLUMNS, rows, config.out_format)
     _write_output(text, config.out_path)

@@ -124,6 +124,10 @@ def number_integral_quasi1d(stat, state, wire):
     log_z = state.log_z
     if stat is Statistics.BOSE_EINSTEIN and not log_z < 0.0:
         raise DomainError("Bose wire integral needs z < 1, got ln z = %r" % (log_z,))
+    if stat is Statistics.MAXWELL_BOLTZMANN and state.z == math.inf:
+        # the integrand e^(ln z - pi q^2) and the count sigma_tilde z/degeneracy overflow
+        raise DomainError("Boltzmann wire integral needs z within double range, got ln z = %r"
+                          % (log_z,))
     edges = _panel_edges(stat, log_z) / math.sqrt(math.pi)
     value, _ = quad_checked(
         lambda q: _occupations(stat, math.pi * q * q - log_z),

@@ -4,9 +4,12 @@ Everything in this file is computed from scratch with elementary series:
 alternating-series acceleration (Cohen-Rodriguez Villegas-Zagier), direct
 power series, Euler-Maclaurin zeta sums, and one-dimensional Gaussian theta
 sums.  None of it imports the package under test, so agreement between the
-two is meaningful.
+two is meaningful.  The CSV reference renders through the standard csv
+module.
 """
 
+import csv
+import io
 import math
 
 # Frozen reference constants, cross-checked against mpmath at 40 digits.
@@ -178,3 +181,32 @@ def brute_box_number(stat, z, beta_eps_axes, cutoffs):
                 else:
                     raise ValueError("stat must be fd, be or mb")
     return math.fsum(terms)
+
+
+def _cell_text(value):
+    """A table cell as the CLI's first renderer wrote it: None empty, str as
+    is, int (bool too) as str(int(v)), anything else %.17g."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return str(int(value))
+    return "%.17g" % value
+
+
+def render_csv(columns, rows):
+    """CSV text of a table (two or more columns) through csv.writer.
+
+    Each row is written by csv.writer's QUOTE_MINIMAL rule with the line
+    terminator "\\r\\n", which it strips, and ends in "\\n".  For cells
+    holding no CR this is byte for byte csv.writer(lineterminator="\\n"),
+    the CLI's first renderer; that writer leaves a bare CR unquoted, which
+    csv.reader then rejects.
+    """
+    lines = []
+    for row in [columns, *rows]:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\r\n").writerow([_cell_text(v) for v in row])
+        lines.append(buffer.getvalue()[:-2] + "\n")
+    return "".join(lines)

@@ -1,5 +1,7 @@
 """Command-line behaviour: exit codes, schemas, reproducibility, config."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -7,21 +9,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fermiwire import cli, gas_statistics
+from fermiwire import WireGeometry, classify_regime, cli, gas_statistics
 from fermiwire.cli import AxisSpec, main, parse_axis
 from fermiwire.errors import ConfigError
+from oracles import render_csv
 
 MODULE_INVOCATION = [sys.executable, "-m", "fermiwire"]
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(args):
+def run_cli(args, text=True):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run(
-        MODULE_INVOCATION + args, capture_output=True, text=True, env=env
+        MODULE_INVOCATION + args, capture_output=True, text=text, env=env
     )
 
 
@@ -205,6 +209,53 @@ class TestScan:
         assert [",".join(r) for r in rows] == [
             '1,1,%s,,,,,,ERROR,"sigma_tilde must be positive, got %s"' % (sigma, sigma)
         ]
+
+    def test_one_wire_per_sigma(self, capsys, monkeypatch):
+        # each sigma's wire, or the DomainError that rejects it, is built once
+        # and serves every (T, nu) pair, its error rows keeping their place
+        built = []
+
+        def counted(sigma):
+            built.append(sigma)
+            return wire_geometry(sigma)
+
+        wire_geometry = cli.WireGeometry
+        monkeypatch.setattr(cli, "WireGeometry", counted)
+        code, rows = scan_rows(capsys, ["--T", "1:2:2", "--nu", "1:2:2", "--sigma=-1:1:3"])
+        assert code == 0
+        assert built == [-1.0, 0.0, 1.0]
+        assert [tuple(r[:3]) for r in rows] == [
+            (T, nu, sigma) for T in "12" for nu in "12" for sigma in ("-1", "0", "1")
+        ]
+        for row in rows:
+            if row[2] == "1":
+                assert "" not in row[3:9] and row[8] != "ERROR" and row[9] == ""
+            else:
+                assert row[3:] == ["", "", "", "", "", "ERROR",
+                                   '"sigma_tilde must be positive, got %s.0"' % row[2]]
+
+    def test_repeated_csv_runs_parse_back(self):
+        # two runs give the same bytes, and csv.reader reads back every cell:
+        # floats exactly, the quoted ERROR messages with their commas
+        args = ["scan", "--T", "1:2:2", "--nu", "1:1:1", "--sigma=-1:1:3", "--format", "csv"]
+        first, second = run_cli(args, text=False), run_cli(args, text=False)
+        assert first.returncode == second.returncode == 0
+        assert first.stdout == second.stdout
+        header, *rows = csv.reader(io.StringIO(first.stdout.decode("utf-8"), newline=""))
+        assert header == cli.SCAN_COLUMNS
+        assert [[float(v) for v in r[:3]] for r in rows] == [
+            [T, 1.0, sigma] for T in (1.0, 2.0) for sigma in (-1.0, 0.0, 1.0)
+        ]
+        for row in rows[0:2] + rows[3:5]:
+            assert row[3:] == ["", "", "", "", "", "ERROR",
+                               "sigma_tilde must be positive, got %r" % float(row[2])]
+        for T, row in ((1.0, rows[2]), (2.0, rows[5])):
+            params = gas_statistics.GasParameters(1.0, T, 1.0)
+            state = gas_statistics.solve_thermal_state(params, gas_statistics.Statistics.FERMI_DIRAC)
+            report = classify_regime(params, WireGeometry(1.0))
+            assert [float(v) for v in row[3:8]] == [
+                state.z, state.lam, state.degeneracy, report.rhs_approx, report.rhs_exact]
+            assert row[8:] == [report.regime.value, ""]
 
     def test_error_rows_and_exit(self, capsys):
         # condensed BE points produce ERROR rows; exit 0 while any succeeds
@@ -524,8 +575,10 @@ class TestTabulate:
             (["--T", "1e-300"], "lambda^3 or (lambda/a)^2 overflows"),
             # the level spacing (h/L)^2/2m overflows a double
             (["--L", "1e-300", "--a", "1e-300"], "level (h n/L)^2/2m overflows"),
+            # the beta*eps = 45 cutoff L sqrt(2 m 45/beta)/h overflows a double
+            (["--L", "1e300", "--T", "1e300"], "default cutoff overflows at L = 1e+300"),
         ],
-        ids=["be z=1", "T=1e-300", "L=a=1e-300"],
+        ids=["be z=1", "T=1e-300", "L=a=1e-300", "L=T=1e300"],
     )
     def test_oracle_error_row(self, capsys, args, message):
         code = main(["oracle", *args])
@@ -534,6 +587,84 @@ class TestTabulate:
         row = out.strip().split("\n")[1]
         assert row.split(",")[-1] != ""
         assert message in row
+
+
+# Tables the CSV renderer must write as the csv-module reference does.
+NAN = float("nan")
+RENDER_TABLES = {
+    "quoting": (["a", "b,c", 'd"'], [
+        ["x,y", 'say "hi"', "plain"],
+        ["line\nbreak", "carriage\rreturn", "crlf\r\n"],
+        ["", '"', ","],
+        ['""', " spaced ", "tab\tand;semicolon"],
+    ]),
+    "none": (["a", "b", "c"], [[None, None, "x"], ["y", None, None]]),
+    "signed zeros": (["a", "b"], [[0.0, 1.5], [-0.0, 1.5], [0.0, -0.0], [-0.0, 0.0]]),
+    "non-finite": (["a", "b", "c"], [
+        [NAN, math.inf, -math.inf],
+        [float("nan"), -math.inf, math.nan],
+        [NAN, math.inf, 2.5],
+    ]),
+    "int bool numpy": (["a", "b", "c", "d"], [
+        [1, True, np.float64(0.1), np.float64(-0.0)],
+        [10 ** 20, False, np.float64(0.1), np.float64(np.nan)],
+        [-7, 0, 1e20, np.float64(1e20)],
+    ]),
+    "numpy float column": (["a", "b"], [[np.float64(0.1), 1.0], [np.float64(0.1), 1.0]]),
+    "repeated floats": (["T", "nu", "sigma"], [
+        [T, nu, sigma]
+        for T in (0.045, 0.1 + 0.2, 1e-300)
+        for nu in (0.3, 5e-324, 1.7976931348623157e308)
+        for sigma in (1e-4, 0.1, 1.0 / 3.0, 100.0)
+    ]),
+    "error rows": (["T", "z", "regime", "message"], [
+        [1.5, 2.0, "Bosonized", ""],
+        [1.5, None, "ERROR", "sigma_tilde must be positive, got -1.0"],
+        [2.5, 2.0, "DegenerateSubFermi", ""],
+        [2.5, None, "ERROR", 'says "no"'],
+    ]),
+    "zero rows": (["a", "b"], []),
+}
+
+
+class TestCsvRendering:
+    @pytest.mark.parametrize("table", RENDER_TABLES.values(), ids=list(RENDER_TABLES))
+    def test_matches_reference(self, table):
+        columns, rows = table
+        assert cli._render_table(columns, rows, "csv") == render_csv(columns, rows)
+
+    def test_quoted_cells_parse_back(self):
+        columns, rows = RENDER_TABLES["quoting"]
+        text = cli._render_table(columns, rows, "csv")
+        assert list(csv.reader(io.StringIO(text, newline=""))) == [columns, *rows]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["scan", "--stat", "be", "--T", "1:40:4:log", "--nu", "1:2:2", "--sigma=-1:1:3"],
+            ["scan", "--T", "1e-300:6.283185307179586:2:log", "--nu", "0:2:3", "--sigma", "0:1:3"],
+            ["scan", "--T", "0.005:0.02:3:log", "--nu", "1:1:1"],
+            ["tabulate", "occupation", "--stat", "be", "--z", "1", "--grid", "0:2:3"],
+            ["tabulate", "occupation", "--z=-0", "--grid=-0:0:3"],
+            ["tabulate", "occupation", "--z", "0.5", "--grid", "0:800:800"],
+            ["tabulate", "phonon", "--nu", "0.1:10:5:log"],
+            ["oracle", "--stat", "mb", "--z", "0.1"],
+            ["oracle", "--T", "1e-300"],
+        ],
+        ids=lambda args: " ".join(args),
+    )
+    def test_cli_output_matches_reference(self, capsys, monkeypatch, args):
+        tables = []
+        render = cli._render_table
+
+        def recording(columns, rows, out_format):
+            tables.append((columns, rows))
+            return render(columns, rows, out_format)
+
+        monkeypatch.setattr(cli, "_render_table", recording)
+        main(args)
+        [(columns, rows)] = tables
+        assert capsys.readouterr().out == render_csv(columns, rows)
 
 
 class TestVerifySubprocess:

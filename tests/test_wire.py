@@ -103,6 +103,17 @@ class TestNumberIntegral:
         with pytest.raises(DomainError):
             number_integral_quasi1d(BE, make_state(1.0, 1.0), WireGeometry(0.1))
 
+    def test_mb_fugacity_past_double_range(self):
+        # up to ln z = ln(DBL_MAX) the count sigma_tilde z/degeneracy holds; past
+        # it e^(ln z - pi q^2) overflows at the nodes and so does the count
+        top = ThermalState(log_z=math.log(1.7976931348623157e308), lam=1.0, degeneracy=1.0)
+        value = number_integral_quasi1d(MB, top, WireGeometry(1.0))
+        assert abs(value / top.z - 1.0) < 1e-10
+        for log_z in (709.79, 800.0):
+            state = ThermalState(log_z=log_z, lam=1.0, degeneracy=1.0)
+            with pytest.raises(DomainError, match="double range"):
+                number_integral_quasi1d(MB, state, WireGeometry(1.0))
+
     def test_degenerate_fd(self):
         # deep in the degenerate regime the integral tracks 2 sqrt(ln z / pi)
         state = make_state(math.exp(500.0), 1.0)
