@@ -22,7 +22,6 @@ from .errors import (
     DomainError,
     ResourceLimitError,
     SingularityError,
-    TruncationError,
 )
 from .gas_statistics import (
     GasParameters,
@@ -95,7 +94,6 @@ __all__ = [
     "SingularityError",
     "Statistics",
     "ThermalState",
-    "TruncationError",
     "UnitSystem",
     "WireGeometry",
     "ZETA_THREE_HALVES",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Tuple
 
 from .constants import UnitSystem, constants_for
-from .errors import CondensationError, DomainError, ResourceLimitError, TruncationError
+from .errors import CondensationError, DomainError, ResourceLimitError
 from .gas_statistics import _occupations
 from .specfun import QuantumIntegralOrder, Statistics, quantum_integral
 
@@ -198,16 +198,13 @@ def truncation_bound(spec, z, beta):
     return z * defect
 
 
-def direct_number_sum(spec, stat, z, beta, tail_tolerance=None):
+def direct_number_sum(spec, stat, z, beta):
     """Sum occupations over every level of the spectrum.
 
     The x-slabs n_x = 0..c_x are summed in order, each over the same
     (c_y+1) x (c_z+1) plane of transverse energies with parity weights, and
-    the slab sums are added with math.fsum.
-
-    tail_tolerance, if given, is the highest acceptable ratio of the
-    truncation bound to the returned sum; exceeding it raises
-    TruncationError rather than silently undercounting.
+    the slab sums are added with math.fsum.  truncation_bound estimates
+    what the cutoffs leave out.
     """
     if not z > 0.0:
         raise DomainError("fugacity must be positive, got %r" % (z,))
@@ -232,15 +229,7 @@ def direct_number_sum(spec, stat, z, beta, tail_tolerance=None):
         np.subtract(np.multiply(np.add(plane, e, out=w), beta, out=w), log_z, out=w)
         _occupations(stat, w, n)
         slab_sums.append(weight * float(np.sum(np.multiply(n, plane_weights, out=n))))
-    total = math.fsum(slab_sums)
-    if tail_tolerance is not None:
-        bound = truncation_bound(spec, z, beta)
-        if bound > tail_tolerance * total:
-            raise TruncationError(
-                "truncation bound %g exceeds %g of the sum %g"
-                % (bound, tail_tolerance, total)
-            )
-    return total
+    return math.fsum(slab_sums)
 
 
 @dataclass(frozen=True)

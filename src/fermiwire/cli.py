@@ -1,4 +1,6 @@
-"""Command-line front end: verification suite, phase-map scans, tables.
+"""Command-line front end: flag parsing, phase-map scans, tables.
+
+The verify suite lives in fermiwire.verify; run_verify is re-exported here.
 
 Exit codes: 0 success, 1 a failed check or no row computed, 2 configuration
 error (a flag the command does not take, or a bad flag or config value).
@@ -23,37 +25,16 @@ from .errors import (
     ResourceLimitError,
     SingularityError,
 )
-from .gas_statistics import (
-    GasParameters,
-    SOMMERFELD_COEFF,
-    ThermalState,
-    ZETA_THREE_HALVES,
-    occupation,
-    solve_fugacity,
-    solve_thermal_state,
-)
-from .one_dim_chain import CLOSURE_RATIO, ChainParameters, closure_temperature
+from .gas_statistics import GasParameters, occupation, solve_thermal_state
 from .phonon_map import (
     PhononMedium,
     correspondence_check,
     debye_omega_max,
     debye_wavelength,
 )
-from .specfun import (
-    QuantumIntegralOrder,
-    Statistics,
-    quantum_integral,
-    thermal_wavelength,
-)
-from .thin_wire import (
-    Regime,
-    RegimeThresholds,
-    WireGeometry,
-    classify_regime,
-    classify_wire,
-    number_integral_quasi1d,
-    rhs_eq3,
-)
+from .specfun import QuantumIntegralOrder, Statistics, quantum_integral
+from .thin_wire import RegimeThresholds, WireGeometry, classify_wire
+from .verify import run_verify
 
 SCAN_COLUMNS = [
     "T",
@@ -220,9 +201,12 @@ def _parse_scan_axis(value):
 # RegimeThresholds field), its parser and its flag help.  The config file
 # nests the two thresholds in a "thresholds" object.
 _SCAN_SETTINGS = {
-    "T": ("t_axis", _parse_scan_axis, "axis min:max:points[:log]"),
-    "nu": ("nu_axis", _parse_scan_axis, "axis min:max:points[:log]"),
-    "sigma": ("sigma_axis", _parse_scan_axis, "axis min:max:points[:log]"),
+    "T": ("t_axis", _parse_scan_axis,
+          "axis min:max:points[:log]; write a negative min as --T=-1:1:3"),
+    "nu": ("nu_axis", _parse_scan_axis,
+           "axis min:max:points[:log]; write a negative min as --nu=-1:1:3"),
+    "sigma": ("sigma_axis", _parse_scan_axis,
+              "axis min:max:points[:log]; write a negative min as --sigma=-1:1:3"),
     "stat": ("statistics", _parse_stat, "fd|be|mb"),
     "units": ("unit_system", _parse_units, "reduced|si"),
     "out": ("out_path", _parse_path, "output path, - for stdout"),
@@ -314,220 +298,6 @@ def _write_output(text, path):
             handle.write(text)
     except OSError as exc:
         raise ConfigError("cannot write %s: %s" % (path, exc)) from None
-
-
-# ---------------------------------------------------------------------------
-# verify
-
-
-def _check_rows(unit_system=UnitSystem.REDUCED):
-    rows = []
-
-    def add(name, computed, expected, tol, ok):
-        rows.append((name, _fmt(computed), expected, tol, "PASS" if ok else "FAIL"))
-
-    def info(name, computed, note):
-        rows.append((name, _fmt(computed), note, "", "INFO"))
-
-    # every check below is a scale-free identity: reference scales come from
-    # the chosen unit system so the suite is meaningful under both
-    consts = constants_for(unit_system)
-    m = consts.mass_ref
-    T_ref = 2.0 * math.pi if unit_system is UnitSystem.REDUCED else 300.0
-    lam = thermal_wavelength(m, T_ref, unit_system)
-    beta = 1.0 / (consts.k_B * T_ref)
-
-    # Debye cutoff versus Fermi scale on a (nu, m, c) grid
-    grid = [0.5, 1.0, 2.0, 4.0]
-    worst_e = worst_p = 0.0
-    for nu in grid:
-        for mass in grid:
-            for c in grid:
-                report = correspondence_check(
-                    PhononMedium(c=c, nu=nu), mass, unit_system
-                )
-                worst_e = max(worst_e, report.rel_diff_energy)
-                worst_p = max(worst_p, report.rel_diff_momentum)
-    add("eps_m_equals_eps_F", worst_e, "0", "1e-12", worst_e <= 1e-12)
-    add("p_m_equals_p_F", worst_p, "0", "1e-12", worst_p <= 1e-12)
-
-    # wire count bound: linearity in sigma, the vanishing-sigma regime, MB identity
-    params = GasParameters(m=m, T=T_ref, nu=lam ** 3, unit_system=unit_system)
-    state = ThermalState(log_z=0.0, lam=lam, degeneracy=1.0)
-    base = rhs_eq3(state, WireGeometry(1e-6)) / 1e-6
-    dev = max(
-        abs(rhs_eq3(state, WireGeometry(s)) / s / base - 1.0)
-        for s in AxisSpec(1e-6, 1.0, 10, "log").values()
-    )
-    add("rhs_eq3_linear_in_sigma", dev, "0", "1e-12", dev <= 1e-12)
-
-    report = classify_regime(params, WireGeometry(1e-6))
-    add(
-        "bosonized_at_vanishing_sigma",
-        report.regime.value,
-        "Bosonized",
-        "exact",
-        report.regime is Regime.BOSONIZED and not report.inequality_holds,
-    )
-
-    worst = 0.0
-    for z, deg in ((0.5, 1.0), (2.0, 0.2), (1e-3, 5.0)):
-        mb_state = ThermalState(log_z=math.log(z), lam=lam, degeneracy=deg)
-        wire = WireGeometry(0.05)
-        exact = number_integral_quasi1d(Statistics.MAXWELL_BOLTZMANN, mb_state, wire)
-        worst = max(worst, abs(exact / rhs_eq3(mb_state, wire) - 1.0))
-    add("mb_wire_integral_equals_rhs", worst, "0", "1e-10", worst <= 1e-10)
-
-    # fugacity round trips
-    worst = 0.0
-    for x in AxisSpec(1e-6, 50.0, 50, "log").values():
-        z = solve_fugacity(Statistics.FERMI_DIRAC, x)
-        back = quantum_integral(Statistics.FERMI_DIRAC, QuantumIntegralOrder.THREE_HALVES, z)
-        worst = max(worst, abs(back - x) / x)
-    add("fd_fugacity_roundtrip", worst, "0", "1e-10", worst <= 1e-10)
-
-    worst = 0.0
-    for x in AxisSpec(1e-6, ZETA_THREE_HALVES - 1e-6, 50, "log").values():
-        z = solve_fugacity(Statistics.BOSE_EINSTEIN, x)
-        back = quantum_integral(Statistics.BOSE_EINSTEIN, QuantumIntegralOrder.THREE_HALVES, z)
-        worst = max(worst, abs(back - x) / x)
-    add("be_fugacity_roundtrip", worst, "0", "1e-10", worst <= 1e-10)
-
-    try:
-        solve_fugacity(Statistics.BOSE_EINSTEIN, ZETA_THREE_HALVES + 1e-6)
-        raised = False
-    except CondensationError:
-        raised = True
-    add("be_condensation_rejected", "raised" if raised else "no error", "raised", "exact", raised)
-
-    # degenerate asymptotic f_{3/2} ~ 4/(3 sqrt pi) (ln z)^{3/2}
-    for lnz, tol in ((100.0, 1e-2), (1000.0, 1e-3)):
-        val = quantum_integral(
-            Statistics.FERMI_DIRAC, QuantumIntegralOrder.THREE_HALVES, log_z=lnz
-        )
-        ratio = val / lnz ** 1.5
-        err = abs(ratio / SOMMERFELD_COEFF - 1.0)
-        add(
-            "sommerfeld_ratio_lnz_%d" % int(lnz),
-            ratio,
-            _fmt(SOMMERFELD_COEFF),
-            _fmt(tol),
-            err <= tol,
-        )
-
-    # classical convergence of both quantum statistics
-    z = 1e-4
-    grid_be = AxisSpec(0.0, 50.0, 501).values()
-    worst_fd = max(
-        abs(occupation(Statistics.FERMI_DIRAC, z, 1.0, be) / occupation(Statistics.MAXWELL_BOLTZMANN, z, 1.0, be) - 1.0)
-        for be in grid_be
-    )
-    worst_be = max(
-        abs(occupation(Statistics.BOSE_EINSTEIN, z, 1.0, be) / occupation(Statistics.MAXWELL_BOLTZMANN, z, 1.0, be) - 1.0)
-        for be in grid_be
-    )
-    add("boltzmann_convergence_fd", worst_fd, "0", "1e-4", worst_fd <= 1e-4)
-    add("boltzmann_convergence_be", worst_be, "0", "2e-4", worst_be <= 2e-4)
-
-    # 1D closure
-    chain = ChainParameters(N=1.0, L=1.0, m=m)
-    closure = closure_temperature(chain, unit_system)
-    add(
-        "closure_fixed_point_residual",
-        closure.residual,
-        "0",
-        "1e-12*kT",
-        closure.residual <= 1e-12 * closure.T,
-    )
-    add(
-        "closure_ratio",
-        closure.ratio,
-        _fmt(CLOSURE_RATIO),
-        "1e-9",
-        abs(closure.ratio - CLOSURE_RATIO) <= 1e-9,
-    )
-    ratios = [
-        closure_temperature(ChainParameters(N=1.0, L=d, m=mass), unit_system).ratio
-        for d in (0.1, 0.5, 1.0, 5.0, 20.0)
-        for mass in (0.2, 1.0, 3.0, 10.0, 50.0)
-    ]
-    spread = max(ratios) - min(ratios)
-    add("closure_ratio_scale_invariant", spread, "0", "1e-12", spread <= 1e-12)
-    add("closure_below_fermi_temperature", closure.ratio, "< 1", "exact", closure.ratio < 1.0)
-    info(
-        "closure_ratio_vs_three_fifths",
-        closure.ratio,
-        "3/5 = 0.6 sometimes quoted for this closure; not reproduced (see README)",
-    )
-
-    # box oracle versus continuum; edges set in units of lambda
-    big = enumerate_levels(
-        100.0 * lam, 100.0 * lam, m, cutoff=125, unit_system=unit_system
-    )
-    comparison = compare_continuum(big, Statistics.MAXWELL_BOLTZMANN, 0.1, beta)
-    add(
-        "box_mb_continuum_agreement",
-        comparison.rel_err_3d,
-        "0",
-        "1e-2",
-        comparison.rel_err_3d <= 1e-2,
-    )
-
-    errors = []
-    for size in (1.0, 1.5, 2.0, 2.5, 3.0):
-        spec = enumerate_levels(
-            size * lam, size * lam, m, beta=beta, unit_system=unit_system
-        )
-        errors.append(
-            compare_continuum(spec, Statistics.MAXWELL_BOLTZMANN, 0.1, beta).rel_err_3d
-        )
-    monotone = all(a > b for a, b in zip(errors, errors[1:]))
-    add(
-        "box_error_monotone_decrease",
-        "%.3g .. %.3g" % (errors[0], errors[-1]),
-        "decreasing over 5 sizes",
-        "strict",
-        monotone,
-    )
-
-    a = lam * math.sqrt(math.pi / 6.5)  # beta h^2/(2 m a^2) = 6.5
-    frozen = enumerate_levels(30.0 * lam, a, m, beta=beta, unit_system=unit_system)
-    fraction = compare_continuum(
-        frozen, Statistics.MAXWELL_BOLTZMANN, 0.1, beta
-    ).ground_mode_fraction
-    add("transverse_mode_freeze_out", fraction, "> 0.99", "exact", fraction > 0.99)
-
-    # wire integral against the f_{1/2} route
-    worst = 0.0
-    for z in AxisSpec(1e-3, 10.0, 15, "log").values():
-        st = ThermalState(log_z=math.log(z), lam=lam, degeneracy=1.0)
-        wire = WireGeometry(1.0)
-        exact = number_integral_quasi1d(Statistics.FERMI_DIRAC, st, wire)
-        f_half = quantum_integral(Statistics.FERMI_DIRAC, QuantumIntegralOrder.ONE_HALF, z)
-        worst = max(worst, abs(exact - f_half) / f_half)
-    add("fd_wire_integral_matches_f_half", worst, "0", "1e-9", worst <= 1e-9)
-
-    return rows
-
-
-def run_verify(unit_system=UnitSystem.REDUCED):
-    """Run the identity/property suite; print a table; 0 iff everything passes."""
-    rows = _check_rows(unit_system)
-    width = max(len(r[0]) for r in rows)
-    failures = 0
-    infos = 0
-    for name, computed, expected, tol, status in rows:
-        print(
-            "%-*s  computed=%-24s expected=%-28s tol=%-10s %s"
-            % (width, name, computed, expected, tol, status)
-        )
-        if status == "FAIL":
-            failures += 1
-        elif status == "INFO":
-            infos += 1
-    passed = len(rows) - failures - infos
-    print("%d passed, %d failed, %d info" % (passed, failures, infos))
-    return 0 if failures == 0 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -658,9 +428,10 @@ _FLAGS = {
     "stat": dict(type=_flag_type(_parse_stat), default="fd", help="fd|be|mb"),
     "z": dict(type=float, default=1.0, help="fugacity"),
     "grid": dict(type=_flag_type(parse_axis), default="0:10:101",
-                 help="beta*eps axis min:max:points[:log]"),
+                 help="beta*eps axis min:max:points[:log]; write a negative min as --grid=-5:5:3"),
     "nu": dict(dest="nu_axis", type=_flag_type(parse_axis), default="1:1:1",
-               help="specific-volume axis min:max:points[:log]"),
+               help="specific-volume axis min:max:points[:log];"
+                    " write a negative min as --nu=-1:1:3"),
     "m": dict(type=float, help="mass (default: unit-system reference)"),
     "c": dict(type=float, default=1.0, help="sound speed"),
     "L": dict(type=float, default=3.0, help="box long edge"),

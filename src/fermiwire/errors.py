@@ -26,9 +26,5 @@ class ResourceLimitError(RuntimeError):
     """A requested computation exceeds the configured size budget."""
 
 
-class TruncationError(RuntimeError):
-    """A truncated sum's tail bound exceeds the requested tolerance."""
-
-
 class ConfigError(ValueError):
     """Invalid CLI or scan configuration."""

@@ -12,6 +12,7 @@ textbook (3 pi^2 n)^(2/3).  See README for the comparison.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .constants import UnitSystem, constants_for
 from .errors import (
@@ -89,10 +90,11 @@ class ThermalState:
             if not (value > 0.0 and math.isfinite(value)):
                 raise DomainError("%s must be a positive finite number, got %r" % (name, value))
 
-    @property
+    @cached_property
     def z(self):
         """Fugacity e^log_z; math.inf once that overflows a double, as it
-        does deep in the degenerate Fermi regime."""
+        does deep in the degenerate Fermi regime.  Computed on first read;
+        equality, hash and repr see the fields alone."""
         return exp_or_inf(self.log_z)
 
 

@@ -11,7 +11,6 @@ from fermiwire import (
     DomainError,
     ResourceLimitError,
     Statistics,
-    TruncationError,
     compare_continuum,
     direct_number_sum,
     enumerate_levels,
@@ -144,11 +143,6 @@ class TestDirectSum:
         spec = enumerate_levels(3.0, 1.0, 1.0, beta=BETA)
         runs = {direct_number_sum(spec, FD, 0.7, BETA) for _ in range(5)}
         assert len(runs) == 1
-
-    def test_truncation_error(self):
-        tight = enumerate_levels(3.0, 3.0, 1.0, cutoff=2)
-        with pytest.raises(TruncationError):
-            direct_number_sum(tight, MB, 0.1, BETA, tail_tolerance=1e-9)
 
     def test_truncation_bound_is_a_bound(self):
         # enlarging the cutoff recovers less than the reported bound

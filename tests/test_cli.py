@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fermiwire import WireGeometry, classify_regime, cli, gas_statistics
+from fermiwire import WireGeometry, classify_regime, cli, gas_statistics, verify
 from fermiwire.cli import AxisSpec, main, parse_axis
 from fermiwire.errors import ConfigError
 from oracles import render_csv
@@ -110,6 +110,20 @@ class TestScan:
         key = [tuple(float(v) for v in r.split(",")[:3]) for r in rows]
         assert key == sorted(key)
         assert len(rows) == 8
+
+    def test_fugacity_computed_once_per_state(self, capsys, monkeypatch):
+        # 20 sigma rows of one state read z 41 times; e^ln z is formed once
+        calls = []
+        exp_or_inf = gas_statistics.exp_or_inf
+
+        def counted(x):
+            calls.append(x)
+            return exp_or_inf(x)
+
+        monkeypatch.setattr(gas_statistics, "exp_or_inf", counted)
+        code, rows = scan_rows(capsys, ["--sigma", "1e-6:1:20:log"])
+        assert code == 0 and len(rows) == 20
+        assert len(calls) == 1
 
     def test_byte_identical(self, tmp_path):
         args = ["scan", "--T", "1:30:3:log", "--nu", "0.5:4:3:log", "--sigma", "1e-6:1:2:log"]
@@ -665,6 +679,43 @@ class TestCsvRendering:
         main(args)
         [(columns, rows)] = tables
         assert capsys.readouterr().out == render_csv(columns, rows)
+
+
+VERIFY_ROWS = [
+    "eps_m_equals_eps_F",
+    "p_m_equals_p_F",
+    "rhs_eq3_linear_in_sigma",
+    "bosonized_at_vanishing_sigma",
+    "mb_wire_integral_equals_rhs",
+    "fd_fugacity_roundtrip",
+    "be_fugacity_roundtrip",
+    "be_condensation_rejected",
+    "sommerfeld_ratio_lnz_100",
+    "sommerfeld_ratio_lnz_1000",
+    "boltzmann_convergence_fd",
+    "boltzmann_convergence_be",
+    "closure_fixed_point_residual",
+    "closure_ratio",
+    "closure_ratio_scale_invariant",
+    "closure_below_fermi_temperature",
+    "closure_ratio_vs_three_fifths",
+    "box_mb_continuum_agreement",
+    "box_error_monotone_decrease",
+    "transverse_mode_freeze_out",
+    "fd_wire_integral_matches_f_half",
+]
+
+
+class TestVerify:
+    @pytest.mark.parametrize("units", ["reduced", "si"])
+    def test_row_names_and_summary(self, capsys, units):
+        # the names and summary line bench/checks.py parses, through the
+        # cli name the benchmark calls
+        assert cli.run_verify is verify.run_verify
+        assert main(["verify", "--units", units]) == 0
+        *rows, summary = capsys.readouterr().out.split("\n")[:-1]
+        assert [row.split()[0] for row in rows] == VERIFY_ROWS
+        assert summary == "20 passed, 0 failed, 1 info"
 
 
 class TestVerifySubprocess:

@@ -91,7 +91,11 @@ def test_no_orphaned_helpers():
 
 def module_level_imports(source, package="numpy"):
     """Lines of source that import package when the module is imported:
-    outside every function body (class bodies and if/try blocks count)."""
+    outside every function body (class bodies and if/try blocks count).
+
+    A package with leading dots, such as ".cli", names a relative import
+    of that level: `from .cli import x` and `from . import cli` both match.
+    """
     found = []
 
     def visit(node):
@@ -100,11 +104,12 @@ def module_level_imports(source, package="numpy"):
                 continue
             if isinstance(child, ast.Import):
                 names = [alias.name for alias in child.names]
-            elif isinstance(child, ast.ImportFrom) and not child.level:
-                names = [child.module]
+            elif isinstance(child, ast.ImportFrom):
+                prefix = "." * child.level + (child.module + "." if child.module else "")
+                names = [prefix + alias.name for alias in child.names]
             else:
                 names = []
-            if any(name.split(".")[0] == package for name in names):
+            if any(name == package or name.startswith(package + ".") for name in names):
                 found.append(child.lineno)
             visit(child)
 
@@ -126,3 +131,21 @@ def test_numpy_imported_on_use_only(path):
     # scan and the occupation and phonon tables run without numpy, and its
     # import (about 0.1 s) would add to every command's start-up
     assert module_level_imports(path.read_text()) == []
+
+
+def test_detector_flags_a_module_level_relative_import():
+    source = (
+        "from .cli import main\nfrom . import cli, specfun\nfrom .client import x\n"
+        "from ..cli import y\nimport cli\nif x:\n    from .cli import AxisSpec\n"
+        "def f():\n    from .cli import _fmt\n    return _fmt\n"
+    )
+    assert module_level_imports(source, ".cli") == [1, 2, 7]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "__main__.py"], ids=lambda p: p.name
+)
+def test_cli_imported_by_entry_point_only(path):
+    # cli imports the other modules (verify among them), so a module-level
+    # import of cli anywhere else would close a cycle
+    assert module_level_imports(path.read_text(), ".cli") == []
