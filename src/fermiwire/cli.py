@@ -197,28 +197,14 @@ def _parse_scan_axis(value):
     return parse_axis(value)
 
 
-# Every scan setting: its flag dest and config key, its ScanConfig field (or
-# RegimeThresholds field), its parser and its flag help.  The config file
-# nests the two thresholds in a "thresholds" object.
-_SCAN_SETTINGS = {
-    "T": ("t_axis", _parse_scan_axis,
-          "axis min:max:points[:log]; write a negative min as --T=-1:1:3"),
-    "nu": ("nu_axis", _parse_scan_axis,
-           "axis min:max:points[:log]; write a negative min as --nu=-1:1:3"),
-    "sigma": ("sigma_axis", _parse_scan_axis,
-              "axis min:max:points[:log]; write a negative min as --sigma=-1:1:3"),
-    "stat": ("statistics", _parse_stat, "fd|be|mb"),
-    "units": ("unit_system", _parse_units, "reduced|si"),
-    "out": ("out_path", _parse_path, "output path, - for stdout"),
-    "format": ("out_format", _parse_format, "csv|json"),
-    "z_degenerate": ("z_degenerate", _parse_threshold, "classifier threshold"),
-    "deg_classical": ("deg_classical", _parse_threshold, "classifier threshold"),
-}
 _THRESHOLD_KEYS = ("z_degenerate", "deg_classical")
+# Scan settings a --config file holds at its root, under their flag's name.
+_SCAN_KEYS = ("t_axis", "nu_axis", "sigma_axis", "statistics", "unit_system", "out_path",
+              "out_format")
 
 
 def _read_scan_file(path):
-    """Settings of a JSON scan config, its thresholds object flattened."""
+    """A JSON scan config's settings keyed by runner parameter, as the flags are."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
@@ -229,26 +215,13 @@ def _read_scan_file(path):
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     thresholds = raw.pop("thresholds", {})
-    unknown = set(raw) - set(_SCAN_SETTINGS).difference(_THRESHOLD_KEYS)
+    keys = {_FLAGS[key][0][2:]: key for key in _SCAN_KEYS}
+    unknown = set(raw) - set(keys)
     if unknown:
         raise ConfigError("unknown config keys: %s" % sorted(unknown))
     if not isinstance(thresholds, dict) or set(thresholds) - set(_THRESHOLD_KEYS):
         raise ConfigError("thresholds must be an object with keys %s" % list(_THRESHOLD_KEYS))
-    return {**raw, **thresholds}
-
-
-def _scan_config(config=None, **flags):
-    """ScanConfig from the --config file's settings with the flags given laid over them."""
-    settings = {} if config is None else _read_scan_file(config)
-    settings.update((key, value) for key, value in flags.items() if value is not None)
-    fields = {
-        _SCAN_SETTINGS[key][0]: _SCAN_SETTINGS[key][1](value) for key, value in settings.items()
-    }
-    thresholds = {key: fields.pop(key) for key in _THRESHOLD_KEYS if key in fields}
-    try:
-        return ScanConfig(thresholds=RegimeThresholds(**thresholds), **fields)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from None
+    return {**{keys[name]: value for name, value in raw.items()}, **thresholds}
 
 
 def _fmt(value):
@@ -357,19 +330,21 @@ def run_scan(config):
 # tabulate
 
 
-def run_tabulate_occupation(stat, z, grid, out_path, out_format):
+def run_tabulate_occupation(statistics=Statistics.FERMI_DIRAC, z=1.0,
+                            grid=AxisSpec(0.0, 10.0, 101), out_path="-", out_format="csv"):
     rows = []
     for be in grid.values():
         try:
-            value = occupation(stat, z, 1.0, be)
-            rows.append([stat.value, z, be, value, ""])
+            value = occupation(statistics, z, 1.0, be)
+            rows.append([statistics.value, z, be, value, ""])
         except (DomainError, SingularityError) as exc:
-            rows.append([stat.value, z, be, None, str(exc)])
+            rows.append([statistics.value, z, be, None, str(exc)])
     _write_output(_render_table(OCCUPATION_COLUMNS, rows, out_format), out_path)
     return 0 if any(r[4] == "" for r in rows) else 1
 
 
-def run_tabulate_phonon(nu_axis, m, c, unit_system, out_path, out_format):
+def run_tabulate_phonon(nu_axis=AxisSpec(1.0, 1.0, 1), m=None, c=1.0,
+                        unit_system=UnitSystem.REDUCED, out_path="-", out_format="csv"):
     """One row per nu; m defaults to the unit system's reference mass."""
     if m is None:
         m = constants_for(unit_system).mass_ref
@@ -387,79 +362,90 @@ def run_tabulate_phonon(nu_axis, m, c, unit_system, out_path, out_format):
     return 0
 
 
-def run_tabulate_oracle(stat, L, a, z, T, cutoff, unit_system, out_path, out_format):
+def run_tabulate_oracle(statistics=Statistics.FERMI_DIRAC, L=3.0, a=3.0, z=1.0, T=2.0 * math.pi,
+                        cutoff=None, unit_system=UnitSystem.REDUCED, out_path="-",
+                        out_format="csv"):
     consts = constants_for(unit_system)
     m = consts.mass_ref
     kT = consts.k_B * T
     beta = 1.0 / kT if kT else math.inf  # enumerate_levels rejects it
     try:
         spec = enumerate_levels(L, a, m, cutoff=cutoff, beta=beta, unit_system=unit_system)
-        cmp_ = compare_continuum(spec, stat, z, beta)
-        row = [L, a, m, T, z, stat.value, *spec.cutoff, spec.level_count,
+        cmp_ = compare_continuum(spec, statistics, z, beta)
+        row = [L, a, m, T, z, statistics.value, *spec.cutoff, spec.level_count,
                cmp_.N_discrete, cmp_.N_continuum_3d, cmp_.N_continuum_quasi1d,
                cmp_.rel_err_3d, cmp_.rel_err_quasi1d, cmp_.ground_mode_fraction,
                cmp_.sigma_tilde_fitted, cmp_.truncation_bound, ""]
         code = 0
     except (CondensationError, DomainError, ResourceLimitError) as exc:
-        row = [L, a, m, T, z, stat.value] + [None] * 12 + [str(exc)]
+        row = [L, a, m, T, z, statistics.value] + [None] * 12 + [str(exc)]
         code = 1
     _write_output(_render_table(ORACLE_COLUMNS, [row], out_format), out_path)
     return code
 
 
+def _run_scan_settings(**settings):
+    """run_scan on parsed settings, the two thresholds gathered into one object."""
+    try:
+        thresholds = RegimeThresholds(
+            **{key: settings.pop(key) for key in _THRESHOLD_KEYS if key in settings})
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
+    return run_scan(ScanConfig(thresholds=thresholds, **settings))
+
+
 # ---------------------------------------------------------------------------
 # argument parsing
 
-
-def _flag_type(parse):
-    """An argparse type that reports parse's ConfigError as a usage error."""
-
-    def convert(text):
-        try:
-            return parse(text)
-        except ConfigError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-
-    return convert
-
-
-# Flags of verify and the tables, each named after the runner parameter it fills.
+# Every flag, keyed by the runner parameter it sets: (flag, parser, help).
 _FLAGS = {
-    "stat": dict(type=_flag_type(_parse_stat), default="fd", help="fd|be|mb"),
-    "z": dict(type=float, default=1.0, help="fugacity"),
-    "grid": dict(type=_flag_type(parse_axis), default="0:10:101",
-                 help="beta*eps axis min:max:points[:log]; write a negative min as --grid=-5:5:3"),
-    "nu": dict(dest="nu_axis", type=_flag_type(parse_axis), default="1:1:1",
-               help="specific-volume axis min:max:points[:log];"
-                    " write a negative min as --nu=-1:1:3"),
-    "m": dict(type=float, help="mass (default: unit-system reference)"),
-    "c": dict(type=float, default=1.0, help="sound speed"),
-    "L": dict(type=float, default=3.0, help="box long edge"),
-    "a": dict(type=float, default=3.0, help="box transverse edge"),
-    "T": dict(type=float, default=2.0 * math.pi, help="temperature"),
-    "cutoff": dict(type=int, help="per-axis max |n|"),
-    "units": dict(dest="unit_system", type=_flag_type(_parse_units), default="reduced",
-                  help="reduced|si"),
-    "out": dict(dest="out_path", default="-", help="output path, - for stdout"),
-    "format": dict(dest="out_format", type=_flag_type(_parse_format), default="csv",
-                   help="csv|json"),
+    "config": ("--config", _read_scan_file, "JSON file of scan settings; flags override it"),
+    "t_axis": ("--T", _parse_scan_axis,
+               "axis min:max:points[:log]; write a negative min as --T=-1:1:3"),
+    "nu_axis": ("--nu", _parse_scan_axis,
+                "axis min:max:points[:log]; write a negative min as --nu=-1:1:3"),
+    "sigma_axis": ("--sigma", _parse_scan_axis,
+                   "axis min:max:points[:log]; write a negative min as --sigma=-1:1:3"),
+    "grid": ("--grid", parse_axis,
+             "beta*eps axis min:max:points[:log]; write a negative min as --grid=-5:5:3"),
+    "statistics": ("--stat", _parse_stat, "fd|be|mb"),
+    "z": ("--z", float, "fugacity"),
+    "m": ("--m", float, "mass (default: unit-system reference)"),
+    "c": ("--c", float, "sound speed"),
+    "L": ("--L", float, "box long edge"),
+    "a": ("--a", float, "box transverse edge"),
+    "T": ("--T", float, "temperature"),
+    "cutoff": ("--cutoff", int, "per-axis max |n|"),
+    "unit_system": ("--units", _parse_units, "reduced|si"),
+    "out_path": ("--out", _parse_path, "output path, - for stdout"),
+    "out_format": ("--format", _parse_format, "csv|json"),
+    "z_degenerate": ("--z-degenerate", _parse_threshold, "classifier threshold"),
+    "deg_classical": ("--deg-classical", _parse_threshold, "classifier threshold"),
 }
-_TABLES = {
+# Every command and tabulate kind: its runner, its help and the parameters its flags set.
+_COMMANDS = {
+    "verify": (run_verify, "run the identity/property suite", ("unit_system",)),
+    "scan": (_run_scan_settings, "phase-map scan over (T, nu, sigma)",
+             ("config", *_SCAN_KEYS, *_THRESHOLD_KEYS)),
     "occupation": (run_tabulate_occupation, "occupation number over a beta*eps grid",
-                   ("stat", "z", "grid", "out", "format")),
+                   ("statistics", "z", "grid", "out_path", "out_format")),
     "phonon": (run_tabulate_phonon, "Debye scales against the Fermi scale",
-               ("nu", "m", "c", "units", "out", "format")),
+               ("nu_axis", "m", "c", "unit_system", "out_path", "out_format")),
     "oracle": (run_tabulate_oracle, "box-spectrum versus continuum table",
-               ("stat", "z", "L", "a", "T", "cutoff", "units", "out", "format")),
+               ("statistics", "z", "L", "a", "T", "cutoff", "unit_system", "out_path",
+                "out_format")),
 }
 
 
-def _add_command(subparsers, name, run, help_text, flags=()):
-    parser = subparsers.add_parser(name, help=help_text, allow_abbrev=False)
-    for flag in flags:
-        parser.add_argument("--" + flag, metavar=flag.upper(), **_FLAGS[flag])
-    parser.set_defaults(run=run)
-    return parser
+def _add_command(subparsers, name):
+    _, help_text, keys = _COMMANDS[name]
+    parser = subparsers.add_parser(name, help=help_text, allow_abbrev=False,
+                                   argument_default=argparse.SUPPRESS)
+    for key in keys:
+        flag, _, flag_help = _FLAGS[key]
+        parser.add_argument(flag, dest=key, metavar=flag[2:].upper().replace("-", "_"),
+                            help=flag_help)
+    parser.set_defaults(command=name)
 
 
 def main(argv=None):
@@ -469,21 +455,28 @@ def main(argv=None):
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(required=True)
-    _add_command(sub, "verify", run_verify, "run the identity/property suite", ("units",))
-    p_scan = _add_command(sub, "scan", lambda **flags: run_scan(_scan_config(**flags)),
-                          "phase-map scan over (T, nu, sigma)")
-    p_scan.add_argument("--config", help="JSON file of scan settings; flags override it")
-    for key, (_, _, help_text) in _SCAN_SETTINGS.items():
-        p_scan.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text)
+    _add_command(sub, "verify")
+    _add_command(sub, "scan")
     kinds = sub.add_parser("tabulate", help="emit plottable tables").add_subparsers(required=True)
-    for kind, spec in _TABLES.items():
-        _add_command(kinds, kind, *spec)
-    _add_command(sub, "oracle", *_TABLES["oracle"])
+    for kind in ("occupation", "phonon", "oracle"):
+        _add_command(kinds, kind)
+    _add_command(sub, "oracle")
 
-    inputs = vars(parser.parse_args(argv))
-    run = inputs.pop("run")
+    settings = vars(parser.parse_args(argv))
+    run, _, keys = _COMMANDS[settings.pop("command")]
     try:
-        return run(**inputs)
+        if "config" in settings:  # the flags given are laid over the file's settings
+            settings = {**_read_scan_file(settings.pop("config")), **settings}
+        values = {}
+        for key, value in settings.items():
+            flag, parse, _ = _FLAGS[key]
+            try:
+                values[key] = parse(value)
+            except ValueError as exc:
+                if "config" in keys:  # a scan value may come from the file: no flag to name
+                    raise
+                raise ConfigError("%s: %s" % (flag, exc)) from None
+        return run(**values)
     except ConfigError as exc:
         print("configuration error: %s" % exc, file=sys.stderr)
         return 2

@@ -9,6 +9,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+__all__ = ["UnitSystem", "PhysicalConstants", "constants_for"]
+
 
 class UnitSystem(Enum):
     REDUCED = "reduced"

@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "DomainError",
+    "CondensationError",
+    "SingularityError",
+    "ConvergenceError",
+    "ResourceLimitError",
+    "ConfigError",
+]
+
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""

@@ -41,7 +41,6 @@ __all__ = [
     "fermi_energy",
     "fermi_temperature",
     "ZETA_THREE_HALVES",
-    "SOMMERFELD_COEFF",
 ]
 
 # zeta(3/2): the Bose degeneracy parameter cannot exceed this.

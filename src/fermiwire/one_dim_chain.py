@@ -36,9 +36,10 @@ class ChainParameters:
     m: float
 
     def __post_init__(self):
-        for name in ("N", "L", "m"):
-            if not getattr(self, name) > 0.0:
-                raise DomainError("%s must be positive" % name)
+        for name in ("N", "L", "m", "d"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise DomainError("%s must be positive and finite, got %r" % (name, value))
 
     @property
     def d(self):

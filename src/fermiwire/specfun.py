@@ -19,8 +19,7 @@ from ._kernel_tables import ZETA_HALF_INTEGERS as _ZETA_HALF_INTEGERS
 from .constants import UnitSystem, constants_for
 from .errors import ConvergenceError, DomainError
 
-__all__ = ["Statistics", "QuantumIntegralOrder", "quantum_integral", "density_and_slope",
-           "thermal_wavelength", "quad_checked"]
+__all__ = ["Statistics", "QuantumIntegralOrder", "quantum_integral", "thermal_wavelength"]
 
 # Power series at or below this fugacity (ln z <= -1), both statistics.
 SERIES_FUGACITY_MAX = math.exp(-1.0)

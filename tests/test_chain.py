@@ -109,3 +109,19 @@ def test_chain_validation():
     with pytest.raises(DomainError):
         ChainParameters(N=1.0, L=-1.0, m=1.0)
     assert ChainParameters(N=4.0, L=2.0, m=1.0).d == 0.5
+
+
+@pytest.mark.parametrize(
+    "N, L, m, field",
+    [
+        (math.inf, 1.0, 1.0, "N"),
+        (1e300, 1e-300, 1.0, "d"),  # L/N underflows to 0
+        (1.0, math.inf, 1.0, "L"),
+        (1e-300, 1e300, 1.0, "d"),  # L/N overflows
+        (1.0, 1.0, math.inf, "m"),
+    ],
+)
+def test_chain_rejects_non_finite_input(N, L, m, field):
+    # these reached closure_temperature, which divided by zero or blamed the temperature
+    with pytest.raises(DomainError, match="^%s must be positive and finite" % field):
+        ChainParameters(N=N, L=L, m=m)

@@ -488,6 +488,26 @@ class TestExitCodeTwo:
         assert main(["scan", "--config", str(cfg)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["oracle", "--z", "abc"],
+            ["oracle", "--cutoff", "2.5"],
+            ["tabulate", "occupation", "--grid", "1:2"],
+            ["tabulate", "phonon", "--units", "xx"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_table_flag_value_names_the_flag(self, tmp_path, monkeypatch, capsys, args):
+        # a table flag's value goes through the same parse path as scan's,
+        # so a bad one is a configuration error, not an argparse usage error
+        monkeypatch.chdir(tmp_path)
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error: %s: " % args[-2])
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_subcommand(self):
         result = run_cli(["frobnicate"])
         assert result.returncode == 2
@@ -707,6 +727,36 @@ VERIFY_ROWS = [
 
 
 class TestVerify:
+    def test_nan_residual_fails(self, capsys, monkeypatch):
+        # max(worst, nan) keeps worst, so a nan residual must not fold away
+        integral = verify.number_integral_quasi1d
+
+        def nan_when_degenerate(stat, state, wire):
+            if stat is gas_statistics.Statistics.FERMI_DIRAC and state.log_z > 0.0:
+                return math.nan
+            return integral(stat, state, wire)
+
+        monkeypatch.setattr(verify, "number_integral_quasi1d", nan_when_degenerate)
+        assert verify.run_verify() == 1
+        *rows, summary = capsys.readouterr().out.split("\n")[:-1]
+        assert rows[-1].startswith("fd_wire_integral_matches_f_half")
+        assert "computed=nan " in rows[-1] and rows[-1].endswith(" FAIL")
+        assert summary == "19 passed, 1 failed, 1 info"
+
+    def test_classical_occupation_evaluated_once(self, capsys, monkeypatch):
+        # 501 grid points: FD, BE and the shared Maxwell-Boltzmann reference
+        calls = []
+        occupation = verify.occupation
+
+        def counted(*args):
+            calls.append(args)
+            return occupation(*args)
+
+        monkeypatch.setattr(verify, "occupation", counted)
+        assert verify.run_verify() == 0
+        capsys.readouterr()
+        assert len(calls) == 1503
+
     @pytest.mark.parametrize("units", ["reduced", "si"])
     def test_row_names_and_summary(self, capsys, units):
         # the names and summary line bench/checks.py parses, through the
@@ -718,6 +768,18 @@ class TestVerify:
         assert summary == "20 passed, 0 failed, 1 info"
 
 
+ORACLE_FLAGS = ["--stat", "--z", "--L", "--a", "--T", "--cutoff", "--units", "--out", "--format"]
+HELP_FLAGS = {
+    "verify": ["--units"],
+    "scan": ["--config", "--T", "--nu", "--sigma", "--stat", "--units", "--out", "--format",
+             "--z-degenerate", "--deg-classical"],
+    "tabulate occupation": ["--stat", "--z", "--grid", "--out", "--format"],
+    "tabulate phonon": ["--nu", "--m", "--c", "--units", "--out", "--format"],
+    "tabulate oracle": ORACLE_FLAGS,
+    "oracle": ORACLE_FLAGS,
+}
+
+
 class TestVerifySubprocess:
     def test_verify_passes(self):
         result = run_cli(["verify"])
@@ -726,6 +788,15 @@ class TestVerifySubprocess:
         assert "closure_ratio_vs_three_fifths" in result.stdout
         assert "INFO" in result.stdout
         assert "FAIL" not in result.stdout
+
+    @pytest.mark.parametrize("command", HELP_FLAGS)
+    def test_help_lists_each_flag(self, command):
+        result = run_cli(command.split() + ["--help"])
+        assert result.returncode == 0
+        options = result.stdout.split("\noptions:\n")[1]
+        # an option line has a two-space indent; wrapped help is indented further
+        listed = [line.split()[0] for line in options.splitlines() if line.startswith("  --")]
+        assert listed == HELP_FLAGS[command]
 
     def test_entry_point_help(self):
         result = run_cli(["--help"])

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import fermiwire
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "fermiwire"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -149,3 +151,81 @@ def test_cli_imported_by_entry_point_only(path):
     # cli imports the other modules (verify among them), so a module-level
     # import of cli anywhere else would close a cycle
     assert module_level_imports(path.read_text(), ".cli") == []
+
+
+def export_faults(sources):
+    """Faults in the __all__ of each module that sources["__init__.py"] star-imports:
+    no __all__, a listed name the module does not define, a name two modules list.
+
+    sources maps a file name to its text.  A name bound by import is not
+    defined there, so a star import cannot re-export it under a second owner.
+    """
+    faults, owner = [], {}
+    for node in ast.parse(sources["__init__.py"]).body:
+        if not (isinstance(node, ast.ImportFrom) and node.names[0].name == "*"):
+            continue
+        module = node.module + ".py"
+        defined, exported = set(), None
+        for stmt in ast.parse(sources[module]).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(stmt.name)
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                bound = {name.id for target in targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name)}
+                if "__all__" in bound:
+                    exported = ast.literal_eval(stmt.value)
+                defined |= bound
+        if exported is None:
+            faults.append((module, "no __all__"))
+            continue
+        for name in exported:
+            if name not in defined:
+                faults.append((module, "%s is not defined here" % name))
+            if name in owner:
+                faults.append((module, "%s is also exported by %s" % (name, owner[name])))
+            owner.setdefault(name, module)
+    return faults
+
+
+def test_detector_flags_export_faults():
+    sources = {
+        "__init__.py": "from .a import *\nfrom .b import *\nfrom .c import *\nfrom .d import x\n",
+        "a.py": "__all__ = ['f', 'K', 'gone']\ndef f():\n    pass\nK: int = 1\n",
+        "b.py": "from .a import f\n__all__ = ['f', 'C']\nclass C:\n    pass\n",
+        "c.py": "def g():\n    pass\n",
+        "d.py": "x = 1\n",
+    }
+    assert export_faults(sources) == [
+        ("a.py", "gone is not defined here"),
+        ("b.py", "f is not defined here"),
+        ("b.py", "f is also exported by a.py"),
+        ("c.py", "no __all__"),
+    ]
+
+
+def test_star_imported_exports():
+    # a name two modules export would be shadowed silently by the later star import
+    assert export_faults({path.name: path.read_text() for path in SRC.glob("*.py")}) == []
+
+
+PACKAGE_API = [
+    "BoxSpectrum", "CLOSURE_RATIO", "ChainParameters", "ClosureResult", "CondensationError",
+    "ConfigError", "ContinuumComparison", "ConvergenceError", "CorrespondenceReport",
+    "DomainError", "GasParameters", "PhononMedium", "PhysicalConstants", "QuantumIntegralOrder",
+    "Regime", "RegimeReport", "RegimeThresholds", "ResourceLimitError", "SingularityError",
+    "Statistics", "ThermalState", "UnitSystem", "WireGeometry", "ZETA_THREE_HALVES",
+    "classify_regime", "classify_wire", "closure_temperature", "compare_continuum",
+    "constants_for", "correspondence_check", "debye_momentum", "debye_omega_max",
+    "debye_wavelength", "direct_number_sum", "energy_density_1d", "enumerate_levels",
+    "fermi_energy", "fermi_momentum", "fermi_temperature", "fermi_velocity",
+    "number_integral_quasi1d", "occupation", "phonon_max_energy", "quantum_integral", "rhs_eq3",
+    "sigma_critical", "solve_fugacity", "solve_log_fugacity", "solve_thermal_state",
+    "thermal_wavelength", "truncation_bound",
+]
+
+
+def test_package_api():
+    assert fermiwire.__all__ == PACKAGE_API
+    for name in PACKAGE_API:
+        getattr(fermiwire, name)
