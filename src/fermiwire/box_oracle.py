@@ -16,8 +16,7 @@ importing the package does not load it.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Any, Tuple
+from collections import namedtuple
 
 from .constants import UnitSystem, constants_for
 from .errors import CondensationError, DomainError, ResourceLimitError
@@ -39,24 +38,20 @@ BETA_EPS_CUTOFF = 45.0
 MAX_LEVELS = 10 ** 8
 
 
-@dataclass(frozen=True)
-class BoxSpectrum:
+class BoxSpectrum(namedtuple(
+        "BoxSpectrum",
+        "L_long a_transverse m cutoff axis_levels levels_transverse_ground unit_system",
+        defaults=(UnitSystem.REDUCED,))):
     """Complete single-particle spectrum of a periodic box.
 
-    axis_levels holds, per axis, a numpy array of the energies for
-    n_i = 0..c_i; each level of the box is a sum of one energy per axis, and
-    n_i and -n_i share an energy.  levels_transverse_ground is the sorted
-    array of the subset with n_y = n_z = 0, used for mode freeze-out
-    diagnostics.
+    cutoff holds the three per-axis cutoffs c_i, and axis_levels, per axis,
+    a numpy array of the energies for n_i = 0..c_i; each level of the box is
+    a sum of one energy per axis, and n_i and -n_i share an energy.
+    levels_transverse_ground is the sorted array of the subset with
+    n_y = n_z = 0, used for mode freeze-out diagnostics.
     """
 
-    L_long: float
-    a_transverse: float
-    m: float
-    cutoff: Tuple[int, int, int]
-    axis_levels: Tuple[Any, Any, Any]
-    levels_transverse_ground: Any
-    unit_system: UnitSystem = UnitSystem.REDUCED
+    __slots__ = ()
 
     @property
     def level_count(self):
@@ -232,16 +227,10 @@ def direct_number_sum(spec, stat, z, beta):
     return math.fsum(slab_sums)
 
 
-@dataclass(frozen=True)
-class ContinuumComparison:
-    N_discrete: float
-    N_continuum_3d: float
-    N_continuum_quasi1d: float
-    rel_err_3d: float
-    rel_err_quasi1d: float
-    ground_mode_fraction: float
-    sigma_tilde_fitted: float
-    truncation_bound: float
+ContinuumComparison = namedtuple(
+    "ContinuumComparison",
+    "N_discrete N_continuum_3d N_continuum_quasi1d rel_err_3d rel_err_quasi1d"
+    " ground_mode_fraction sigma_tilde_fitted truncation_bound")
 
 
 def compare_continuum(spec, stat, z, beta):

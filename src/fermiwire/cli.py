@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .box_oracle import compare_continuum, enumerate_levels
 from .constants import UnitSystem, constants_for
@@ -25,15 +25,15 @@ from .errors import (
     ResourceLimitError,
     SingularityError,
 )
-from .gas_statistics import GasParameters, occupation, solve_thermal_state
+from .gas_statistics import GasParameters, occupation
 from .phonon_map import (
     PhononMedium,
     correspondence_check,
     debye_omega_max,
     debye_wavelength,
 )
-from .specfun import QuantumIntegralOrder, Statistics, quantum_integral
-from .thin_wire import RegimeThresholds, WireGeometry, classify_wire
+from .specfun import Statistics
+from .thin_wire import RegimeThresholds, WireGeometry, _state_and_f_half, classify_wire
 from .verify import run_verify
 
 SCAN_COLUMNS = [
@@ -84,16 +84,13 @@ ORACLE_COLUMNS = [
     "message",
 ]
 
-@dataclass(frozen=True)
-class AxisSpec:
+class AxisSpec(namedtuple("AxisSpec", "minimum maximum points spacing", defaults=("linear",))):
     """One scan axis: min:max:points with linear or log spacing."""
 
-    minimum: float
-    maximum: float
-    points: int
-    spacing: str = "linear"
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.points < 1:
             raise ConfigError("axis needs points >= 1, got %d" % self.points)
         if self.minimum > self.maximum:
@@ -104,6 +101,7 @@ class AxisSpec:
             raise ConfigError("spacing must be linear or log, got %r" % (self.spacing,))
         if self.spacing == "log" and not self.minimum > 0.0:
             raise ConfigError("log spacing needs min > 0")
+        return self
 
     def values(self):
         """The grid: a + i*step with the exact end point, as np.linspace gives
@@ -137,16 +135,12 @@ def parse_axis(text):
     return AxisSpec(lo, hi, n, spacing)
 
 
-@dataclass(frozen=True)
-class ScanConfig:
-    t_axis: AxisSpec = AxisSpec(2.0 * math.pi, 2.0 * math.pi, 1)
-    nu_axis: AxisSpec = AxisSpec(1.0, 1.0, 1)
-    sigma_axis: AxisSpec = AxisSpec(1e-6, 1e-6, 1)
-    statistics: Statistics = Statistics.FERMI_DIRAC
-    thresholds: RegimeThresholds = field(default_factory=RegimeThresholds)
-    unit_system: UnitSystem = UnitSystem.REDUCED
-    out_path: str = "-"
-    out_format: str = "csv"
+ScanConfig = namedtuple(
+    "ScanConfig",
+    "t_axis nu_axis sigma_axis statistics thresholds unit_system out_path out_format",
+    defaults=(AxisSpec(2.0 * math.pi, 2.0 * math.pi, 1), AxisSpec(1.0, 1.0, 1),
+              AxisSpec(1e-6, 1e-6, 1), Statistics.FERMI_DIRAC, RegimeThresholds(),
+              UnitSystem.REDUCED, "-", "csv"))
 
 
 def _parse_stat(text):
@@ -277,13 +271,6 @@ def _write_output(text, path):
 # scan
 
 
-def _solve_pair(config, m, T, nu):
-    """State and F_{1/2}(z) of one (T, nu) pair: the part of a row free of sigma."""
-    stat = config.statistics
-    state = solve_thermal_state(GasParameters(m, T, nu, config.unit_system), stat)
-    return state, quantum_integral(stat, QuantumIntegralOrder.ONE_HALF, log_z=state.log_z)
-
-
 def _error_row(T, nu, sigma, exc):
     return [T, nu, sigma, None, None, None, None, None, "ERROR", str(exc)]
 
@@ -308,7 +295,8 @@ def run_scan(config):
     for T in config.t_axis.values():
         for nu in nus:
             try:
-                state, f_half = _solve_pair(config, m, T, nu)
+                state, f_half = _state_and_f_half(
+                    GasParameters(m, T, nu, config.unit_system), config.statistics)
             except (CondensationError, ConvergenceError, DomainError) as exc:
                 rows.extend(_error_row(T, nu, sigma, exc) for sigma, _ in wires)
                 continue

@@ -6,7 +6,7 @@ number.  SI values are pinned to CODATA-2018 in this one location.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 __all__ = ["UnitSystem", "PhysicalConstants", "constants_for"]
@@ -17,11 +17,11 @@ class UnitSystem(Enum):
     SI = "si"
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    hbar: float   # reduced Planck constant
-    k_B: float    # Boltzmann constant
-    mass_ref: float  # default mass when a caller does not supply one
+class PhysicalConstants(namedtuple("PhysicalConstants", "hbar k_B mass_ref")):
+    """Reduced Planck constant, Boltzmann constant, and the mass used when a
+    caller supplies none."""
+
+    __slots__ = ()
 
     @property
     def h(self):

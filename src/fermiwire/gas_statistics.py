@@ -11,7 +11,7 @@ textbook (3 pi^2 n)^(2/3).  See README for the comparison.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .constants import UnitSystem, constants_for
@@ -52,20 +52,19 @@ _REL_TOL = 1e-12
 _MAX_ITER = 80
 
 
-@dataclass(frozen=True)
-class GasParameters:
+class GasParameters(namedtuple("GasParameters", "m T nu unit_system",
+                               defaults=(UnitSystem.REDUCED,))):
     """Thermodynamic input state: mass, temperature, specific volume V/N."""
 
-    m: float
-    T: float
-    nu: float
-    unit_system: UnitSystem = UnitSystem.REDUCED
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("m", "T", "nu"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and value > 0.0 and math.isfinite(value)):
                 raise DomainError("%s must be a positive finite number, got %r" % (name, value))
+        return self
 
     @property
     def beta(self):
@@ -73,21 +72,23 @@ class GasParameters:
         return 1.0 / (constants_for(self.unit_system).k_B * self.T)
 
 
-@dataclass(frozen=True)
-class ThermalState:
-    """Solved equilibrium state: ln z, wavelength, degeneracy lambda^3/nu."""
+class ThermalState(namedtuple("ThermalState", "log_z lam degeneracy")):
+    """Solved equilibrium state: ln z, wavelength, degeneracy lambda^3/nu.
 
-    log_z: float
-    lam: float
-    degeneracy: float
+    No __slots__, so that z can be cached in __dict__; __setattr__ forbids the rest."""
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not math.isfinite(self.log_z):
             raise DomainError("log_z must be finite, got %r" % (self.log_z,))
         for name in ("lam", "degeneracy"):
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise DomainError("%s must be a positive finite number, got %r" % (name, value))
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to ThermalState.%s" % name)
 
     @cached_property
     def z(self):

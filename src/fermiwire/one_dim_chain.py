@@ -8,8 +8,7 @@ Fermi temperature built from nu = d^3.
 """
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from .constants import UnitSystem, constants_for
 from .errors import DomainError
@@ -27,29 +26,25 @@ __all__ = [
 CLOSURE_RATIO = 12.0 / (6.0 * math.pi ** 2) ** (2.0 / 3.0)
 
 
-@dataclass(frozen=True)
-class ChainParameters:
+class ChainParameters(namedtuple("ChainParameters", "N L m")):
     """N fermions on a wire of length L; the spacing d = L/N is derived."""
 
-    N: float
-    L: float
-    m: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("N", "L", "m", "d"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise DomainError("%s must be positive and finite, got %r" % (name, value))
+        return self
 
     @property
     def d(self):
         return self.L / self.N
 
 
-class ClosureResult(NamedTuple):
-    T: float
-    ratio: float
-    residual: float
+ClosureResult = namedtuple("ClosureResult", "T ratio residual")
 
 
 def fermi_velocity(chain, unit_system=UnitSystem.REDUCED):
@@ -75,17 +70,20 @@ def closure_temperature(chain, unit_system=UnitSystem.REDUCED):
     Substituting e = pi (kT)^2/(6 hbar v_F) and v_F = hbar pi/(m d) turns
     kT = e*d into kT = 6 hbar^2/(m d^2), the unique positive solution.
     The ratio against kT_F = (hbar^2/2m)(6 pi^2)^(2/3)/d^2 (nu = d^3) is
-    the pure constant 12/(6 pi^2)^(2/3), independent of d and m.
+    the pure constant 12/(6 pi^2)^(2/3), independent of d and m.  DomainError
+    when kT leaves double range; residual is inf or nan where (kT)^2 or v_F does.
     """
     consts = constants_for(unit_system)
     d = chain.d
-    kT = 6.0 * consts.hbar ** 2 / (chain.m * d * d)
+    md2 = chain.m * d * d
+    kT = 6.0 * consts.hbar ** 2 / md2 if md2 else math.inf
+    if not kT < math.inf:
+        raise DomainError("kT = 6 hbar^2/(m d^2) leaves double range at %r" % (chain,))
     T = kT / consts.k_B
     v_F = fermi_velocity(chain, unit_system)
     residual = abs(kT - energy_density_1d(T, v_F, unit_system) * d)
-    kT_F = (consts.hbar ** 2 / (2.0 * chain.m)) * (6.0 * math.pi ** 2) ** (2.0 / 3.0) / (d * d)
-    return ClosureResult(
-        T=T,
-        ratio=kT / kT_F,
-        residual=residual,
-    )
+    # the ratio is free of m and d: form it at their mantissas, which changes
+    # no rounding and cannot overflow
+    m, d = math.frexp(chain.m)[0], math.frexp(d)[0]
+    kT_F = (consts.hbar ** 2 / (2.0 * m)) * (6.0 * math.pi ** 2) ** (2.0 / 3.0) / (d * d)
+    return ClosureResult(T=T, ratio=6.0 * consts.hbar ** 2 / (m * d * d) / kT_F, residual=residual)

@@ -7,7 +7,7 @@ the same specific volume and the same spinless counting.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .constants import UnitSystem, constants_for
 from .errors import DomainError
@@ -24,30 +24,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PhononMedium:
+class PhononMedium(namedtuple("PhononMedium", "c nu")):
     """Sound speed and specific volume per mode."""
 
-    c: float
-    nu: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.c < math.inf:
             raise DomainError("sound speed must be positive and finite")
         if not self.nu > 0.0:
             raise DomainError("specific volume must be positive")
         if not math.isfinite(debye_omega_max(self)):
             raise DomainError("Debye frequency overflows at c = %r, nu = %r" % (self.c, self.nu))
+        return self
 
 
-@dataclass(frozen=True)
-class CorrespondenceReport:
-    eps_m: float
-    eps_F: float
-    p_m: float
-    p_F: float
-    rel_diff_energy: float
-    rel_diff_momentum: float
+CorrespondenceReport = namedtuple(
+    "CorrespondenceReport", "eps_m eps_F p_m p_F rel_diff_energy rel_diff_momentum")
 
 
 def debye_omega_max(medium):

@@ -12,7 +12,7 @@ regime label.  sigma is kept dimensionless as sigma_tilde = sigma
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .errors import DomainError
@@ -37,15 +37,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WireGeometry:
+class WireGeometry(namedtuple("WireGeometry", "sigma_tilde")):
     """Dimensionless transverse cross-section, positive and finite."""
 
-    sigma_tilde: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.sigma_tilde < math.inf:
             raise DomainError("sigma_tilde must be positive, got %r" % (self.sigma_tilde,))
+        return self
 
 
 class Regime(Enum):
@@ -55,26 +56,22 @@ class Regime(Enum):
     BOLTZMANN_CONVERGED = "BoltzmannConverged"
 
 
-@dataclass(frozen=True)
-class RegimeThresholds:
+class RegimeThresholds(namedtuple("RegimeThresholds", "z_degenerate deg_classical",
+                                  defaults=(100.0, 0.01))):
     """Classifier cut points; the defaults quantify the qualitative << and >>."""
 
-    z_degenerate: float = 100.0
-    deg_classical: float = 0.01
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.z_degenerate > 1.0 > self.deg_classical > 0.0):
             raise DomainError(
                 "thresholds must satisfy z_degenerate > 1 > deg_classical > 0"
             )
+        return self
 
 
-@dataclass(frozen=True)
-class RegimeReport:
-    rhs_approx: float
-    rhs_exact: float
-    inequality_holds: bool
-    regime: Regime
+RegimeReport = namedtuple("RegimeReport", "rhs_approx rhs_exact inequality_holds regime")
 
 
 def rhs_eq3(state, wire):
@@ -136,15 +133,16 @@ def number_integral_quasi1d(stat, state, wire):
     return 2.0 * value * wire.sigma_tilde / state.degeneracy
 
 
-def classify_regime(params, wire, thresholds=None, stat=Statistics.FERMI_DIRAC):
-    """Classify the gas of params in the wire under statistics stat.
-
-    Solves the state (solve_thermal_state), evaluates F_{1/2}(z) in the same
-    statistics and hands both to classify_wire.
-    """
+def _state_and_f_half(params, stat):
+    """The solved state of params and F_{1/2}(z): the part of a classification free of the wire."""
     state = solve_thermal_state(params, stat)
-    f_half = quantum_integral(stat, QuantumIntegralOrder.ONE_HALF, log_z=state.log_z)
-    return classify_wire(state, f_half, wire, thresholds)
+    return state, quantum_integral(stat, QuantumIntegralOrder.ONE_HALF, log_z=state.log_z)
+
+
+def classify_regime(params, wire, thresholds=None, stat=Statistics.FERMI_DIRAC):
+    """Classify the gas of params in the wire under statistics stat: solve
+    its state and F_{1/2}(z) and hand both to classify_wire."""
+    return classify_wire(*_state_and_f_half(params, stat), wire, thresholds)
 
 
 def classify_wire(state, f_half, wire, thresholds=None):

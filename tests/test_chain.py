@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -125,3 +126,25 @@ def test_chain_rejects_non_finite_input(N, L, m, field):
     # these reached closure_temperature, which divided by zero or blamed the temperature
     with pytest.raises(DomainError, match="^%s must be positive and finite" % field):
         ChainParameters(N=N, L=L, m=m)
+
+
+@pytest.mark.parametrize(
+    "N, L, m, in_range",
+    [
+        (1.0, 1e-170, 1.0, False),  # m d^2 underflows to 0
+        (1.0, 1e170, 1e-300, True),  # d^2 overflows, m d^2 does not
+        (1.0, 1.0, 1e-320, False),  # kT overflows
+        (1.0, 1e10, 1e-308, True),  # hbar^2/(2m) (6 pi^2)^(2/3) overflows, kT does not
+        (1.0, 1.0, 4e-308, True),  # kT = 1.5e308, so kT_F = 1.27 kT is past double range
+    ],
+)
+def test_closure_at_the_edges_of_double_range(N, L, m, in_range):
+    # these divided by zero or returned T = inf with ratio nan, or ratio 0
+    chain = ChainParameters(N=N, L=L, m=m)
+    if not in_range:
+        with pytest.raises(DomainError, match=re.escape(repr(chain))):
+            closure_temperature(chain)
+        return
+    result = closure_temperature(chain)
+    assert 0.0 < result.T < math.inf
+    assert abs(result.ratio - CLOSURE_RATIO) <= 1e-12

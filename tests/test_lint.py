@@ -1,6 +1,9 @@
 """Static checks on the package source that no installed linter covers."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -151,6 +154,54 @@ def test_cli_imported_by_entry_point_only(path):
     # cli imports the other modules (verify among them), so a module-level
     # import of cli anywhere else would close a cycle
     assert module_level_imports(path.read_text(), ".cli") == []
+
+
+def absolute_imports(source, packages):
+    """Lines of source that import one of packages, or a submodule of one,
+    anywhere in it (function bodies included; relative imports are the
+    package's own modules)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] in packages for name in names):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_detector_flags_a_dataclasses_or_typing_import():
+    source = (
+        "import typing\nfrom dataclasses import dataclass\nimport typing_extensions\n"
+        "def f():\n    import dataclasses\n    return dataclasses\nfrom . import typing\n"
+        "import os, typing.re\nfrom collections import namedtuple\n"
+    )
+    assert absolute_imports(source, ("dataclasses", "typing")) == [1, 2, 5, 8]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_records_are_plain_named_tuples(path):
+    # one record style, collections.namedtuple; dataclasses and typing would
+    # load inspect, ast, dis and tokenize into every start
+    assert absolute_imports(path.read_text(), ("dataclasses", "typing")) == []
+
+
+def test_cli_import_loads_no_dataclasses_typing_or_inspect():
+    # -S keeps site, and whatever its .pth files import, out of the probe
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, fermiwire.cli; "
+        "print(sorted(m for m in ('dataclasses', 'typing', 'inspect') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def export_faults(sources):
