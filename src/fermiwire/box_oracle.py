@@ -19,7 +19,7 @@ import math
 from collections import namedtuple
 
 from .constants import UnitSystem, constants_for
-from .errors import CondensationError, DomainError, ResourceLimitError
+from .errors import CondensationError, DomainError, ResourceLimitError, _positive
 from .gas_statistics import _occupations
 from .specfun import QuantumIntegralOrder, Statistics, quantum_integral
 
@@ -110,10 +110,10 @@ def enumerate_levels(
     double, and ResourceLimitError when the level count would exceed
     MAX_LEVELS or a default cutoff overflows a double.
     """
-    if not all(0.0 < v < math.inf for v in (L_long, a_transverse, m)):
-        raise DomainError("box lengths and mass must be positive and finite")
-    if beta is not None and not 0.0 < beta < math.inf:
-        raise DomainError("beta must be positive and finite, got %r" % (beta,))
+    for name, value in (("L_long", L_long), ("a_transverse", a_transverse), ("m", m)):
+        _positive(name, value)
+    if beta is not None:
+        _positive("beta", beta)
     h = constants_for(unit_system).h
     lengths = (L_long, a_transverse, a_transverse)
     if cutoff is None:
@@ -201,10 +201,8 @@ def direct_number_sum(spec, stat, z, beta):
     the slab sums are added with math.fsum.  truncation_bound estimates
     what the cutoffs leave out.
     """
-    if not z > 0.0:
-        raise DomainError("fugacity must be positive, got %r" % (z,))
-    if not beta > 0.0:
-        raise DomainError("beta must be positive, got %r" % (beta,))
+    _positive("z", z)
+    _positive("beta", beta)
     if stat is Statistics.BOSE_EINSTEIN and not z < 1.0:
         raise CondensationError(
             "Bose box sum needs z < 1 (ground level at eps = 0), got %r" % (z,)

@@ -17,14 +17,7 @@ from collections import namedtuple
 
 from .box_oracle import compare_continuum, enumerate_levels
 from .constants import UnitSystem, constants_for
-from .errors import (
-    CondensationError,
-    ConfigError,
-    ConvergenceError,
-    DomainError,
-    ResourceLimitError,
-    SingularityError,
-)
+from .errors import ConfigError, ConvergenceError, DomainError, ResourceLimitError, _positive
 from .gas_statistics import GasParameters, occupation
 from .phonon_map import (
     PhononMedium,
@@ -127,12 +120,7 @@ def parse_axis(text):
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ConfigError("unparseable axis %r" % (text,)) from None
-    spacing = "linear"
-    if len(parts) == 4:
-        if parts[3] not in ("log", "linear"):
-            raise ConfigError("axis spacing must be 'log' or 'linear', got %r" % (parts[3],))
-        spacing = parts[3]
-    return AxisSpec(lo, hi, n, spacing)
+    return AxisSpec(lo, hi, n, *parts[3:])
 
 
 ScanConfig = namedtuple(
@@ -297,7 +285,7 @@ def run_scan(config):
             try:
                 state, f_half = _state_and_f_half(
                     GasParameters(m, T, nu, config.unit_system), config.statistics)
-            except (CondensationError, ConvergenceError, DomainError) as exc:
+            except (ConvergenceError, DomainError) as exc:
                 rows.extend(_error_row(T, nu, sigma, exc) for sigma, _ in wires)
                 continue
             z = state.z
@@ -325,7 +313,7 @@ def run_tabulate_occupation(statistics=Statistics.FERMI_DIRAC, z=1.0,
         try:
             value = occupation(statistics, z, 1.0, be)
             rows.append([statistics.value, z, be, value, ""])
-        except (DomainError, SingularityError) as exc:
+        except DomainError as exc:
             rows.append([statistics.value, z, be, None, str(exc)])
     _write_output(_render_table(OCCUPATION_COLUMNS, rows, out_format), out_path)
     return 0 if any(r[4] == "" for r in rows) else 1
@@ -355,9 +343,9 @@ def run_tabulate_oracle(statistics=Statistics.FERMI_DIRAC, L=3.0, a=3.0, z=1.0, 
                         out_format="csv"):
     consts = constants_for(unit_system)
     m = consts.mass_ref
-    kT = consts.k_B * T
-    beta = 1.0 / kT if kT else math.inf  # enumerate_levels rejects it
     try:
+        # k_B T underflows to 0 in SI below about 4e-301 K
+        beta = 1.0 / _positive("k_B T", consts.k_B * _positive("T", T))
         spec = enumerate_levels(L, a, m, cutoff=cutoff, beta=beta, unit_system=unit_system)
         cmp_ = compare_continuum(spec, statistics, z, beta)
         row = [L, a, m, T, z, statistics.value, *spec.cutoff, spec.level_count,
@@ -365,7 +353,7 @@ def run_tabulate_oracle(statistics=Statistics.FERMI_DIRAC, L=3.0, a=3.0, z=1.0, 
                cmp_.rel_err_3d, cmp_.rel_err_quasi1d, cmp_.ground_mode_fraction,
                cmp_.sigma_tilde_fitted, cmp_.truncation_bound, ""]
         code = 0
-    except (CondensationError, DomainError, ResourceLimitError) as exc:
+    except (DomainError, ResourceLimitError) as exc:
         row = [L, a, m, T, z, statistics.value] + [None] * 12 + [str(exc)]
         code = 1
     _write_output(_render_table(ORACLE_COLUMNS, [row], out_format), out_path)

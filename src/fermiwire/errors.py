@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the positive-finite input rule."""
+
+import math
 
 __all__ = [
     "DomainError",
@@ -25,9 +27,8 @@ class SingularityError(DomainError):
 class ConvergenceError(RuntimeError):
     """An iterative solver or quadrature failed to reach its tolerance."""
 
-    def __init__(self, message, bracket=None, error_estimate=None):
+    def __init__(self, message, error_estimate=None):
         super().__init__(message)
-        self.bracket = bracket
         self.error_estimate = error_estimate
 
 
@@ -37,3 +38,10 @@ class ResourceLimitError(RuntimeError):
 
 class ConfigError(ValueError):
     """Invalid CLI or scan configuration."""
+
+
+def _positive(name, value):
+    """value if it is an int or float with 0 < value < inf; DomainError naming name otherwise."""
+    if isinstance(value, (int, float)) and 0.0 < value < math.inf:
+        return value
+    raise DomainError("%s must be a positive finite number, got %r" % (name, value))

@@ -15,12 +15,7 @@ from collections import namedtuple
 from functools import cached_property
 
 from .constants import UnitSystem, constants_for
-from .errors import (
-    CondensationError,
-    ConvergenceError,
-    DomainError,
-    SingularityError,
-)
+from .errors import CondensationError, ConvergenceError, DomainError, SingularityError, _positive
 from .specfun import (
     QuantumIntegralOrder,
     Statistics,
@@ -61,9 +56,7 @@ class GasParameters(namedtuple("GasParameters", "m T nu unit_system",
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         for name in ("m", "T", "nu"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and value > 0.0 and math.isfinite(value)):
-                raise DomainError("%s must be a positive finite number, got %r" % (name, value))
+            _positive(name, getattr(self, name))
         return self
 
     @property
@@ -82,9 +75,7 @@ class ThermalState(namedtuple("ThermalState", "log_z lam degeneracy")):
         if not math.isfinite(self.log_z):
             raise DomainError("log_z must be finite, got %r" % (self.log_z,))
         for name in ("lam", "degeneracy"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise DomainError("%s must be a positive finite number, got %r" % (name, value))
+            _positive(name, getattr(self, name))
         return self
 
     def __setattr__(self, name, value):
@@ -105,11 +96,11 @@ def occupation(stat, z, beta, eps):
     ----------
     stat : Statistics
     z : float
-        Fugacity, > 0.
+        Fugacity, positive and finite.
     beta : float
-        Inverse thermal energy, >= 0.
+        Inverse thermal energy, non-negative and finite.
     eps : float
-        Level energy, >= 0.
+        Level energy, non-negative and finite.
 
     Returns
     -------
@@ -125,12 +116,10 @@ def occupation(stat, z, beta, eps):
         For Bose-Einstein statistics with z*e^(-beta*eps) >= 1, where the
         occupation diverges (or is negative).
     """
-    if not z > 0.0:
-        raise DomainError("fugacity must be positive, got %r" % (z,))
-    if beta < 0.0:
-        raise DomainError("beta must be non-negative, got %r" % (beta,))
-    if eps < 0.0:
-        raise DomainError("energy must be non-negative, got %r" % (eps,))
+    _positive("z", z)
+    for name, value in (("beta", beta), ("eps", eps)):
+        if not 0.0 <= value < math.inf:
+            raise DomainError("%s must be a non-negative finite number, got %r" % (name, value))
     w = beta * eps - math.log(z)
     if stat is Statistics.MAXWELL_BOLTZMANN:
         return math.exp(-w)
@@ -196,18 +185,15 @@ def _solve_log(stat, x, lo, hi, y):
         if y_next == y:
             return y
         y = y_next
-    raise ConvergenceError(
-        "fugacity iteration stalled at degeneracy %g" % x,
-        bracket=((lo, 0.0), (hi, 0.0)),
-    )
+    raise ConvergenceError("fugacity iteration did not converge at degeneracy %r"
+                           " in the ln z bracket [%r, %r]" % (x, lo, hi))
 
 
 def solve_log_fugacity(stat, degeneracy):
     """ln z solving F_{3/2}(z) = degeneracy; exact far into degeneracy."""
-    if not (degeneracy > 0.0 and math.isfinite(degeneracy)):
-        raise DomainError("degeneracy must be a positive finite number, got %r" % (degeneracy,))
+    x = _positive("degeneracy", degeneracy)
     if stat is Statistics.MAXWELL_BOLTZMANN:
-        return math.log(degeneracy)
+        return math.log(x)
     # Closed-form brackets, so no search loop:
     #   FD: f_{3/2}(z) <= z (alternating series) and, for y > 0,
     #       f_{3/2}(e^y) >= C y^(3/2) with C = SOMMERFELD_COEFF (the smeared
@@ -217,7 +203,6 @@ def solve_log_fugacity(stat, degeneracy):
     #       ln(x/zeta) <= y <= min(ln x, 0).
     # The BE seed inverts g_{3/2}(e^-a) ~ zeta(3/2) - 2 sqrt(pi a) and is
     # clipped to ln x when x is small.
-    x = degeneracy
     if stat is Statistics.FERMI_DIRAC:
         hi = (x / SOMMERFELD_COEFF) ** (2.0 / 3.0)
         if math.isinf(hi):  # x/C overflows above ~1.35e308
@@ -263,7 +248,7 @@ def solve_fugacity(stat, degeneracy):
     CondensationError
         Bose-Einstein degeneracy above zeta(3/2).
     ConvergenceError
-        Iteration failure (carries the bracket state).
+        Iteration failure; the message names the degeneracy and the ln z bracket.
     """
     y = solve_log_fugacity(stat, degeneracy)
     z = exp_or_inf(y)

@@ -11,7 +11,7 @@ import math
 from collections import namedtuple
 
 from .constants import UnitSystem, constants_for
-from .errors import DomainError
+from .errors import DomainError, _positive
 
 __all__ = [
     "ChainParameters",
@@ -34,9 +34,7 @@ class ChainParameters(namedtuple("ChainParameters", "N L m")):
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         for name in ("N", "L", "m", "d"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise DomainError("%s must be positive and finite, got %r" % (name, value))
+            _positive(name, getattr(self, name))
         return self
 
     @property
@@ -55,13 +53,9 @@ def fermi_velocity(chain, unit_system=UnitSystem.REDUCED):
 
 def energy_density_1d(T, v_F, unit_system=UnitSystem.REDUCED):
     """1D radiation energy density e = pi (kT)^2 / (6 hbar v_F)."""
-    if not T > 0.0:
-        raise DomainError("temperature must be positive")
-    if not v_F > 0.0:
-        raise DomainError("Fermi velocity must be positive")
     consts = constants_for(unit_system)
-    kT = consts.k_B * T
-    return math.pi * kT * kT / (6.0 * consts.hbar * v_F)
+    kT = consts.k_B * _positive("T", T)
+    return math.pi * kT * kT / (6.0 * consts.hbar * _positive("v_F", v_F))
 
 
 def closure_temperature(chain, unit_system=UnitSystem.REDUCED):
@@ -81,7 +75,8 @@ def closure_temperature(chain, unit_system=UnitSystem.REDUCED):
         raise DomainError("kT = 6 hbar^2/(m d^2) leaves double range at %r" % (chain,))
     T = kT / consts.k_B
     v_F = fermi_velocity(chain, unit_system)
-    residual = abs(kT - energy_density_1d(T, v_F, unit_system) * d)
+    # energy_density_1d rejects the v_F = inf of a tiny m d; no residual can be formed there
+    residual = abs(kT - energy_density_1d(T, v_F, unit_system) * d) if v_F < math.inf else math.nan
     # the ratio is free of m and d: form it at their mantissas, which changes
     # no rounding and cannot overflow
     m, d = math.frexp(chain.m)[0], math.frexp(d)[0]

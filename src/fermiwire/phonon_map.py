@@ -10,7 +10,7 @@ import math
 from collections import namedtuple
 
 from .constants import UnitSystem, constants_for
-from .errors import DomainError
+from .errors import DomainError, _positive
 from .gas_statistics import GasParameters, fermi_energy, fermi_momentum
 
 __all__ = [
@@ -31,10 +31,8 @@ class PhononMedium(namedtuple("PhononMedium", "c nu")):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not 0.0 < self.c < math.inf:
-            raise DomainError("sound speed must be positive and finite")
-        if not self.nu > 0.0:
-            raise DomainError("specific volume must be positive")
+        for name in ("c", "nu"):
+            _positive(name, getattr(self, name))
         if not math.isfinite(debye_omega_max(self)):
             raise DomainError("Debye frequency overflows at c = %r, nu = %r" % (self.c, self.nu))
         return self
@@ -62,10 +60,8 @@ def debye_momentum(medium, unit_system=UnitSystem.REDUCED):
 
 def phonon_max_energy(medium, m, unit_system=UnitSystem.REDUCED):
     """eps_m = p_m^2 / (2m)."""
-    if not m > 0.0:
-        raise DomainError("mass must be positive")
     p_m = debye_momentum(medium, unit_system)
-    return p_m * p_m / (2.0 * m)
+    return p_m * p_m / (2.0 * _positive("m", m))
 
 
 def correspondence_check(medium, m, unit_system=UnitSystem.REDUCED):

@@ -17,7 +17,7 @@ from functools import lru_cache
 from ._kernel_tables import FD_CENTRES, FD_EDGES, FD_ROWS, TWO_ETA_EVEN
 from ._kernel_tables import ZETA_HALF_INTEGERS as _ZETA_HALF_INTEGERS
 from .constants import UnitSystem, constants_for
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _positive
 
 __all__ = ["Statistics", "QuantumIntegralOrder", "quantum_integral", "thermal_wavelength"]
 
@@ -175,9 +175,7 @@ def quantum_integral(stat, order, z=None, *, log_z=None):
         raise DomainError("stat must be a Statistics member, got %r" % (stat,))
     if (z is None) == (log_z is None):
         raise DomainError("pass exactly one of z or log_z")
-    if z is not None and not z > 0.0:
-        raise DomainError("fugacity must be positive, got %r" % (z,))
-    x = math.log(z) if log_z is None else float(log_z)
+    x = math.log(_positive("z", z)) if log_z is None else float(log_z)
     if not math.isfinite(x):
         raise DomainError("ln z must be finite, got %r" % (x,))
     z = exp_or_inf(x) if z is None else z
@@ -191,8 +189,6 @@ def quantum_integral(stat, order, z=None, *, log_z=None):
 def thermal_wavelength(m, T, unit_system=UnitSystem.REDUCED):
     """lambda = sqrt(2 pi hbar^2 / (m k T)) for m > 0 and T > 0, in the length
     unit of unit_system: REDUCED (hbar = k = 1) or SI (CODATA-2018)."""
-    for name, value in (("mass", m), ("temperature", T)):
-        if not value > 0.0:
-            raise DomainError("%s must be positive, got %r" % (name, value))
+    m, T = _positive("m", m), _positive("T", T)
     consts = constants_for(unit_system)
     return consts.hbar * math.sqrt(2.0 * math.pi / (m * consts.k_B * T))

@@ -15,7 +15,7 @@ import math
 from collections import namedtuple
 from enum import Enum
 
-from .errors import DomainError
+from .errors import DomainError, _positive
 from .gas_statistics import _occupations, solve_thermal_state
 from .specfun import (
     QuantumIntegralOrder,
@@ -44,8 +44,7 @@ class WireGeometry(namedtuple("WireGeometry", "sigma_tilde")):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not 0.0 < self.sigma_tilde < math.inf:
-            raise DomainError("sigma_tilde must be positive, got %r" % (self.sigma_tilde,))
+        _positive("sigma_tilde", self.sigma_tilde)
         return self
 
 

@@ -45,10 +45,10 @@ def check_rows(unit_system=UnitSystem.REDUCED):
     def add(name, computed, expected, tol, ok):
         rows.append((name, _fmt(computed), expected, tol, "PASS" if ok else "FAIL"))
 
-    def near_zero(name, errors, tol, scale=1.0, scale_name=""):
+    def near_zero(name, errors, tol):
         # the largest error, a nan above all others (max() would pass it over)
         worst = max(errors, key=lambda error: (math.isnan(error), error))
-        add(name, worst, "0", tol + scale_name, worst <= float(tol) * scale)
+        add(name, worst, "0", tol, worst <= float(tol))
 
     # reference scales come from the chosen unit system
     consts = constants_for(unit_system)
@@ -126,7 +126,8 @@ def check_rows(unit_system=UnitSystem.REDUCED):
 
     # 1D closure
     closure = closure_temperature(ChainParameters(N=1.0, L=1.0, m=m), unit_system)
-    near_zero("closure_fixed_point_residual", [closure.residual], "1e-12", closure.T, "*kT")
+    near_zero("closure_fixed_point_residual", [closure.residual / (consts.k_B * closure.T)],
+              "1e-12")
     add("closure_ratio", closure.ratio, _fmt(CLOSURE_RATIO), "1e-9",
         abs(closure.ratio - CLOSURE_RATIO) <= 1e-9)
     ratios = [

@@ -124,7 +124,7 @@ def test_chain_validation():
 )
 def test_chain_rejects_non_finite_input(N, L, m, field):
     # these reached closure_temperature, which divided by zero or blamed the temperature
-    with pytest.raises(DomainError, match="^%s must be positive and finite" % field):
+    with pytest.raises(DomainError, match="^%s must be a positive finite number, got " % field):
         ChainParameters(N=N, L=L, m=m)
 
 
@@ -136,6 +136,7 @@ def test_chain_rejects_non_finite_input(N, L, m, field):
         (1.0, 1.0, 1e-320, False),  # kT overflows
         (1.0, 1e10, 1e-308, True),  # hbar^2/(2m) (6 pi^2)^(2/3) overflows, kT does not
         (1.0, 1.0, 4e-308, True),  # kT = 1.5e308, so kT_F = 1.27 kT is past double range
+        (1.0, 10.0, 1e-309, True),  # v_F = hbar pi/(m d) overflows, kT does not
     ],
 )
 def test_closure_at_the_edges_of_double_range(N, L, m, in_range):

@@ -61,6 +61,9 @@ class TestAxisParsing:
             AxisSpec(1.0, 2.0, 0)
         with pytest.raises(ConfigError):
             AxisSpec(-1.0, 2.0, 3, "log")
+        # the only spacing check: parse_axis hands the text to AxisSpec
+        with pytest.raises(ConfigError, match="^spacing must be linear or log, got 'weird'$"):
+            parse_axis("1:10:3:weird")
 
 
 class TestScan:
@@ -206,8 +209,8 @@ class TestScan:
         ]
         for index, nu in ((6, 1), (9, 2)):
             assert lines[index] == (
-                '6.2831853071795862,%d,0,,,,,,ERROR,"sigma_tilde must be positive, got 0.0"'
-                % nu
+                '6.2831853071795862,%d,0,,,,,,ERROR,'
+                '"sigma_tilde must be a positive finite number, got 0.0"' % nu
             )
         code, positive = scan_rows(capsys, axes + ["--sigma", "0.5:1:2"])
         assert rows[7:9] + rows[10:12] == positive[4:8]
@@ -221,7 +224,8 @@ class TestScan:
         )
         assert code == 1
         assert [",".join(r) for r in rows] == [
-            '1,1,%s,,,,,,ERROR,"sigma_tilde must be positive, got %s"' % (sigma, sigma)
+            '1,1,%s,,,,,,ERROR,"sigma_tilde must be a positive finite number, got %s"'
+            % (sigma, sigma)
         ]
 
     def test_one_wire_per_sigma(self, capsys, monkeypatch):
@@ -246,7 +250,8 @@ class TestScan:
                 assert "" not in row[3:9] and row[8] != "ERROR" and row[9] == ""
             else:
                 assert row[3:] == ["", "", "", "", "", "ERROR",
-                                   '"sigma_tilde must be positive, got %s.0"' % row[2]]
+                                   '"sigma_tilde must be a positive finite number, got %s.0"'
+                                   % row[2]]
 
     def test_repeated_csv_runs_parse_back(self):
         # two runs give the same bytes, and csv.reader reads back every cell:
@@ -262,7 +267,8 @@ class TestScan:
         ]
         for row in rows[0:2] + rows[3:5]:
             assert row[3:] == ["", "", "", "", "", "ERROR",
-                               "sigma_tilde must be positive, got %r" % float(row[2])]
+                               "sigma_tilde must be a positive finite number, got %r"
+                               % float(row[2])]
         for T, row in ((1.0, rows[2]), (2.0, rows[5])):
             params = gas_statistics.GasParameters(1.0, T, 1.0)
             state = gas_statistics.solve_thermal_state(params, gas_statistics.Statistics.FERMI_DIRAC)
@@ -281,6 +287,18 @@ class TestScan:
         rows = out.strip().split("\n")[1:]
         assert any(",ERROR," in r for r in rows)
         assert any(",ERROR," not in r for r in rows)
+
+    def test_convergence_failure_gives_error_rows(self, capsys, monkeypatch):
+        # a solve that runs out of steps fails its (T, nu) pair, not the scan
+        monkeypatch.setattr(gas_statistics, "density_and_slope", lambda stat, y: (1e300, 1e306))
+        code, rows = scan_rows(capsys, ["--T", "1:1:1", "--nu", "1:2:2", "--sigma", "0.5:1:2"])
+        assert code == 1
+        lam = gas_statistics.thermal_wavelength(1.0, 1.0)
+        for nu, pair in zip((1.0, 2.0), (rows[:2], rows[2:])):
+            for row in pair:
+                assert row[3:9] == ["", "", "", "", "", "ERROR"]
+                assert row[9].startswith('"fugacity iteration did not converge at degeneracy %r'
+                                         ' in the ln z bracket [' % (lam ** 3 / nu))
 
     def test_all_error_scan_exits_one(self, capsys):
         code = main(
@@ -447,6 +465,12 @@ EXIT_TWO_CASES = [
     (["tabulate", "phonon", "--nu", "0:1:2"], None),
     (["tabulate", "phonon", "--c", "inf"], None),
     (["tabulate", "phonon", "--nu", "1e-320:1e-320:1"], None),  # Debye frequency overflows
+    # config files and an output path the scan cannot use
+    (["scan"], {"T": {"min": 1, "max": 2}}),  # an axis object without points
+    (["scan"], {"T": 5}),  # an axis neither text nor an object
+    (["scan"], [1]),  # a root that is not an object
+    (["scan", "--config", "missing.json"], None),
+    (["scan", "--out", "missing/scan.csv"], None),
 ]
 
 
@@ -592,13 +616,14 @@ class TestTabulate:
             "0.137266197950971,0.99999999999999978,182.07195812476451,6.9531137395435894e-26,"
         )
 
-    @pytest.mark.parametrize("T, beta", [("-1", "-1.0"), ("0", "inf"), ("inf", "0.0")])
-    def test_oracle_bad_temperature_row(self, capsys, T, beta):
-        # enumerate_levels rejects beta = 1/(k_B T) outside (0, inf)
+    @pytest.mark.parametrize("T, value",
+                             [("-1", "-1.0"), ("0", "0.0"), ("inf", "inf"), ("nan", "nan")])
+    def test_oracle_bad_temperature_row(self, capsys, T, value):
+        # the temperature is checked, and named, before beta = 1/(k_B T) is formed
         code = main(["oracle", "--T", T])
         row = capsys.readouterr().out.strip().split("\n")[1]
         assert code == 1
-        assert row.endswith(',"beta must be positive and finite, got %s"' % beta)
+        assert row.endswith(',"T must be a positive finite number, got %s"' % value)
 
     @pytest.mark.parametrize(
         "args, message",
@@ -611,8 +636,15 @@ class TestTabulate:
             (["--L", "1e-300", "--a", "1e-300"], "level (h n/L)^2/2m overflows"),
             # the beta*eps = 45 cutoff L sqrt(2 m 45/beta)/h overflows a double
             (["--L", "1e300", "--T", "1e300"], "default cutoff overflows at L = 1e+300"),
+            # k_B T underflows to 0 in SI below about 4e-301 K
+            (["--T", "1e-310", "--units", "si"],
+             '"k_B T must be a positive finite number, got 0.0"'),
+            (["--L", "0"], '"L_long must be a positive finite number, got 0.0"'),
+            (["--a", "inf"], '"a_transverse must be a positive finite number, got inf"'),
+            (["--z", "inf"], '"z must be a positive finite number, got inf"'),
         ],
-        ids=["be z=1", "T=1e-300", "L=a=1e-300", "L=T=1e300"],
+        ids=["be z=1", "T=1e-300", "L=a=1e-300", "L=T=1e300", "si T=1e-310", "L=0", "a=inf",
+             "z=inf"],
     )
     def test_oracle_error_row(self, capsys, args, message):
         code = main(["oracle", *args])
@@ -653,7 +685,7 @@ RENDER_TABLES = {
     ]),
     "error rows": (["T", "z", "regime", "message"], [
         [1.5, 2.0, "Bosonized", ""],
-        [1.5, None, "ERROR", "sigma_tilde must be positive, got -1.0"],
+        [1.5, None, "ERROR", "sigma_tilde must be a positive finite number, got -1.0"],
         [2.5, 2.0, "DegenerateSubFermi", ""],
         [2.5, None, "ERROR", 'says "no"'],
     ]),
@@ -756,6 +788,18 @@ class TestVerify:
         assert verify.run_verify() == 0
         capsys.readouterr()
         assert len(calls) == 1503
+
+    @pytest.mark.parametrize("units", ["reduced", "si"])
+    def test_closure_residual_is_relative(self, capsys, units):
+        # the residual is divided by k_B T, so the tolerance means the same in
+        # both unit systems
+        assert main(["verify", "--units", units]) == 0
+        [row] = [r for r in capsys.readouterr().out.split("\n")
+                 if r.startswith("closure_fixed_point_residual ")]
+        _, computed, expected, tol, status = row.split()
+        assert (expected, tol, status) == ("expected=0", "tol=1e-12", "PASS")
+        residual = float(computed[len("computed="):])
+        assert residual == 0.0 if units == "reduced" else 0.0 < residual < 1e-15
 
     @pytest.mark.parametrize("units", ["reduced", "si"])
     def test_row_names_and_summary(self, capsys, units):

@@ -1,6 +1,7 @@
 """Occupation numbers, fugacity inversion, and the bulk Fermi scale."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from fermiwire import (
     CondensationError,
+    ConvergenceError,
     DomainError,
     GasParameters,
     QuantumIntegralOrder,
@@ -239,6 +241,52 @@ class TestSolveFugacity:
             for x in degeneracies:
                 solve_log_fugacity(stat, float(x))
             assert 1.0 <= len(calls) / len(degeneracies) <= 8.0, stat
+
+    def test_step_leaving_the_bracket_bisects(self, monkeypatch):
+        # from ln z = -50 the Newton step for x = 1 lands near 1e22, far past
+        # the bracket [-50, 50], so the next ln z is its midpoint 0
+        tried = []
+        kernel = gas_statistics.density_and_slope
+
+        def recorded(stat, y):
+            tried.append(y)
+            return kernel(stat, y)
+
+        monkeypatch.setattr(gas_statistics, "density_and_slope", recorded)
+        y = gas_statistics._solve_log(FD, 1.0, -50.0, 50.0, -50.0)
+        assert tried[:2] == [-50.0, 0.0]
+        assert abs(quantum_integral(FD, N32, log_z=y) - 1.0) <= 1e-12
+
+    def test_bracket_closed_on_a_jump_returns(self, monkeypatch):
+        # a density that jumps by 2e-6 of itself at ln z = 0.3 never meets the
+        # tolerance; once the bracket closes on the jump the midpoint repeats
+        # ln z, and the solver returns it rather than running out of steps
+        tried = []
+        kernel = gas_statistics.density_and_slope
+
+        def jump(stat, y):
+            tried.append(y)
+            density, slope = kernel(stat, y)
+            return density * (1.0 + (1e-6 if y >= 0.3 else -1e-6)), slope
+
+        x = kernel(FD, 0.3)[0]
+        monkeypatch.setattr(gas_statistics, "density_and_slope", jump)
+        y = gas_statistics._solve_log(FD, x, 0.0, 1.2, 1.2)
+        assert math.nextafter(0.3, 0.0) <= y <= 0.3
+        assert len(tried) < gas_statistics._MAX_ITER
+
+    def test_exhausted_iterations_name_degeneracy_and_bracket(self, monkeypatch):
+        # a density stuck at twice the target with a steep slope moves ln z
+        # down 1e-6 a step: every step stays in the bracket and none converges
+        monkeypatch.setattr(gas_statistics, "density_and_slope", lambda stat, y: (2.0, 1e6))
+        with pytest.raises(ConvergenceError) as info:
+            solve_log_fugacity(FD, 1.0)
+        match = re.fullmatch(r"fugacity iteration did not converge at degeneracy 1\.0"
+                             r" in the ln z bracket \[0\.0, (.+)\]", str(info.value))
+        assert match is not None, str(info.value)
+        # the seed is the top of the bracket, (1/C)^(2/3); 79 steps lower it
+        top = (1.0 / gas_statistics.SOMMERFELD_COEFF) ** (2.0 / 3.0)
+        assert float(match.group(1)) == pytest.approx(top - 79e-6, abs=1e-12)
 
 
 class TestThermalState:

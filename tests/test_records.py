@@ -47,14 +47,14 @@ RECORDS = [
     (ThermalState, dict(log_z=0.5, lam=1.0, degeneracy=2.0), {},
      dict(log_z=math.nan, lam=1.0, degeneracy=1.0), DomainError("log_z must be finite, got nan")),
     (ChainParameters, dict(N=1.0, L=2.0, m=3.0), {}, dict(N=1.0, L=0.0, m=1.0),
-     DomainError("L must be positive and finite, got 0.0")),
+     DomainError("L must be a positive finite number, got 0.0")),
     (ClosureResult, dict(T=1.0, ratio=0.5, residual=0.0), {}, None, None),
     (PhononMedium, dict(c=1.0, nu=2.0), {}, dict(c=1e300, nu=1e-300),
      DomainError("Debye frequency overflows at c = 1e+300, nu = 1e-300")),
     (CorrespondenceReport, dict(eps_m=1.0, eps_F=2.0, p_m=3.0, p_F=4.0, rel_diff_energy=0.5,
                                 rel_diff_momentum=0.25), {}, None, None),
     (WireGeometry, dict(sigma_tilde=0.5), {}, dict(sigma_tilde=math.inf),
-     DomainError("sigma_tilde must be positive, got inf")),
+     DomainError("sigma_tilde must be a positive finite number, got inf")),
     (RegimeThresholds, dict(z_degenerate=50.0, deg_classical=0.1),
      dict(z_degenerate=100.0, deg_classical=0.01), dict(deg_classical=1.0),
      DomainError("thresholds must satisfy z_degenerate > 1 > deg_classical > 0")),

@@ -259,5 +259,6 @@ def test_wire_geometry_validation():
     with pytest.raises(DomainError):
         WireGeometry(-0.5)
     for value in (math.inf, math.nan):
-        with pytest.raises(DomainError, match="sigma_tilde must be positive"):
+        with pytest.raises(DomainError,
+                           match="^sigma_tilde must be a positive finite number, got %r$" % value):
             WireGeometry(value)
