@@ -14,6 +14,7 @@ import math
 from collections import namedtuple
 from functools import cached_property
 
+from ._kernel_tables import ZETA_HALF_INTEGERS
 from .constants import UnitSystem, constants_for
 from .errors import CondensationError, ConvergenceError, DomainError, SingularityError, _positive
 from .specfun import (
@@ -40,6 +41,8 @@ __all__ = [
 
 # zeta(3/2): the Bose degeneracy parameter cannot exceed this.
 ZETA_THREE_HALVES = 2.612375348685488
+# zeta(1/2) and zeta(-1/2), for the Bose seed
+_ZETA_HALF, _ZETA_MINUS_HALF = ZETA_HALF_INTEGERS[2:4]
 # Sommerfeld leading coefficient 4/(3 sqrt(pi)): f_{3/2}(z) ~ it * (ln z)^(3/2).
 SOMMERFELD_COEFF = 0.7522527780636751
 
@@ -90,32 +93,12 @@ class ThermalState(namedtuple("ThermalState", "log_z lam degeneracy")):
 
 
 def occupation(stat, z, beta, eps):
-    """Mean occupation number of a level at energy eps.
-
-    Parameters
-    ----------
-    stat : Statistics
-    z : float
-        Fugacity, positive and finite.
-    beta : float
-        Inverse thermal energy, non-negative and finite.
-    eps : float
-        Level energy, non-negative and finite.
-
-    Returns
-    -------
-    float
-        1/(e^w + 1), 1/(e^w - 1) or e^(-w) with w = beta*eps - ln z; the
-        Fermi-Dirac value lies in [0, 1).  Once e^w overflows a double the
-        Fermi-Dirac value is e^(-w) and the Bose-Einstein value 0, as in the
-        array rule _occupations.
-
-    Raises
-    ------
-    SingularityError
-        For Bose-Einstein statistics with z*e^(-beta*eps) >= 1, where the
-        occupation diverges (or is negative).
-    """
+    """Mean occupation 1/(e^w + 1) (FD), 1/(e^w - 1) (BE) or e^-w (MB) of a
+    level at energy eps, w = beta*eps - ln z, for finite z > 0, beta >= 0 and
+    eps >= 0.  The FD value lies in [0, 1).  Once e^w overflows a double the
+    FD value is e^-w and the BE value 0, as in the array rule _occupations.
+    SingularityError: BE with z e^(-beta eps) >= 1, where the occupation
+    diverges (or is negative)."""
     _positive("z", z)
     for name, value in (("beta", beta), ("eps", eps)):
         if not 0.0 <= value < math.inf:
@@ -201,8 +184,11 @@ def solve_log_fugacity(stat, degeneracy):
     #       ln x <= y <= (x/C)^(2/3).
     #   BE: z <= g_{3/2}(z) <= zeta(3/2) z for z <= 1, so
     #       ln(x/zeta) <= y <= min(ln x, 0).
-    # The BE seed inverts g_{3/2}(e^-a) ~ zeta(3/2) - 2 sqrt(pi a) and is
-    # clipped to ln x when x is small.
+    # The BE seed, clipped into the bracket, takes g_{3/2} to its third term
+    # from the nearer end; either is within 1e-2 of ln z at the switch x = 1:
+    #   x < 1: the series inverted, z = x - x^2/2^(3/2) + (1/4 - 3^(-3/2)) x^3;
+    #   x >= 1: x = zeta(3/2) - 2 sqrt(pi) s - zeta(1/2) s^2 + zeta(-1/2) s^4/2
+    #       in s = sqrt(-ln z), solved as a quadratic, then again with s^4 fixed.
     if stat is Statistics.FERMI_DIRAC:
         hi = (x / SOMMERFELD_COEFF) ** (2.0 / 3.0)
         if math.isinf(hi):  # x/C overflows above ~1.35e308
@@ -219,7 +205,14 @@ def solve_log_fugacity(stat, degeneracy):
             return 0.0
         lo = math.log(x / ZETA_THREE_HALVES)
         hi = min(math.log(x), 0.0)
-        seed = -(((ZETA_THREE_HALVES - x) / (2.0 * math.sqrt(math.pi))) ** 2)
+        if x < 1.0:
+            seed = math.log(x - x * x / 2.0 ** 1.5 + (0.25 - 3.0 ** -1.5) * x ** 3)
+        else:
+            s = 0.0
+            for _ in range(2):
+                d = ZETA_THREE_HALVES - x + 0.5 * _ZETA_MINUS_HALF * s ** 4
+                s = d / (math.sqrt(math.pi) + math.sqrt(math.pi + _ZETA_HALF * d))
+            seed = -s * s
         return _solve_log(stat, x, lo, hi, min(max(seed, lo), hi))
     raise DomainError("stat must be a Statistics member, got %r" % (stat,))
 

@@ -2,17 +2,20 @@
 
 F_nu(z) = integral_0^inf t^(nu-1) dt / (Gamma(nu) (e^t/z +- 1)), nu in {1/2,
 3/2, 5/2}, is f_nu for Fermi-Dirac (+) and g_nu for Bose-Einstein (-); the
-Maxwell-Boltzmann value is z.  Every branch is a pure-Python closed form: the
-power series for z <= 1/e; for FD, Taylor series in y = ln z < 65 from mpmath
-tables of f_{5/2-k}(e^c) (d/dy f_nu(e^y) = f_{nu-1}(e^y), so one walk gives a
-value and its slope), then the Sommerfeld series; for BE, Robinson's
-expansion in alpha = -ln z < 1.  Only quad_checked uses numpy, imported on use.
+Maxwell-Boltzmann value is z.  Every branch is a pure-Python closed form that
+walks once for the pair (F_nu, F_{nu-1}), the value and its slope in y = ln z
+(d/dy F_nu(e^y) = F_{nu-1}(e^y)): the power series for z <= 1/e; for FD,
+Taylor series in y < 65 from mpmath tables of f_{5/2-k}(e^c), then the
+Sommerfeld series; for BE, Robinson's expansion in alpha = -ln z < 1.  No
+branch's stop rule reads the order, so F_{1/2} is the same sum whether it
+comes first or second.  Only quad_checked uses numpy, imported on use.
 """
 
 import math
 from bisect import bisect
 from enum import Enum
 from functools import lru_cache
+from itertools import islice
 
 from ._kernel_tables import FD_CENTRES, FD_EDGES, FD_ROWS, TWO_ETA_EVEN
 from ._kernel_tables import ZETA_HALF_INTEGERS as _ZETA_HALF_INTEGERS
@@ -27,6 +30,8 @@ SERIES_FUGACITY_MAX = math.exp(-1.0)
 BOSE_EXPANSION_ALPHA = 1.0
 # FD Taylor tables below this ln z, the Sommerfeld series from it on.
 SOMMERFELD_LOG_Z = 65.0
+# (k^nu, k^(nu-1)) for k = 2..43, the power series' longest run (at ln z = -1)
+_K_POWERS = {nu: tuple((k ** nu, k ** (nu - 1.0)) for k in range(2, 44)) for nu in (2.5, 1.5, 0.5)}
 
 
 class Statistics(Enum):
@@ -82,16 +87,18 @@ def quad_checked(func, a, b, points=None):
     return value, estimate
 
 
-def _series(nu, z, sign):
-    # sum_k sign^(k+1) z^k / k^nu: FD alternates (sign -1), BE does not
-    terms, zk = [], 1.0
-    for k in range(1, 200):
-        zk *= z
-        term = zk / k ** nu
-        terms.append(term if k % 2 else sign * term)
-        if term <= 1e-18 * terms[0]:  # also stops at once when z underflows to 0
-            break
-    return math.fsum(terms)
+def _series(nu, y, z, sign):
+    # z + sum_{k>=2} sign^(k+1) z^k / k^mu for mu = nu and nu - 1 from one
+    # z^k: FD alternates (sign -1), BE does not.  k runs to the first z^k <=
+    # 1e-18 z, a count set by ln z alone (ln 1e18 < 41.45); adding the terms
+    # before z keeps the sum within an ulp or two
+    w = sign * z
+    wk, value, slope = w, 0.0, 0.0
+    for p, q in islice(_K_POWERS[nu], math.ceil(41.45 / -y)):
+        wk *= w
+        value += wk / p
+        slope += wk / q
+    return z + sign * value, z + sign * slope
 
 
 def _fd_taylor(nu, y):
@@ -106,54 +113,62 @@ def _fd_taylor(nu, y):
     return value, slope
 
 
-def _sommerfeld(nu, y):
-    # sum_k 2 eta(2k) y^(nu-2k)/Gamma(nu+1-2k); y^nu as (y^(nu/2))^2, as it overflows first
+def _pow_or_inf(x, p):
+    """x ** p, or math.inf once that leaves double range (or divides by 0)."""
     try:
-        root = y ** (0.5 * nu)
-    except OverflowError:
+        return x ** p
+    except (OverflowError, ZeroDivisionError):
         return math.inf
-    t, total, power = 1.0 / (y * y), 0.0, 1.0
-    for k, two_eta in enumerate(TWO_ETA_EVEN):
-        term = two_eta * power / math.gamma(nu + 1.0 - 2 * k)
-        total += term
-        if abs(term) < 1e-17 * total:
-            break
+
+
+def _sommerfeld(nu, y):
+    # sum_k 2 eta(2k) y^(mu-2k)/Gamma(mu+1-2k) for mu = nu and nu - 1: ten
+    # terms, as at y = 65 the tenth of F_{-1/2} is 4e-18 of the first; y^mu as
+    # (y^(mu/2))^2, as it overflows first
+    t, power, value, slope = 1.0 / (y * y), 1.0, 0.0, 0.0
+    for k, two_eta in enumerate(TWO_ETA_EVEN[:10]):
+        value += two_eta * power / math.gamma(nu + 1.0 - 2 * k)
+        slope += two_eta * power / math.gamma(nu - 2 * k)
         power *= t
-    return root * (root * total)
+    root, root_next = _pow_or_inf(y, 0.5 * nu), _pow_or_inf(y, 0.5 * (nu - 1.0))
+    return root * (root * value), root_next * (root_next * slope)
 
 
 def _be_expansion(nu, alpha):
-    # Gamma(1-nu) alpha^(nu-1) + sum_k zeta(nu-k) (-alpha)^k/k!: the terms
-    # fall like (alpha/2pi)^k, so the table's 40 reach far past 1e-18
-    if alpha == 0.0 and nu == 0.5:
-        return math.inf  # g_{1/2} diverges at z = 1
-    terms, factor = [math.gamma(1.0 - nu) * alpha ** (nu - 1.0)], 1.0
-    for k, zeta in enumerate(_ZETA_HALF_INTEGERS[int(2.5 - nu):]):
-        terms.append(zeta * factor)
-        if abs(terms[-1]) < 1e-18:
+    # Gamma(1-mu) alpha^(mu-1) + sum_k zeta(mu-k) (-alpha)^k/k! for mu = nu and
+    # nu - 1 from one (-alpha)^k/k!.  The terms fall like (alpha/2pi)^k, and a
+    # stop on (-alpha)^k/k! < 1e-18 comes by k = 20 of the table's 40.  The
+    # terms from k = 2 are summed first, then k = 1, k = 0 and the lead, which
+    # cancel most as alpha nears 1; a lead past double range, or at z = 1, is inf
+    zeta, factor = _ZETA_HALF_INTEGERS[int(2.5 - nu):], 0.5 * alpha * alpha
+    value = slope = 0.0
+    for k, (a, b) in enumerate(zip(zeta[2:], zeta[3:]), 2):
+        value += a * factor
+        slope += b * factor
+        if abs(factor) < 1e-18:
             break
         factor *= -alpha / (k + 1.0)
-    return math.fsum(terms)
+    lead = math.gamma(1.0 - nu) * _pow_or_inf(alpha, nu - 1.0)
+    lead_next = math.gamma(2.0 - nu) * _pow_or_inf(alpha, nu - 2.0)
+    return (lead + (zeta[0] + (zeta[1] * -alpha + value)),
+            lead_next + (zeta[1] + (zeta[2] * -alpha + slope)))
 
 
-def _integral(stat, nu, y, z):
-    # F_nu(z = e^y) for FD or BE, with y finite (y <= 0 for BE)
+def _pair(stat, nu, y, z):
+    # (F_nu, F_{nu-1}) at z = e^y for FD or BE, with y finite (y <= 0 for BE)
     if z <= SERIES_FUGACITY_MAX:
-        return _series(nu, z, -1.0 if stat is Statistics.FERMI_DIRAC else 1.0)
+        return _series(nu, y, z, -1.0 if stat is Statistics.FERMI_DIRAC else 1.0)
     if stat is Statistics.BOSE_EINSTEIN:
         return _be_expansion(nu, -y)
     if y < SOMMERFELD_LOG_Z:
-        return _fd_taylor(nu, y)[0]
+        return _fd_taylor(nu, y)
     return _sommerfeld(nu, y)
 
 
 def density_and_slope(stat, log_z):
-    """(F_{3/2}, F_{1/2}) at e^log_z for FD or BE, the density and its slope in ln z, as
-    quantum_integral gives them but from one FD table walk; log_z is not checked."""
-    z = exp_or_inf(log_z)
-    if stat is Statistics.FERMI_DIRAC and SERIES_FUGACITY_MAX < z and log_z < SOMMERFELD_LOG_Z:
-        return _fd_taylor(1.5, log_z)
-    return _integral(stat, 1.5, log_z, z), _integral(stat, 0.5, log_z, z)
+    """(F_{3/2}, F_{1/2}) at e^log_z for FD or BE, the density and its slope
+    in ln z, as quantum_integral gives them; log_z is not checked."""
+    return _pair(stat, 1.5, log_z, exp_or_inf(log_z))
 
 
 def quantum_integral(stat, order, z=None, *, log_z=None):
@@ -183,12 +198,18 @@ def quantum_integral(stat, order, z=None, *, log_z=None):
         return z
     if stat is Statistics.BOSE_EINSTEIN and x > 0.0:
         raise DomainError("Bose-Einstein integral needs z <= 1, got ln z = %g" % x)
-    return _integral(stat, nu, x, z)
+    return _pair(stat, nu, x, z)[0]
 
 
 def thermal_wavelength(m, T, unit_system=UnitSystem.REDUCED):
     """lambda = sqrt(2 pi hbar^2 / (m k T)) for m > 0 and T > 0, in the length
-    unit of unit_system: REDUCED (hbar = k = 1) or SI (CODATA-2018)."""
+    unit of unit_system: REDUCED (hbar = k = 1) or SI (CODATA-2018); math.inf
+    once lambda is past double range."""
     m, T = _positive("m", m), _positive("T", T)
     consts = constants_for(unit_system)
-    return consts.hbar * math.sqrt(2.0 * math.pi / (m * consts.k_B * T))
+    mkT = m * consts.k_B * T
+    ratio = 2.0 * math.pi / mkT if mkT else math.inf
+    if 0.0 < ratio < math.inf:
+        return consts.hbar * math.sqrt(ratio)
+    # m k T or 2 pi/(m k T) leaves double range: divide by each factor's root in turn
+    return consts.hbar * math.sqrt(2.0 * math.pi) / math.sqrt(m) / math.sqrt(consts.k_B) / math.sqrt(T)

@@ -336,6 +336,16 @@ class TestScan:
         assert len(rows) == 2
         assert all(r[8:] == ["ERROR", message % repr(float(r[1]))] for r in rows)
 
+    def test_si_wavelength_past_product_underflow(self, tmp_path):
+        # m k_B T underflows to 0 at T = 1e-280 K; lambda = 7.46e132 m is
+        # finite, and its cube overflows into an ERROR row, not a traceback
+        out = tmp_path / "scan.csv"
+        code = main(["scan", "--units", "si", "--T", "1e-280:1e-280:1", "--out", str(out)])
+        assert code == 1
+        rows = [line.split(",", 9) for line in out.read_text().strip().split("\n")[1:]]
+        assert [r[8:] for r in rows] == [
+            ["ERROR", '"lambda^3/nu overflows at T = 1e-280, nu = 1.0"']]
+
     def test_fugacity_past_double_range(self, capsys):
         # ln z = 1519 and 760 at T = 0.005 and 0.01: z and rhs_approx read
         # inf, rhs_exact = sigma_tilde f_{1/2}(z)/degeneracy stays finite
@@ -612,7 +622,7 @@ class TestTabulate:
         assert code == 0
         assert capsys.readouterr().out.split("\n")[1] == (
             "3,0.20000000000000001,1,1,0.5,be,5,1,1,99,1.1182987119066414,"
-            "0.0047607809181810408,0.96479409954974849,0.99574283608887981,"
+            "0.0047607809181810417,0.96479409954974849,0.99574283608887981,"
             "0.137266197950971,0.99999999999999978,182.07195812476451,6.9531137395435894e-26,"
         )
 

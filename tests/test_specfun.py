@@ -209,28 +209,51 @@ def test_against_mpmath(order):
 
 
 # Dense log-spaced grids over the advertised domain: FD ln z in [-28, 1e4]
-# on both sides of 0, BE alpha = -ln z in {0} and [1e-12, 28].
+# on both sides of 0, BE alpha = -ln z in {0} and [5e-324, 28].
 DENSE_FD_LOG_Z = (
     [-float(x) for x in np.geomspace(28.0, 1e-6, 13)]
     + [0.0]
     + [float(x) for x in np.geomspace(1e-6, 1e4, 26)]
 )
-DENSE_BE_ALPHA = [0.0] + [float(a) for a in np.geomspace(1e-12, 28.0, 39)]
+DENSE_BE_ALPHA = (
+    [0.0, 5e-324]
+    + [float(a) for a in np.geomspace(1e-300, 1e-12, 9)[:-1]]
+    + [float(a) for a in np.geomspace(1e-12, 28.0, 39)]
+)
 
 
 @pytest.mark.parametrize("order", [0.5, 1.5, 2.5])
 def test_dense_sweep_against_mpmath(order):
-    """The 1e-10 relative-accuracy contract, checked densely in log space."""
+    """Relative error within 4e-15 of mpmath, checked densely in log space,
+    for quantum_integral and for density_and_slope's element of this order.
+    z = e^-alpha keeps alpha's digits only if mpmath carries 30 past them."""
     mpmath = pytest.importorskip("mpmath")
+    element = {1.5: 0, 0.5: 1}.get(order)
+
+    def check(stat, y, want):
+        assert rel(quantum_integral(stat, order, log_z=y), want) <= 4e-15, y
+        if element is not None:
+            assert rel(density_and_slope(stat, y)[element], want) <= 4e-15, y
+
     with mpmath.workdps(30):
         for x in DENSE_FD_LOG_Z:
-            want = float((-mpmath.polylog(order, -mpmath.exp(x))).real)
-            assert rel(quantum_integral(FD, order, log_z=x), want) <= 1e-10, x
-        for alpha in DENSE_BE_ALPHA:
-            if order == 0.5 and alpha == 0.0:
-                continue  # g_{1/2}(1) diverges
-            want = float(mpmath.polylog(order, mpmath.exp(-alpha)).real)
-            assert rel(quantum_integral(BE, order, log_z=-alpha), want) <= 1e-10, alpha
+            check(FD, x, float((-mpmath.polylog(order, -mpmath.exp(x))).real))
+    for alpha in DENSE_BE_ALPHA:
+        if order == 0.5 and alpha == 0.0:
+            continue  # g_{1/2}(1) diverges
+        with mpmath.workdps(30 + max(0, -math.floor(math.log10(alpha or 1.0)))):
+            check(BE, -alpha, float(mpmath.polylog(order, mpmath.exp(-mpmath.mpf(alpha))).real))
+
+
+@pytest.mark.parametrize("alpha", [1e-200, 1e-300, 5e-324])
+def test_bose_edge_at_tiny_alpha(alpha):
+    # g_{1/2} ~ sqrt(pi/alpha) stays finite where the lead alpha^(-3/2) of
+    # g_{-1/2}, summed beside it, overflows; g_{3/2} and g_{5/2} are zeta
+    g = {nu: quantum_integral(BE, nu, log_z=-alpha) for nu in (0.5, 1.5, 2.5)}
+    assert rel(g[0.5], math.sqrt(math.pi) / math.sqrt(alpha)) <= 1e-15
+    assert g[1.5] == ZETA_THREE_HALVES
+    assert g[2.5] == ZETA_FIVE_HALVES
+    assert density_and_slope(BE, -alpha) == (g[1.5], g[0.5])
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -376,10 +399,12 @@ def test_seams_select_both_branches():
 @pytest.mark.parametrize("stat", [FD, BE], ids=["fd", "be"])
 def test_density_and_slope_matches_quantum_integral(stat):
     # the solver's fused call gives F_{3/2} and F_{1/2} bit for bit as
-    # quantum_integral does, in every branch
-    grid = [-30.0, -1.5, -1.0, -0.3, -1e-9, 0.0]
+    # quantum_integral does, in every branch and on both sides of every seam
+    grid = [-30.0, -1.5, -0.3, -1e-9, 0.0] + _both_sides(-1.0)
     if stat is FD:
-        grid += [0.5, 3.0, 9.0, 20.0, 50.0, 65.0, 300.0, 1e150]
+        grid += [0.5, 3.0, 9.0, 20.0, 50.0, 300.0, 1e150]
+        for seam in list(_kernel_tables.FD_EDGES) + [specfun.SOMMERFELD_LOG_Z]:
+            grid += _both_sides(seam)
     for y in grid:
         pair = density_and_slope(stat, y)
         assert pair == (
@@ -457,6 +482,22 @@ class TestThermalWavelength:
         lam = thermal_wavelength(m_e, 300.0, UnitSystem.SI)
         assert rel(lam, LAMBDA_ELECTRON_300K) < 1e-12
         assert lam == pytest.approx(4.30e-9, rel=1e-2)
+
+    def test_product_past_double_range(self):
+        # m k T underflows (to 0, or to a subnormal whose 2 pi/(m k T)
+        # overflows) or overflows, while lambda is a finite double
+        root = math.sqrt(2.0 * math.pi)
+        for m, T, want in [(1e-200, 1e-200, root * 1e200), (1e-160, 1e-160, root * 1e160),
+                           (1e300, 1e300, root * 1e-300)]:
+            assert rel(thermal_wavelength(m, T), want) <= 1e-15, (m, T)
+        assert rel(thermal_wavelength(9.1093837015e-31, 1e-280, UnitSystem.SI),
+                   LAMBDA_ELECTRON_300K * math.sqrt(300.0 / 1e-280)) <= 1e-12
+        assert thermal_wavelength(5e-324, 5e-324) == math.inf
+
+    def test_bits_kept_inside_double_range(self):
+        for m in (1e-150, 1e-30, 1.0, 1e30, 1e150):
+            for T in (1e-150, 1e-3, 1.0, 1e150):
+                assert thermal_wavelength(m, T) == math.sqrt(2.0 * math.pi / (m * T)), (m, T)
 
     def test_rejects_non_positive(self):
         with pytest.raises(DomainError):
