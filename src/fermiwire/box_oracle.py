@@ -153,6 +153,14 @@ def enumerate_levels(
     )
 
 
+def _pow_or_inf(x, p):
+    # x ** p, which raises OverflowError past double range, with inf there
+    try:
+        return x ** p
+    except OverflowError:
+        return math.inf
+
+
 def _parity_weights(energies):
     # n = 0 stands for itself, every n > 0 for the pair +n, -n
     import numpy as np
@@ -171,12 +179,14 @@ def truncation_bound(spec, z, beta):
     Maxwell-Boltzmann as an upper bound; Fermi-Dirac occupations are
     smaller still.  For Bose-Einstein it underestimates by at most
     1/(1 - z e^(-beta eps_cut)), which is ~1 whenever the cutoff is sane.
+    DomainError when an axis's 2 m L^2 or s is not a positive finite double.
     """
     h = constants_for(spec.unit_system).h
     thetas = []
     tails = []
     for L, c in zip(spec.edge_lengths, spec.cutoff):
-        s = beta * h * h / (2.0 * spec.m * L * L)
+        two_m_L2 = _positive("2 m L^2", 2.0 * spec.m * L * L)
+        s = _positive("s = beta h^2/(2 m L^2)", beta * h * h / two_m_L2)
         thetas.append(math.fsum(math.exp(-s * n * n) for n in range(-c, c + 1)))
         tails.append(math.sqrt(math.pi / s) * math.erfc(math.sqrt(s) * c))
     # expand prod(theta + tail) - prod(theta) term by term; the direct
@@ -198,8 +208,9 @@ def direct_number_sum(spec, stat, z, beta):
 
     The x-slabs n_x = 0..c_x are summed in order, each over the same
     (c_y+1) x (c_z+1) plane of transverse energies with parity weights, and
-    the slab sums are added with math.fsum.  truncation_bound estimates
-    what the cutoffs leave out.
+    the slab sums are added with math.fsum.  A level whose beta*eps
+    overflows holds 0, and a sum past double range reads inf.
+    truncation_bound estimates what the cutoffs leave out.
     """
     _positive("z", z)
     _positive("beta", beta)
@@ -217,12 +228,16 @@ def direct_number_sum(spec, stat, z, beta):
     # temporaries depended on the heap layout left by import order
     w, n = np.empty_like(plane), np.empty_like(plane)
     slab_sums = []
-    for e, weight in zip(ex, _parity_weights(ex)):
-        # w = beta * (plane + e) - ln z
-        np.subtract(np.multiply(np.add(plane, e, out=w), beta, out=w), log_z, out=w)
-        _occupations(stat, w, n)
-        slab_sums.append(weight * float(np.sum(np.multiply(n, plane_weights, out=n))))
-    return math.fsum(slab_sums)
+    with np.errstate(over="ignore"):
+        for e, weight in zip(ex, _parity_weights(ex)):
+            # w = beta * (plane + e) - ln z
+            np.subtract(np.multiply(np.add(plane, e, out=w), beta, out=w), log_z, out=w)
+            _occupations(stat, w, n)
+            slab_sums.append(weight * float(np.sum(np.multiply(n, plane_weights, out=n))))
+    try:
+        return math.fsum(slab_sums)
+    except OverflowError:  # finite slab sums whose total passes the largest double
+        return math.inf
 
 
 ContinuumComparison = namedtuple(
@@ -239,20 +254,22 @@ def compare_continuum(spec, stat, z, beta):
     sigma_tilde = (lambda/a)^2, under which it is the pure 1D count
     (L/lambda) F_{1/2}(z).  Relative errors are against N_discrete;
     ground_mode_fraction is the occupation share of levels with no
-    transverse excitation.  DomainError when lambda^3 or (lambda/a)^2
-    overflows a double.
+    transverse excitation.  DomainError when the volume V = L a^2,
+    lambda^3, (lambda/a)^2 or a denominator (N_discrete, V F_{1/2}(z)) is
+    not a positive finite double.
     """
     h = constants_for(spec.unit_system).h
     lam = h * math.sqrt(beta / (2.0 * math.pi * spec.m))
-    volume = spec.L_long * spec.a_transverse ** 2
+    volume = _positive("V = L a^2", spec.L_long * _pow_or_inf(spec.a_transverse, 2))
 
-    n_disc = direct_number_sum(spec, stat, z, beta)
-    try:
-        lam3, sigma_tilde = lam ** 3, (lam / spec.a_transverse) ** 2
-    except OverflowError:
-        raise DomainError("lambda^3 or (lambda/a)^2 overflows at lambda = %r" % (lam,)) from None
+    n_disc = _positive("N_discrete", direct_number_sum(spec, stat, z, beta))
+    lam3, sigma_tilde = _pow_or_inf(lam, 3), _pow_or_inf(lam / spec.a_transverse, 2)
+    if not (0.0 < lam3 < math.inf and 0.0 < sigma_tilde < math.inf):
+        raise DomainError(
+            "lambda^3 or (lambda/a)^2 overflows or underflows a double at lambda = %r" % (lam,))
     f32 = quantum_integral(stat, QuantumIntegralOrder.THREE_HALVES, z)
     f12 = quantum_integral(stat, QuantumIntegralOrder.ONE_HALF, z)
+    fitted_denominator = _positive("V F_1/2(z)", volume * f12)
     n_3d = volume * f32 / lam3
     n_q1d = volume * sigma_tilde * f12 / lam3
 
@@ -266,6 +283,6 @@ def compare_continuum(spec, stat, z, beta):
         rel_err_3d=abs(n_disc - n_3d) / n_disc,
         rel_err_quasi1d=abs(n_disc - n_q1d) / n_disc,
         ground_mode_fraction=ground / n_disc,
-        sigma_tilde_fitted=n_disc * lam3 / (volume * f12),
+        sigma_tilde_fitted=n_disc * lam3 / fitted_denominator,
         truncation_bound=truncation_bound(spec, z, beta),
     )

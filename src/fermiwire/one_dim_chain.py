@@ -4,7 +4,8 @@ A chain of N fermions on length L has spacing d = L/N, Fermi velocity
 v_F = hbar pi/(m d), and a 1D radiation energy density
 e = pi (kT)^2/(6 hbar v_F).  Demanding kT = e*d closes the loop and pins
 kT = 6 hbar^2/(m d^2), a fixed fraction 12/(6 pi^2)^(2/3) ~ 0.790 of the
-Fermi temperature built from nu = d^3.
+Fermi temperature built from nu = d^3.  closure_temperature forms it free of
+scale, so its fixed-point residual holds wherever T is a normal double.
 """
 
 import math
@@ -46,9 +47,9 @@ ClosureResult = namedtuple("ClosureResult", "T ratio residual")
 
 
 def fermi_velocity(chain, unit_system=UnitSystem.REDUCED):
-    """v_F = hbar pi / (m d)."""
-    consts = constants_for(unit_system)
-    return consts.hbar * math.pi / (chain.m * chain.d)
+    """v_F = hbar pi / (m d); inf where that overflows, m d underflowing to 0 too."""
+    md = chain.m * chain.d
+    return constants_for(unit_system).hbar * math.pi / md if md else math.inf
 
 
 def energy_density_1d(T, v_F, unit_system=UnitSystem.REDUCED):
@@ -61,24 +62,23 @@ def energy_density_1d(T, v_F, unit_system=UnitSystem.REDUCED):
 def closure_temperature(chain, unit_system=UnitSystem.REDUCED):
     """Solve kT = e(T) * d for the chain; the fixed point is analytic.
 
-    Substituting e = pi (kT)^2/(6 hbar v_F) and v_F = hbar pi/(m d) turns
-    kT = e*d into kT = 6 hbar^2/(m d^2), the unique positive solution.
-    The ratio against kT_F = (hbar^2/2m)(6 pi^2)^(2/3)/d^2 (nu = d^3) is
-    the pure constant 12/(6 pi^2)^(2/3), independent of d and m.  DomainError
-    when kT leaves double range; residual is inf or nan where (kT)^2 or v_F does.
+    With e = pi (kT)^2/(6 hbar v_F) and v_F = hbar pi/(m d), kT = e*d has
+    the one positive root kT = 6 hbar^2/(m d^2); its ratio to
+    kT_F = (hbar^2/2m)(6 pi^2)^(2/3)/d^2 (nu = d^3) is 12/(6 pi^2)^(2/3).
+    All of it is formed at the binary mantissas of m and d, where every
+    intermediate is a normal double in both unit systems; T and the residual
+    scale back by 2^(-e_m - 2 e_d), which changes no rounding.  DomainError
+    naming the chain where T is not a normal double.
     """
     consts = constants_for(unit_system)
-    d = chain.d
-    md2 = chain.m * d * d
-    kT = 6.0 * consts.hbar ** 2 / md2 if md2 else math.inf
-    if not kT < math.inf:
-        raise DomainError("kT = 6 hbar^2/(m d^2) leaves double range at %r" % (chain,))
+    (m, e_m), (d, e_d) = math.frexp(chain.m), math.frexp(chain.d)
+    scale = -e_m - 2 * e_d
+    kT = 6.0 * consts.hbar ** 2 / (m * d * d)
     T = kT / consts.k_B
-    v_F = fermi_velocity(chain, unit_system)
-    # energy_density_1d rejects the v_F = inf of a tiny m d; no residual can be formed there
-    residual = abs(kT - energy_density_1d(T, v_F, unit_system) * d) if v_F < math.inf else math.nan
-    # the ratio is free of m and d: form it at their mantissas, which changes
-    # no rounding and cannot overflow
-    m, d = math.frexp(chain.m)[0], math.frexp(d)[0]
+    # T 2^scale = f 2^e with f in [0.5, 1) is normal for -1021 <= e <= 1024
+    if not -1022 < math.frexp(T)[1] + scale <= 1024:
+        raise DomainError("T = 6 hbar^2/(m d^2 k_B) is not a normal double at %r" % (chain,))
+    v_F = fermi_velocity(ChainParameters(1.0, d, m), unit_system)
+    residual = abs(kT - energy_density_1d(T, v_F, unit_system) * d)
     kT_F = (consts.hbar ** 2 / (2.0 * m)) * (6.0 * math.pi ** 2) ** (2.0 / 3.0) / (d * d)
-    return ClosureResult(T=T, ratio=6.0 * consts.hbar ** 2 / (m * d * d) / kT_F, residual=residual)
+    return ClosureResult(math.ldexp(T, scale), kT / kT_F, math.ldexp(residual, scale))

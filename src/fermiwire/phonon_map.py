@@ -33,8 +33,10 @@ class PhononMedium(namedtuple("PhononMedium", "c nu")):
         self = super().__new__(cls, *args, **kwargs)
         for name in ("c", "nu"):
             _positive(name, getattr(self, name))
-        if not math.isfinite(debye_omega_max(self)):
-            raise DomainError("Debye frequency overflows at c = %r, nu = %r" % (self.c, self.nu))
+        omega_max = debye_omega_max(self)
+        if not 0.0 < omega_max < math.inf:
+            raise DomainError("Debye frequency %s at c = %r, nu = %r" % (
+                "underflows" if omega_max == 0.0 else "overflows", self.c, self.nu))
         return self
 
 
@@ -69,13 +71,14 @@ def correspondence_check(medium, m, unit_system=UnitSystem.REDUCED):
 
     The two sides are identical closed forms, so the relative differences
     are pure floating-point noise (<= 1e-12 by a wide margin); the report
-    carries them so callers can assert rather than trust.
+    carries them so callers can assert rather than trust.  DomainError when
+    one of eps_m, p_m, eps_F, p_F is not a positive finite double.
     """
     params = GasParameters(m=m, T=1.0, nu=medium.nu, unit_system=unit_system)
-    eps_m = phonon_max_energy(medium, m, unit_system)
-    p_m = debye_momentum(medium, unit_system)
-    eps_f = fermi_energy(params)
-    p_f = fermi_momentum(params)
+    eps_m = _positive("eps_m", phonon_max_energy(medium, m, unit_system))
+    p_m = _positive("p_m", debye_momentum(medium, unit_system))
+    eps_f = _positive("eps_F", fermi_energy(params))
+    p_f = _positive("p_F", fermi_momentum(params))
     return CorrespondenceReport(
         eps_m=eps_m,
         eps_F=eps_f,

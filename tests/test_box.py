@@ -140,6 +140,19 @@ class TestDirectSum:
         with pytest.raises(CondensationError):
             direct_number_sum(spec, BE, 1.0, BETA)
 
+    @pytest.mark.parametrize("z", [9e306, 1.7e308], ids=["total", "slab"])
+    def test_sum_past_double_range_reads_inf(self, z):
+        # 27 levels near eps = 0 hold about z each: the slab sums 9z and 18z
+        # stay finite at z = 9e306 and their total does not (math.fsum raised
+        # OverflowError); at 1.7e308 a slab overflows (a RuntimeWarning)
+        spec = enumerate_levels(1e100, 1e100, 1.0, cutoff=1)
+        assert direct_number_sum(spec, MB, z, 1.0) == math.inf
+
+    def test_levels_past_double_range_hold_zero(self):
+        # beta (h/L)^2/2m overflows at the top levels: a RuntimeWarning, though they hold 0
+        spec = enumerate_levels(1e-55, 1.0, 1.0, cutoff=1)
+        assert direct_number_sum(spec, MB, 0.5, 1e200) == 0.5
+
     def test_determinism_bit_identical(self):
         spec = enumerate_levels(3.0, 1.0, 1.0, beta=BETA)
         runs = {direct_number_sum(spec, FD, 0.7, BETA) for _ in range(5)}

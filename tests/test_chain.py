@@ -1,15 +1,19 @@
 import math
+import random
 import re
+import sys
 
 import pytest
 
 from fermiwire import (
     CLOSURE_RATIO,
     ChainParameters,
+    ClosureResult,
     DomainError,
     GasParameters,
     UnitSystem,
     closure_temperature,
+    constants_for,
     energy_density_1d,
     fermi_temperature,
     fermi_velocity,
@@ -136,7 +140,10 @@ def test_chain_rejects_non_finite_input(N, L, m, field):
         (1.0, 1.0, 1e-320, False),  # kT overflows
         (1.0, 1e10, 1e-308, True),  # hbar^2/(2m) (6 pi^2)^(2/3) overflows, kT does not
         (1.0, 1.0, 4e-308, True),  # kT = 1.5e308, so kT_F = 1.27 kT is past double range
-        (1.0, 10.0, 1e-309, True),  # v_F = hbar pi/(m d) overflows, kT does not
+        (1.0, 10.0, 1e-309, True),  # v_F = hbar pi/(m d) overflows, kT does not: residual nan
+        (1.0, 1e-80, 1.0, True),  # (kT)^2 overflows: residual inf
+        (1.0, 1e80, 1.0, True),  # (kT)^2 is subnormal: residual 1.9e-6 kT
+        (1.0, 1e160, 1.0, False),  # T is 6e-320, and read 0: "T must be a positive finite ..."
     ],
 )
 def test_closure_at_the_edges_of_double_range(N, L, m, in_range):
@@ -149,3 +156,78 @@ def test_closure_at_the_edges_of_double_range(N, L, m, in_range):
     result = closure_temperature(chain)
     assert 0.0 < result.T < math.inf
     assert abs(result.ratio - CLOSURE_RATIO) <= 1e-12
+    assert result.residual <= 1e-12 * result.T
+
+
+@pytest.mark.parametrize("N, L, m", [(1.0, 1e-200, 1e-200), (1.0, 1e-150, 1e-170)])
+def test_fermi_velocity_past_double_range(N, L, m):
+    # m d underflowed to 0 in the first and divided by zero; the second was inf already
+    assert fermi_velocity(ChainParameters(N=N, L=L, m=m)) == math.inf
+
+
+def test_fermi_velocity_keeps_its_bits():
+    for chain in (ChainParameters(3.0, 0.7, 1.3), ChainParameters(1.0, 1e-150, 1e-157)):
+        assert fermi_velocity(chain) == math.pi / (chain.m * chain.d)
+
+
+def reference_closure(chain, unit_system):
+    """The closure formed at m and d themselves, as it was before its mantissa form.
+
+    None where an intermediate of that formula is not a normal double.
+    """
+    consts = constants_for(unit_system)
+    d = chain.d
+    md, md2 = chain.m * d, chain.m * d * d
+    try:
+        kT = 6.0 * consts.hbar ** 2 / md2
+        T = kT / consts.k_B
+        v_F = consts.hbar * math.pi / md
+        kT2 = consts.k_B * T
+        e = math.pi * kT2 * kT2 / (6.0 * consts.hbar * v_F)
+    except ZeroDivisionError:
+        return None
+    steps = [md, md2, kT, T, v_F, kT2, math.pi * kT2, math.pi * kT2 * kT2,
+             6.0 * consts.hbar * v_F, e, e * d]
+    if not all(sys.float_info.min <= x < math.inf for x in steps):
+        return None
+    residual = abs(kT - e * d)
+    m, d = math.frexp(chain.m)[0], math.frexp(d)[0]
+    kT_F = (consts.hbar ** 2 / (2.0 * m)) * (6.0 * math.pi ** 2) ** (2.0 / 3.0) / (d * d)
+    return ClosureResult(T=T, ratio=6.0 * consts.hbar ** 2 / (m * d * d) / kT_F, residual=residual)
+
+
+def log_uniform(rng, lo, hi):
+    return 10.0 ** rng.uniform(lo, hi)
+
+
+@pytest.mark.parametrize("unit_system", list(UnitSystem))
+def test_closure_matches_its_reference_bit_for_bit(unit_system):
+    rng = random.Random(20)
+    compared = 0
+    for _ in range(16000):
+        chain = ChainParameters(log_uniform(rng, -5, 5), log_uniform(rng, -100, 100),
+                                log_uniform(rng, -100, 100))
+        reference = reference_closure(chain, unit_system)
+        if reference is not None:
+            assert closure_temperature(chain, unit_system) == reference, chain
+            compared += 1
+    assert compared >= 10000
+
+
+@pytest.mark.parametrize("unit_system", list(UnitSystem))
+def test_closure_holds_at_every_scale(unit_system):
+    # the residual was inf or 1.9e-6 kT at the ends of double range, and a T
+    # that underflowed to 0 was blamed on the temperature argument
+    k_B = constants_for(unit_system).k_B
+    rng = random.Random(21)
+    for _ in range(10000):
+        chain = ChainParameters(log_uniform(rng, -5, 5), log_uniform(rng, -170, 170),
+                                log_uniform(rng, -300, 300))
+        try:
+            result = closure_temperature(chain, unit_system)
+        except DomainError as exc:
+            assert repr(chain) in str(exc)
+            continue
+        assert abs(result.ratio - CLOSURE_RATIO) <= 1e-12, chain
+        kT = k_B * result.T
+        assert kT < sys.float_info.min or result.residual <= 1e-12 * kT, chain

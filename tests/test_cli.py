@@ -475,6 +475,10 @@ EXIT_TWO_CASES = [
     (["tabulate", "phonon", "--nu", "0:1:2"], None),
     (["tabulate", "phonon", "--c", "inf"], None),
     (["tabulate", "phonon", "--nu", "1e-320:1e-320:1"], None),  # Debye frequency overflows
+    # these raised ZeroDivisionError: omega_max underflows to 0, and 2m overflows
+    (["tabulate", "phonon", "--nu", "1e300:1e300:1", "--c", "1e-300"], None),
+    (["tabulate", "phonon", "--m", "1e308"], None),
+    (["tabulate", "phonon", "--m", "1e-320"], None),  # eps_m = eps_F = inf: a nan row, exit 0
     # config files and an output path the scan cannot use
     (["scan"], {"T": {"min": 1, "max": 2}}),  # an axis object without points
     (["scan"], {"T": 5}),  # an axis neither text nor an object
@@ -652,9 +656,24 @@ class TestTabulate:
             (["--L", "0"], '"L_long must be a positive finite number, got 0.0"'),
             (["--a", "inf"], '"a_transverse must be a positive finite number, got inf"'),
             (["--z", "inf"], '"z must be a positive finite number, got inf"'),
+            # these raised: a^2 overflowed, lambda^3 underflowed to 0, V F_{1/2}(z)
+            # underflowed to 0, and s = beta h^2/(2 m L^2) with it as 2 m L^2
+            # overflowed, then in SI 2 m a^2 underflowed to 0
+            (["--cutoff", "1", "--a", "1e200"], "V = L a^2 must be a positive finite number"),
+            (["--cutoff", "1", "--T", "1e300"],
+             "lambda^3 or (lambda/a)^2 overflows or underflows a double"),
+            (["--cutoff", "1", "--T", "1e-150", "--L", "1e-150", "--z", "1e-300"],
+             '"V F_1/2(z) must be a positive finite number, got 0.0"'),
+            (["--cutoff", "1", "--L", "1e300"], '"2 m L^2 must be a positive finite number, got inf"'),
+            (["--cutoff", "1", "--a", "1e-150", "--units", "si"],
+             '"2 m L^2 must be a positive finite number, got 0.0"'),
+            # an MB box sum past double range: a RuntimeWarning, then a row of nan
+            (["--cutoff", "1", "--stat", "mb", "--z", "1.7e308", "--units", "si", "--T", "1",
+              "--L", "1", "--a", "1"], '"N_discrete must be a positive finite number, got inf"'),
         ],
         ids=["be z=1", "T=1e-300", "L=a=1e-300", "L=T=1e300", "si T=1e-310", "L=0", "a=inf",
-             "z=inf"],
+             "z=inf", "a=1e200", "T=1e300", "V F_1/2 underflows", "L=1e300", "si a=1e-150",
+             "mb sum overflows"],
     )
     def test_oracle_error_row(self, capsys, args, message):
         code = main(["oracle", *args])
