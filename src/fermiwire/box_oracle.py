@@ -16,6 +16,7 @@ importing the package does not load it.
 """
 
 import math
+import sys
 from collections import namedtuple
 
 from .constants import UnitSystem, constants_for
@@ -153,14 +154,6 @@ def enumerate_levels(
     )
 
 
-def _pow_or_inf(x, p):
-    # x ** p, which raises OverflowError past double range, with inf there
-    try:
-        return x ** p
-    except OverflowError:
-        return math.inf
-
-
 def _parity_weights(energies):
     # n = 0 stands for itself, every n > 0 for the pair +n, -n
     import numpy as np
@@ -170,37 +163,39 @@ def _parity_weights(energies):
     return weights
 
 
+def _axis_scales(spec, beta):
+    # s_i = beta eps_1 = pi (lambda/L_i)^2 from each axis's n = 1 level, so no
+    # constant enters; a subnormal eps_1 would leave s fewer than 53 bits
+    eps_1 = [float(levels[1]) for levels in spec.axis_levels]
+    for axis, e in zip("xyz", eps_1):
+        if not (e >= sys.float_info.min and 0.0 < beta * e < math.inf):
+            raise DomainError("s = beta eps_1 must be a positive finite number from a normal"
+                              " eps_1, got %r from eps_1 = %r on axis %s" % (beta * e, e, axis))
+    return [beta * e for e in eps_1]
+
+
 def truncation_bound(spec, z, beta):
     """Upper estimate of the occupation weight lost beyond the cutoffs.
 
     Per axis the discarded Boltzmann weight is below the Gaussian integral
-    tail sqrt(pi/s) * erfc(sqrt(s) c) with s = beta h^2/(2 m L^2); the
-    bound is the product defect of the per-axis theta sums.  Exact for
-    Maxwell-Boltzmann as an upper bound; Fermi-Dirac occupations are
-    smaller still.  For Bose-Einstein it underestimates by at most
-    1/(1 - z e^(-beta eps_cut)), which is ~1 whenever the cutoff is sane.
-    DomainError when an axis's 2 m L^2 or s is not a positive finite double.
+    tail sqrt(pi/s) * erfc(sqrt(s) c) with s = beta eps_1 = pi (lambda/L)^2,
+    eps_1 the axis's n = 1 level; the bound is the product defect of the
+    per-axis theta sums.  Exact for Maxwell-Boltzmann as an upper bound;
+    Fermi-Dirac occupations are smaller still.  For Bose-Einstein it
+    underestimates by at most 1/(1 - z e^(-beta eps_cut)), which is ~1
+    whenever the cutoff is sane.  DomainError when an s is not a positive
+    finite double or its eps_1 is subnormal.
     """
-    h = constants_for(spec.unit_system).h
-    thetas = []
-    tails = []
-    for L, c in zip(spec.edge_lengths, spec.cutoff):
-        two_m_L2 = _positive("2 m L^2", 2.0 * spec.m * L * L)
-        s = _positive("s = beta h^2/(2 m L^2)", beta * h * h / two_m_L2)
+    thetas, tails = [], []
+    for s, c in zip(_axis_scales(spec, beta), spec.cutoff):
         thetas.append(math.fsum(math.exp(-s * n * n) for n in range(-c, c + 1)))
         tails.append(math.sqrt(math.pi / s) * math.erfc(math.sqrt(s) * c))
-    # expand prod(theta + tail) - prod(theta) term by term; the direct
-    # subtraction cancels to zero once the tails drop below one ulp
-    defect = 0.0
-    for i, tail in enumerate(tails):
-        term = tail
-        for j, theta in enumerate(thetas):
-            if j < i:
-                term *= theta
-            elif j > i:
-                term *= theta + tails[j]
-        defect += term
-    return z * defect
+    # expand prod(theta + tail) - prod(theta) term by term: tail i times the
+    # thetas before it and the theta + tail after it; the direct subtraction
+    # cancels to zero once the tails drop below one ulp
+    grown = [theta + tail for theta, tail in zip(thetas, tails)]
+    return z * math.fsum(math.prod(thetas[:i] + grown[i + 1:], start=tail)
+                         for i, tail in enumerate(tails))
 
 
 def direct_number_sum(spec, stat, z, beta):
@@ -249,29 +244,22 @@ ContinuumComparison = namedtuple(
 def compare_continuum(spec, stat, z, beta):
     """Discrete sum against both continuum replacements of it.
 
-    N_continuum_3d is (V/h^3) integral d^3p n(p) = V F_{3/2}(z)/lambda^3;
-    the quasi-1D variant takes the freeze-out cross-section
-    sigma_tilde = (lambda/a)^2, under which it is the pure 1D count
-    (L/lambda) F_{1/2}(z).  Relative errors are against N_discrete;
-    ground_mode_fraction is the occupation share of levels with no
-    transverse excitation.  DomainError when the volume V = L a^2,
-    lambda^3, (lambda/a)^2 or a denominator (N_discrete, V F_{1/2}(z)) is
-    not a positive finite double.
+    N_continuum_3d is (V/h^3) integral d^3p n(p) = (V/lambda^3) F_{3/2}(z);
+    the quasi-1D variant takes the freeze-out cross-section sigma_tilde =
+    (lambda/a)^2, under which it is the pure 1D count (L/lambda) F_{1/2}(z).
+    Both come from the box's s_i of truncation_bound: L/lambda = sqrt(pi/s_x)
+    and V/lambda^3 = (L/lambda) pi/s_y.  Relative errors are against
+    N_discrete; ground_mode_fraction is the occupation share of levels with
+    no transverse excitation.  DomainError when an s_i, N_discrete,
+    V/lambda^3 or (V/lambda^3) F_{1/2}(z) is not a positive finite double.
     """
-    h = constants_for(spec.unit_system).h
-    lam = h * math.sqrt(beta / (2.0 * math.pi * spec.m))
-    volume = _positive("V = L a^2", spec.L_long * _pow_or_inf(spec.a_transverse, 2))
-
     n_disc = _positive("N_discrete", direct_number_sum(spec, stat, z, beta))
-    lam3, sigma_tilde = _pow_or_inf(lam, 3), _pow_or_inf(lam / spec.a_transverse, 2)
-    if not (0.0 < lam3 < math.inf and 0.0 < sigma_tilde < math.inf):
-        raise DomainError(
-            "lambda^3 or (lambda/a)^2 overflows or underflows a double at lambda = %r" % (lam,))
-    f32 = quantum_integral(stat, QuantumIntegralOrder.THREE_HALVES, z)
+    s_x, s_y, _ = _axis_scales(spec, beta)
+    l_lam = math.sqrt(math.pi / s_x)
+    v_lam3 = _positive("V/lambda^3", l_lam * (math.pi / s_y))
+    n_3d = v_lam3 * quantum_integral(stat, QuantumIntegralOrder.THREE_HALVES, z)
     f12 = quantum_integral(stat, QuantumIntegralOrder.ONE_HALF, z)
-    fitted_denominator = _positive("V F_1/2(z)", volume * f12)
-    n_3d = volume * f32 / lam3
-    n_q1d = volume * sigma_tilde * f12 / lam3
+    n_q1d = l_lam * f12
 
     w = spec.levels_transverse_ground * beta
     w -= math.log(z)
@@ -283,6 +271,6 @@ def compare_continuum(spec, stat, z, beta):
         rel_err_3d=abs(n_disc - n_3d) / n_disc,
         rel_err_quasi1d=abs(n_disc - n_q1d) / n_disc,
         ground_mode_fraction=ground / n_disc,
-        sigma_tilde_fitted=n_disc * lam3 / fitted_denominator,
+        sigma_tilde_fitted=n_disc / _positive("(V/lambda^3) F_1/2(z)", v_lam3 * f12),
         truncation_bound=truncation_bound(spec, z, beta),
     )

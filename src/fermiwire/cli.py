@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from collections import namedtuple
+from functools import lru_cache
 
 from .box_oracle import compare_continuum, enumerate_levels
 from .constants import UnitSystem, constants_for
@@ -424,7 +425,9 @@ def _add_command(subparsers, name):
     parser.set_defaults(command=name)
 
 
-def main(argv=None):
+@lru_cache(maxsize=None)
+def _parser():
+    # built once per process: parsing leaves the tree as it was
     parser = argparse.ArgumentParser(
         prog="fermiwire",
         description="Quantum statistics of fermions in a quasi-1D wire",
@@ -437,8 +440,11 @@ def main(argv=None):
     for kind in ("occupation", "phonon", "oracle"):
         _add_command(kinds, kind)
     _add_command(sub, "oracle")
+    return parser
 
-    settings = vars(parser.parse_args(argv))
+
+def main(argv=None):
+    settings = vars(_parser().parse_args(argv))
     run, _, keys = _COMMANDS[settings.pop("command")]
     try:
         if "config" in settings:  # the flags given are laid over the file's settings

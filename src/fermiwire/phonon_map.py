@@ -1,7 +1,7 @@
 """Debye-side correspondence: maximum phonon frequency, momentum, energy.
 
-The Debye cutoff omega_m = c (6 pi^2/nu)^(1/3) carries a de Broglie
-momentum p_m = hbar omega_m / c in which the sound speed cancels, so the
+The Debye cutoff wavenumber k_m = (6 pi^2/nu)^(1/3) gives omega_m = c k_m
+and the de Broglie momentum p_m = hbar k_m, free of the sound speed, so the
 maximum phonon energy p_m^2/2m coincides with the Fermi energy built from
 the same specific volume and the same spinless counting.
 """
@@ -44,20 +44,24 @@ CorrespondenceReport = namedtuple(
     "CorrespondenceReport", "eps_m eps_F p_m p_F rel_diff_energy rel_diff_momentum")
 
 
+def _debye_wavenumber(medium):
+    # k_m = (6 pi^2 / nu)^(1/3), the cutoff wavenumber
+    return (6.0 * math.pi ** 2 / medium.nu) ** (1.0 / 3.0)
+
+
 def debye_omega_max(medium):
-    """omega_m = c (6 pi^2 / nu)^(1/3)."""
-    return medium.c * (6.0 * math.pi ** 2 / medium.nu) ** (1.0 / 3.0)
+    """omega_m = c k_m = c (6 pi^2 / nu)^(1/3)."""
+    return medium.c * _debye_wavenumber(medium)
 
 
 def debye_wavelength(medium):
-    """lambda_m = 2 pi c / omega_m, the wavelength at the Debye cutoff."""
-    return 2.0 * math.pi * medium.c / debye_omega_max(medium)
+    """lambda_m = 2 pi / k_m, the wavelength at the Debye cutoff; c-free."""
+    return 2.0 * math.pi / _debye_wavenumber(medium)
 
 
 def debye_momentum(medium, unit_system=UnitSystem.REDUCED):
-    """p_m = hbar omega_m / c; the sound speed cancels."""
-    consts = constants_for(unit_system)
-    return consts.hbar * debye_omega_max(medium) / medium.c
+    """p_m = hbar k_m = hbar omega_m / c, formed without c."""
+    return constants_for(unit_system).hbar * _debye_wavenumber(medium)
 
 
 def phonon_max_energy(medium, m, unit_system=UnitSystem.REDUCED):

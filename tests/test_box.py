@@ -1,6 +1,7 @@
 """Discrete box spectrum against its own theta-sum oracle and the continuum."""
 
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -9,11 +10,16 @@ import pytest
 from fermiwire import (
     CondensationError,
     DomainError,
+    QuantumIntegralOrder,
     ResourceLimitError,
     Statistics,
+    UnitSystem,
     compare_continuum,
+    constants_for,
     direct_number_sum,
     enumerate_levels,
+    quantum_integral,
+    thermal_wavelength,
     truncation_bound,
 )
 from oracles import brute_box_number, mb_box_number, theta_sum
@@ -239,3 +245,64 @@ class TestCompareContinuum:
         spec = enumerate_levels(20.0, 20.0, 1.0, beta=BETA)
         report = compare_continuum(spec, FD, 0.5, BETA)
         assert report.rel_err_3d < 1e-2
+
+
+def seeded_boxes(unit_system, count, seed=1):
+    """(L, a, T, z, stat, cutoff) boxes with edges 1e-40..1e40 thermal wavelengths
+    and T in 1e-100..1e100, in the unit system's own units."""
+    rng = random.Random(seed)
+    m = constants_for(unit_system).mass_ref
+    for _ in range(count):
+        stat = rng.choice(list(Statistics))
+        T = 10.0 ** rng.uniform(-100, 100)
+        lam = thermal_wavelength(m, T, unit_system)
+        L, a = (lam * 10.0 ** rng.uniform(-40, 40) for _ in range(2))
+        z = 10.0 ** rng.uniform(-30, -1e-6 if stat is BE else 2)
+        yield L, a, T, z, stat, tuple(rng.randint(1, 3) for _ in range(3))
+
+
+# at a = 1e-150 in SI, 2 m a^2 underflows while the box's levels are finite
+SI_THIN_BOX = (3.0, 1e-150, 2.0 * math.pi, 1.0, FD, (1, 1, 1))
+
+
+@pytest.mark.parametrize("unit_system", list(UnitSystem), ids=lambda u: u.value)
+def test_continuum_cells_against_mpmath(unit_system):
+    # V/lambda^3, L/lambda and the truncation bound from the exact
+    # s_i = beta h^2/(2 m L_i^2) of the double inputs, to 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    consts = constants_for(unit_system)
+    m, h = consts.mass_ref, mpmath.mpf(consts.h)
+    boxes = list(seeded_boxes(unit_system, 300))
+    if unit_system is UnitSystem.SI:
+        boxes.append(SI_THIN_BOX)
+
+    def rel(value, want):
+        return float(abs(value - want) / want)
+
+    for L, a, T, z, stat, cutoff in boxes:
+        beta = 1.0 / (consts.k_B * T)
+        report = compare_continuum(enumerate_levels(L, a, m, cutoff, unit_system=unit_system),
+                                   stat, z, beta)
+        f32 = quantum_integral(stat, QuantumIntegralOrder.THREE_HALVES, z)
+        f12 = quantum_integral(stat, QuantumIntegralOrder.ONE_HALF, z)
+        with mpmath.workdps(40):
+            s = [beta * h ** 2 / (2 * mpmath.mpf(m) * mpmath.mpf(edge) ** 2)
+                 for edge in (L, a, a)]
+            l_lam = mpmath.sqrt(mpmath.pi / s[0])
+            v_lam3 = l_lam * mpmath.pi / s[1]
+            thetas = [mpmath.fsum(mpmath.exp(-s_i * n * n) for n in range(-c, c + 1))
+                      for s_i, c in zip(s, cutoff)]
+            tails = [mpmath.sqrt(mpmath.pi / s_i) * mpmath.erfc(mpmath.sqrt(s_i) * c)
+                     for s_i, c in zip(s, cutoff)]
+            grown = [theta + tail for theta, tail in zip(thetas, tails)]
+            bound = z * mpmath.fsum(mpmath.fprod(thetas[:i] + grown[i + 1:]) * tail
+                                    for i, tail in enumerate(tails))
+            # exp and erfc scale the relative error of s by up to s c^2
+            condition = 1 + float(sum(s_i * c * c for s_i, c in zip(s, cutoff)))
+            box = (L, a, T, z, stat, cutoff)
+            assert rel(report.N_continuum_3d / f32, v_lam3) <= 2e-15, box
+            assert rel(report.N_continuum_quasi1d / f12, l_lam) <= 2e-15, box
+            fitted = report.sigma_tilde_fitted * f12 / report.N_discrete
+            assert rel(fitted, 1 / v_lam3) <= 2e-15, box
+            if bound > 1e-290:  # below it the tails underflow
+                assert rel(report.truncation_bound, bound) <= 2e-15 * condition, box

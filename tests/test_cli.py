@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, schemas, reproducibility, config."""
 
+import argparse
 import csv
 import io
 import json
@@ -550,6 +551,21 @@ class TestExitCodeTwo:
         result = run_cli(["frobnicate"])
         assert result.returncode == 2
 
+    def test_main_calls_share_one_parser(self, capsys, monkeypatch):
+        # the argparse tree is built once per process, not on every call
+        parsers = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def spy(self, *args, **kwargs):
+            parsers.append(self)
+            return parse_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        assert main(["scan", "--T", "1:1:1"]) == 0
+        assert main(["tabulate", "phonon"]) == 0
+        capsys.readouterr()
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
+
     @pytest.mark.parametrize(
         "args, config",
         EXIT_TWO_CASES,
@@ -626,8 +642,8 @@ class TestTabulate:
         assert code == 0
         assert capsys.readouterr().out.split("\n")[1] == (
             "3,0.20000000000000001,1,1,0.5,be,5,1,1,99,1.1182987119066414,"
-            "0.0047607809181810417,0.96479409954974849,0.99574283608887981,"
-            "0.137266197950971,0.99999999999999978,182.07195812476451,6.9531137395435894e-26,"
+            "0.0047607809181810417,0.9647940995497486,0.99574283608887981,"
+            "0.13726619795097092,0.99999999999999978,182.07195812476445,6.9531137395436824e-26,"
         )
 
     @pytest.mark.parametrize("T, value",
@@ -644,8 +660,8 @@ class TestTabulate:
         [
             # BE at z = 1 cannot be summed over a spectrum whose ground state is 0
             (["--stat", "be", "--z", "1.0"], "Bose box sum needs z < 1"),
-            # lambda^3 overflows a double
-            (["--T", "1e-300"], "lambda^3 or (lambda/a)^2 overflows"),
+            # V/lambda^3 underflows a double
+            (["--T", "1e-300"], '"V/lambda^3 must be a positive finite number, got 0.0"'),
             # the level spacing (h/L)^2/2m overflows a double
             (["--L", "1e-300", "--a", "1e-300"], "level (h n/L)^2/2m overflows"),
             # the beta*eps = 45 cutoff L sqrt(2 m 45/beta)/h overflows a double
@@ -656,24 +672,32 @@ class TestTabulate:
             (["--L", "0"], '"L_long must be a positive finite number, got 0.0"'),
             (["--a", "inf"], '"a_transverse must be a positive finite number, got inf"'),
             (["--z", "inf"], '"z must be a positive finite number, got inf"'),
-            # these raised: a^2 overflowed, lambda^3 underflowed to 0, V F_{1/2}(z)
-            # underflowed to 0, and s = beta h^2/(2 m L^2) with it as 2 m L^2
-            # overflowed, then in SI 2 m a^2 underflowed to 0
-            (["--cutoff", "1", "--a", "1e200"], "V = L a^2 must be a positive finite number"),
+            # an axis's eps_1 = (h/a)^2/2m underflows to 0, V/lambda^3 overflows,
+            # (V/lambda^3) F_{1/2}(z) underflows to 0, and eps_1 = (h/L)^2/2m
+            # underflows to 0
+            (["--cutoff", "1", "--a", "1e200"],
+             "s = beta eps_1 must be a positive finite number from a normal eps_1,"
+             " got 0.0 from eps_1 = 0.0 on axis y"),
             (["--cutoff", "1", "--T", "1e300"],
-             "lambda^3 or (lambda/a)^2 overflows or underflows a double"),
+             '"V/lambda^3 must be a positive finite number, got inf"'),
+            (["--cutoff", "1", "--L", "1e-100", "--a", "1e-100", "--z", "1e-30"],
+             '"(V/lambda^3) F_1/2(z) must be a positive finite number, got 0.0"'),
+            (["--cutoff", "1", "--L", "1e300"],
+             "must be a positive finite number from a normal eps_1, got 0.0 from eps_1 = 0.0"
+             " on axis x"),
+            # beta eps_1 overflows a double
             (["--cutoff", "1", "--T", "1e-150", "--L", "1e-150", "--z", "1e-300"],
-             '"V F_1/2(z) must be a positive finite number, got 0.0"'),
-            (["--cutoff", "1", "--L", "1e300"], '"2 m L^2 must be a positive finite number, got inf"'),
-            (["--cutoff", "1", "--a", "1e-150", "--units", "si"],
-             '"2 m L^2 must be a positive finite number, got 0.0"'),
+             "s = beta eps_1 must be a positive finite number from a normal eps_1, got inf"),
+            # s = 4.9e-300 is normal, but the subnormal eps_1 left it fewer than 53 bits
+            (["--cutoff", "1", "--L", "2e155", "--T", "1e-10"],
+             "got 4.934802200544689e-300 from eps_1 = 4.9348022005447e-310 on axis x"),
             # an MB box sum past double range: a RuntimeWarning, then a row of nan
             (["--cutoff", "1", "--stat", "mb", "--z", "1.7e308", "--units", "si", "--T", "1",
               "--L", "1", "--a", "1"], '"N_discrete must be a positive finite number, got inf"'),
         ],
         ids=["be z=1", "T=1e-300", "L=a=1e-300", "L=T=1e300", "si T=1e-310", "L=0", "a=inf",
-             "z=inf", "a=1e200", "T=1e300", "V F_1/2 underflows", "L=1e300", "si a=1e-150",
-             "mb sum overflows"],
+             "z=inf", "a=1e200", "T=1e300", "V F_1/2 underflows", "L=1e300", "s overflows",
+             "subnormal eps_1", "mb sum overflows"],
     )
     def test_oracle_error_row(self, capsys, args, message):
         code = main(["oracle", *args])
@@ -682,6 +706,15 @@ class TestTabulate:
         row = out.strip().split("\n")[1]
         assert row.split(",")[-1] != ""
         assert message in row
+
+    def test_oracle_thin_si_box_gives_a_finite_row(self, capsys):
+        # 2 m a^2 underflows in SI at a = 1e-150 while every level of the box is
+        # finite; the box's own scales s_i = beta eps_1 take it
+        assert main(["oracle", "--cutoff", "1", "--a", "1e-150", "--units", "si"]) == 0
+        header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+        cells = dict(zip(header, row))
+        assert (cells.pop("stat"), cells.pop("message")) == ("fd", "")
+        assert all(0.0 < float(value) < math.inf for value in cells.values()), cells
 
 
 # Tables the CSV renderer must write as the csv-module reference does.

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import pytest
@@ -16,6 +18,7 @@ from fermiwire import (
     fermi_momentum,
     phonon_max_energy,
 )
+from fermiwire.cli import main
 from oracles import DEBYE_SPACING_RATIO, EPS_F_REDUCED, OMEGA_M_REDUCED
 
 
@@ -38,6 +41,43 @@ def test_momentum_is_c_independent():
     values = {debye_momentum(PhononMedium(c=c, nu=1.0)) for c in (0.1, 1.0, 10.0)}
     assert len(values) == 1
     assert values.pop() == pytest.approx((6.0 * math.pi ** 2) ** (1.0 / 3.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("nu", [1e-300, 1e-150, 0.7, 1e150, 1e300])
+def test_wavelength_and_momentum_read_no_sound_speed(nu):
+    # c enters omega_m alone: every c the medium takes gives the same bits
+    media = []
+    for c in [10.0 ** e for e in range(-300, 308, 7)] + [1.7e308]:
+        try:
+            media.append(PhononMedium(c=c, nu=nu))
+        except DomainError:  # omega_m = c k_m past double range
+            pass
+    assert len(media) > 40
+    assert len({debye_wavelength(medium) for medium in media}) == 1
+    for unit_system in UnitSystem:
+        assert len({debye_momentum(medium, unit_system) for medium in media}) == 1
+
+
+def phonon_row(capsys, args):
+    """Exit code and the one row of an in-process `tabulate phonon`, keyed by column."""
+    code = main(["tabulate", "phonon", *args])
+    header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+    return code, dict(zip(header, map(float, row)))
+
+
+def test_wavelength_past_two_pi_c_overflow(capsys):
+    # 2 pi c overflowed at c = 1.7e308, and lambda_m read inf
+    code, row = phonon_row(capsys, ["--nu", "1e300:1e300:1", "--c", "1.7e308"])
+    assert code == 0
+    assert row["lambda_m"] == 1.611991954016449e+100
+
+
+def test_si_momentum_at_tiny_sound_speed(capsys):
+    # hbar omega_m / c underflowed at c = 1e-300, and eps_m with it
+    code, row = phonon_row(capsys, ["--c", "1e-300", "--units", "si"])
+    assert code == 0
+    assert row["p_m"] == row["p_F"] == 4.1104858702863606e-34
+    assert row["eps_m"] == row["eps_F"]
 
 
 def test_de_broglie_relation():
