@@ -16,11 +16,10 @@ importing the package does not load it.
 """
 
 import math
-import sys
 from collections import namedtuple
 
 from .constants import UnitSystem, constants_for
-from .errors import CondensationError, DomainError, ResourceLimitError, _positive
+from .errors import CondensationError, DomainError, ResourceLimitError, _normal, _positive
 from .gas_statistics import _occupations
 from .specfun import QuantumIntegralOrder, Statistics, quantum_integral
 
@@ -107,8 +106,8 @@ def enumerate_levels(
     None, in which case the per-axis default keeps everything below
     beta*eps = 45 and beta must be supplied.
 
-    Raises DomainError when an axis's top level (h c_i/L_i)^2/2m overflows a
-    double, and ResourceLimitError when the level count would exceed
+    Raises DomainError when an axis's top level (h c_i/L_i)^2/2m is not a
+    normal double, and ResourceLimitError when the level count would exceed
     MAX_LEVELS or a default cutoff overflows a double.
     """
     for name, value in (("L_long", L_long), ("a_transverse", a_transverse), ("m", m)):
@@ -128,8 +127,8 @@ def enumerate_levels(
     if len(cutoffs) != 3 or any(c < 1 for c in cutoffs):
         raise DomainError("cutoff must be a positive integer or 3 of them")
     for L, c in zip(lengths, cutoffs):
-        if not math.isfinite((h * c / L) * (h * c / L) / (2.0 * m)):
-            raise DomainError("level (h n/L)^2/2m overflows at L = %r, n = %d" % (L, c))
+        _normal("level (h n/L)^2/2m at L = %r, n = %d",
+                (h * c / L) * (h * c / L) / (2.0 * m), L, c)
 
     count = math.prod(2 * c + 1 for c in cutoffs)
     if count > MAX_LEVELS:
@@ -164,14 +163,12 @@ def _parity_weights(energies):
 
 
 def _axis_scales(spec, beta):
-    # s_i = beta eps_1 = pi (lambda/L_i)^2 from each axis's n = 1 level, so no
-    # constant enters; a subnormal eps_1 would leave s fewer than 53 bits
-    eps_1 = [float(levels[1]) for levels in spec.axis_levels]
-    for axis, e in zip("xyz", eps_1):
-        if not (e >= sys.float_info.min and 0.0 < beta * e < math.inf):
-            raise DomainError("s = beta eps_1 must be a positive finite number from a normal"
-                              " eps_1, got %r from eps_1 = %r on axis %s" % (beta * e, e, axis))
-    return [beta * e for e in eps_1]
+    # s_i = beta eps_1 = pi (lambda/L_i)^2 from each axis's n = 1 level; no constant enters
+    scales = []
+    for axis, levels in zip("xyz", spec.axis_levels):
+        eps_1 = _normal("eps_1 on axis %s", float(levels[1]), axis)
+        scales.append(_normal("s = beta eps_1 on axis %s", beta * eps_1, axis))
+    return scales
 
 
 def truncation_bound(spec, z, beta):
@@ -183,8 +180,8 @@ def truncation_bound(spec, z, beta):
     per-axis theta sums.  Exact for Maxwell-Boltzmann as an upper bound;
     Fermi-Dirac occupations are smaller still.  For Bose-Einstein it
     underestimates by at most 1/(1 - z e^(-beta eps_cut)), which is ~1
-    whenever the cutoff is sane.  DomainError when an s is not a positive
-    finite double or its eps_1 is subnormal.
+    whenever the cutoff is sane.  DomainError when an eps_1 or an s, both
+    computed, is not a positive normal double.
     """
     thetas, tails = [], []
     for s, c in zip(_axis_scales(spec, beta), spec.cutoff):
@@ -250,13 +247,13 @@ def compare_continuum(spec, stat, z, beta):
     Both come from the box's s_i of truncation_bound: L/lambda = sqrt(pi/s_x)
     and V/lambda^3 = (L/lambda) pi/s_y.  Relative errors are against
     N_discrete; ground_mode_fraction is the occupation share of levels with
-    no transverse excitation.  DomainError when an s_i, N_discrete,
-    V/lambda^3 or (V/lambda^3) F_{1/2}(z) is not a positive finite double.
+    no transverse excitation.  DomainError when an eps_1, s_i, N_discrete,
+    V/lambda^3 or (V/lambda^3) F_{1/2}(z) is not a positive normal double.
     """
-    n_disc = _positive("N_discrete", direct_number_sum(spec, stat, z, beta))
+    n_disc = _normal("N_discrete", direct_number_sum(spec, stat, z, beta))
     s_x, s_y, _ = _axis_scales(spec, beta)
     l_lam = math.sqrt(math.pi / s_x)
-    v_lam3 = _positive("V/lambda^3", l_lam * (math.pi / s_y))
+    v_lam3 = _normal("V/lambda^3", l_lam * (math.pi / s_y))
     n_3d = v_lam3 * quantum_integral(stat, QuantumIntegralOrder.THREE_HALVES, z)
     f12 = quantum_integral(stat, QuantumIntegralOrder.ONE_HALF, z)
     n_q1d = l_lam * f12
@@ -271,6 +268,6 @@ def compare_continuum(spec, stat, z, beta):
         rel_err_3d=abs(n_disc - n_3d) / n_disc,
         rel_err_quasi1d=abs(n_disc - n_q1d) / n_disc,
         ground_mode_fraction=ground / n_disc,
-        sigma_tilde_fitted=n_disc / _positive("(V/lambda^3) F_1/2(z)", v_lam3 * f12),
+        sigma_tilde_fitted=n_disc / _normal("(V/lambda^3) F_1/2(z)", v_lam3 * f12),
         truncation_bound=truncation_bound(spec, z, beta),
     )

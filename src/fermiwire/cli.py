@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .box_oracle import compare_continuum, enumerate_levels
 from .constants import UnitSystem, constants_for
-from .errors import ConfigError, ConvergenceError, DomainError, ResourceLimitError, _positive
+from .errors import ConfigError, ConvergenceError, DomainError, ResourceLimitError, _normal, _positive
 from .gas_statistics import GasParameters, occupation
 from .phonon_map import (
     PhononMedium,
@@ -345,8 +345,8 @@ def run_tabulate_oracle(statistics=Statistics.FERMI_DIRAC, L=3.0, a=3.0, z=1.0, 
     consts = constants_for(unit_system)
     m = consts.mass_ref
     try:
-        # k_B T underflows to 0 in SI below about 4e-301 K
-        beta = 1.0 / _positive("k_B T", consts.k_B * _positive("T", T))
+        # k_B T leaves the normal range in SI below about 1.6e-285 K
+        beta = 1.0 / _normal("k_B T", consts.k_B * _positive("T", T))
         spec = enumerate_levels(L, a, m, cutoff=cutoff, beta=beta, unit_system=unit_system)
         cmp_ = compare_continuum(spec, statistics, z, beta)
         row = [L, a, m, T, z, statistics.value, *spec.cutoff, spec.level_count,

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the positive-finite input rule."""
+"""Exception types shared across the package, and its two range rules: _positive for
+inputs, exact even when subnormal, and _normal for computed numbers, lossy when subnormal."""
 
 import math
+import sys
 
 __all__ = [
     "DomainError",
@@ -45,3 +47,10 @@ def _positive(name, value):
     if isinstance(value, (int, float)) and 0.0 < value < math.inf:
         return value
     raise DomainError("%s must be a positive finite number, got %r" % (name, value))
+
+
+def _normal(name, value, *args):
+    """value if a positive normal double, else DomainError on name % args, formatted only then."""
+    if sys.float_info.min <= value < math.inf:
+        return value
+    raise DomainError("%s must be a positive normal double, got %r" % (name % args, value))

@@ -16,10 +16,11 @@ from functools import cached_property
 
 from ._kernel_tables import ZETA_HALF_INTEGERS
 from .constants import UnitSystem, constants_for
-from .errors import CondensationError, ConvergenceError, DomainError, SingularityError, _positive
+from .errors import CondensationError, ConvergenceError, DomainError, SingularityError, _normal, _positive
 from .specfun import (
     QuantumIntegralOrder,
     Statistics,
+    _pow_or_inf,
     density_and_slope,
     exp_or_inf,
     quantum_integral,
@@ -260,14 +261,10 @@ def solve_fugacity(stat, degeneracy):
 
 
 def solve_thermal_state(params, stat=Statistics.FERMI_DIRAC):
-    """Build the ThermalState for GasParameters under the given statistics."""
+    """ThermalState for GasParameters and stat; lambda^3/nu must be a normal double."""
     lam = thermal_wavelength(params.m, params.T, params.unit_system)
-    try:
-        degeneracy = lam ** 3 / params.nu
-    except OverflowError:
-        degeneracy = math.inf
-    if not math.isfinite(degeneracy):
-        raise DomainError("lambda^3/nu overflows at T = %r, nu = %r" % (params.T, params.nu))
+    degeneracy = _normal("lambda^3/nu at T = %r, nu = %r",
+                         _pow_or_inf(lam, 3) / params.nu, params.T, params.nu)
     return ThermalState(solve_log_fugacity(stat, degeneracy), lam, degeneracy)
 
 

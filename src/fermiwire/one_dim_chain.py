@@ -65,10 +65,10 @@ def closure_temperature(chain, unit_system=UnitSystem.REDUCED):
     With e = pi (kT)^2/(6 hbar v_F) and v_F = hbar pi/(m d), kT = e*d has
     the one positive root kT = 6 hbar^2/(m d^2); its ratio to
     kT_F = (hbar^2/2m)(6 pi^2)^(2/3)/d^2 (nu = d^3) is 12/(6 pi^2)^(2/3).
-    All of it is formed at the binary mantissas of m and d, where every
-    intermediate is a normal double in both unit systems; T and the residual
-    scale back by 2^(-e_m - 2 e_d), which changes no rounding.  DomainError
-    naming the chain where T is not a normal double.
+    All of it is formed at the mantissas of m and d, every intermediate normal
+    in both unit systems; T and the residual scale back by 2^(-e_m - 2 e_d),
+    which changes no rounding.  DomainError naming the chain where T is not
+    normal, from its exponent rather than _normal, as ldexp raises on overflow.
     """
     consts = constants_for(unit_system)
     (m, e_m), (d, e_d) = math.frexp(chain.m), math.frexp(chain.d)

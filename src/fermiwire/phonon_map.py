@@ -10,7 +10,7 @@ import math
 from collections import namedtuple
 
 from .constants import UnitSystem, constants_for
-from .errors import DomainError, _positive
+from .errors import _normal, _positive
 from .gas_statistics import GasParameters, fermi_energy, fermi_momentum
 
 __all__ = [
@@ -25,7 +25,7 @@ __all__ = [
 
 
 class PhononMedium(namedtuple("PhononMedium", "c nu")):
-    """Sound speed and specific volume per mode."""
+    """Sound speed and specific volume per mode; their Debye frequency must be normal."""
 
     __slots__ = ()
 
@@ -33,10 +33,7 @@ class PhononMedium(namedtuple("PhononMedium", "c nu")):
         self = super().__new__(cls, *args, **kwargs)
         for name in ("c", "nu"):
             _positive(name, getattr(self, name))
-        omega_max = debye_omega_max(self)
-        if not 0.0 < omega_max < math.inf:
-            raise DomainError("Debye frequency %s at c = %r, nu = %r" % (
-                "underflows" if omega_max == 0.0 else "overflows", self.c, self.nu))
+        _normal("Debye frequency at c = %r, nu = %r", debye_omega_max(self), self.c, self.nu)
         return self
 
 
@@ -76,13 +73,13 @@ def correspondence_check(medium, m, unit_system=UnitSystem.REDUCED):
     The two sides are identical closed forms, so the relative differences
     are pure floating-point noise (<= 1e-12 by a wide margin); the report
     carries them so callers can assert rather than trust.  DomainError when
-    one of eps_m, p_m, eps_F, p_F is not a positive finite double.
+    one of eps_m, p_m, eps_F, p_F is not a positive normal double.
     """
     params = GasParameters(m=m, T=1.0, nu=medium.nu, unit_system=unit_system)
-    eps_m = _positive("eps_m", phonon_max_energy(medium, m, unit_system))
-    p_m = _positive("p_m", debye_momentum(medium, unit_system))
-    eps_f = _positive("eps_F", fermi_energy(params))
-    p_f = _positive("p_F", fermi_momentum(params))
+    eps_m = _normal("eps_m", phonon_max_energy(medium, m, unit_system))
+    p_m = _normal("p_m", debye_momentum(medium, unit_system))
+    eps_f = _normal("eps_F", fermi_energy(params))
+    p_f = _normal("p_F", fermi_momentum(params))
     return CorrespondenceReport(
         eps_m=eps_m,
         eps_F=eps_f,

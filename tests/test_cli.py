@@ -190,7 +190,8 @@ class TestScan:
                 "fd",
                 "1e-300",
                 [
-                    '"lambda^3/nu overflows at T = 1e-300, nu = %s"' % nu
+                    '"lambda^3/nu at T = 1e-300, nu = %s must be a positive normal double,'
+                    ' got inf"' % nu
                     for nu in ("1.0", "2.0")
                 ],
             ),
@@ -324,10 +325,15 @@ class TestScan:
         "T,nu,message",
         [
             # lambda^3 itself overflows
-            ("1e-300", "1:2:2", '"lambda^3/nu overflows at T = 1e-300, nu = %s"'),
+            ("1e-300", "1:2:2",
+             '"lambda^3/nu at T = 1e-300, nu = %s must be a positive normal double, got inf"'),
             # lambda^3 is finite, the division by nu overflows
-            ("1", "1e-320:1e-320:2", '"lambda^3/nu overflows at T = 1.0, nu = %s"'),
+            ("1", "1e-320:1e-320:2",
+             '"lambda^3/nu at T = 1.0, nu = %s must be a positive normal double, got inf"'),
         ],
+        # the ids the two cases were first collected under
+        ids=['1e-300-1:2:2-"lambda^3/nu overflows at T = 1e-300, nu = %s"',
+             '1-1e-320:1e-320:2-"lambda^3/nu overflows at T = 1.0, nu = %s"'],
     )
     def test_overflowing_degeneracy_gives_error_rows(self, tmp_path, T, nu, message):
         out = tmp_path / "scan.csv"
@@ -337,6 +343,16 @@ class TestScan:
         assert len(rows) == 2
         assert all(r[8:] == ["ERROR", message % repr(float(r[1]))] for r in rows)
 
+    def test_subnormal_degeneracy_gives_an_error_row(self, capsys):
+        # lambda^3/nu = 1.5750e-322 is subnormal: the row printed it as z =
+        # degeneracy = 1.5810e-322, 0.4 % off, and exited 0
+        code, rows = scan_rows(capsys, ["--T", "1e10:1e10:1", "--nu", "1e308:1e308:1",
+                                        "--sigma", "1:1:1", "--stat", "be"])
+        assert code == 1
+        assert rows == [["10000000000", "1e+308", "1", "", "", "", "", "", "ERROR",
+                         '"lambda^3/nu at T = 10000000000.0, nu = 1e+308 must be a positive'
+                         ' normal double, got 1.6e-322"']]
+
     def test_si_wavelength_past_product_underflow(self, tmp_path):
         # m k_B T underflows to 0 at T = 1e-280 K; lambda = 7.46e132 m is
         # finite, and its cube overflows into an ERROR row, not a traceback
@@ -345,7 +361,8 @@ class TestScan:
         assert code == 1
         rows = [line.split(",", 9) for line in out.read_text().strip().split("\n")[1:]]
         assert [r[8:] for r in rows] == [
-            ["ERROR", '"lambda^3/nu overflows at T = 1e-280, nu = 1.0"']]
+            ["ERROR", '"lambda^3/nu at T = 1e-280, nu = 1.0 must be a positive normal double,'
+                      ' got inf"']]
 
     def test_fugacity_past_double_range(self, capsys):
         # ln z = 1519 and 760 at T = 0.005 and 0.01: z and rhs_approx read
@@ -661,14 +678,15 @@ class TestTabulate:
             # BE at z = 1 cannot be summed over a spectrum whose ground state is 0
             (["--stat", "be", "--z", "1.0"], "Bose box sum needs z < 1"),
             # V/lambda^3 underflows a double
-            (["--T", "1e-300"], '"V/lambda^3 must be a positive finite number, got 0.0"'),
+            (["--T", "1e-300"], '"V/lambda^3 must be a positive normal double, got 0.0"'),
             # the level spacing (h/L)^2/2m overflows a double
-            (["--L", "1e-300", "--a", "1e-300"], "level (h n/L)^2/2m overflows"),
+            (["--L", "1e-300", "--a", "1e-300"],
+             "level (h n/L)^2/2m at L = 1e-300, n = 1 must be a positive normal double, got inf"),
             # the beta*eps = 45 cutoff L sqrt(2 m 45/beta)/h overflows a double
             (["--L", "1e300", "--T", "1e300"], "default cutoff overflows at L = 1e+300"),
             # k_B T underflows to 0 in SI below about 4e-301 K
             (["--T", "1e-310", "--units", "si"],
-             '"k_B T must be a positive finite number, got 0.0"'),
+             '"k_B T must be a positive normal double, got 0.0"'),
             (["--L", "0"], '"L_long must be a positive finite number, got 0.0"'),
             (["--a", "inf"], '"a_transverse must be a positive finite number, got inf"'),
             (["--z", "inf"], '"z must be a positive finite number, got inf"'),
@@ -676,24 +694,24 @@ class TestTabulate:
             # (V/lambda^3) F_{1/2}(z) underflows to 0, and eps_1 = (h/L)^2/2m
             # underflows to 0
             (["--cutoff", "1", "--a", "1e200"],
-             "s = beta eps_1 must be a positive finite number from a normal eps_1,"
-             " got 0.0 from eps_1 = 0.0 on axis y"),
+             "level (h n/L)^2/2m at L = 1e+200, n = 1 must be a positive normal double, got 0.0"),
             (["--cutoff", "1", "--T", "1e300"],
-             '"V/lambda^3 must be a positive finite number, got inf"'),
+             '"V/lambda^3 must be a positive normal double, got inf"'),
             (["--cutoff", "1", "--L", "1e-100", "--a", "1e-100", "--z", "1e-30"],
-             '"(V/lambda^3) F_1/2(z) must be a positive finite number, got 0.0"'),
+             '"(V/lambda^3) F_1/2(z) must be a positive normal double, got 0.0"'),
             (["--cutoff", "1", "--L", "1e300"],
-             "must be a positive finite number from a normal eps_1, got 0.0 from eps_1 = 0.0"
-             " on axis x"),
+             "level (h n/L)^2/2m at L = 1e+300, n = 1 must be a positive normal double, got 0.0"),
             # beta eps_1 overflows a double
             (["--cutoff", "1", "--T", "1e-150", "--L", "1e-150", "--z", "1e-300"],
-             "s = beta eps_1 must be a positive finite number from a normal eps_1, got inf"),
-            # s = 4.9e-300 is normal, but the subnormal eps_1 left it fewer than 53 bits
+             '"s = beta eps_1 on axis x must be a positive normal double, got inf"'),
+            # s = 4.9e-300 would be normal, but the subnormal eps_1 would leave it fewer
+            # than 53 bits
             (["--cutoff", "1", "--L", "2e155", "--T", "1e-10"],
-             "got 4.934802200544689e-300 from eps_1 = 4.9348022005447e-310 on axis x"),
+             "level (h n/L)^2/2m at L = 2e+155, n = 1 must be a positive normal double,"
+             " got 4.9348022005447e-310"),
             # an MB box sum past double range: a RuntimeWarning, then a row of nan
             (["--cutoff", "1", "--stat", "mb", "--z", "1.7e308", "--units", "si", "--T", "1",
-              "--L", "1", "--a", "1"], '"N_discrete must be a positive finite number, got inf"'),
+              "--L", "1", "--a", "1"], '"N_discrete must be a positive normal double, got inf"'),
         ],
         ids=["be z=1", "T=1e-300", "L=a=1e-300", "L=T=1e300", "si T=1e-310", "L=0", "a=inf",
              "z=inf", "a=1e200", "T=1e300", "V F_1/2 underflows", "L=1e300", "s overflows",

@@ -204,6 +204,35 @@ def test_cli_import_loads_no_dataclasses_typing_or_inspect():
     assert proc.stdout.strip() == "[]"
 
 
+def float_info_reads(source):
+    """Lines of source that read float_info, as sys.float_info or imported from sys."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "float_info":
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+            if any(alias.name == "float_info" for alias in node.names):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_detector_flags_a_float_info_read():
+    source = (
+        "import sys\nx = sys.float_info.min\nfrom sys import float_info as info\n"
+        "def f():\n    return sys.float_info.max\ny = 'sys.float_info'\nfrom sys import maxsize\n"
+    )
+    assert float_info_reads(source) == [2, 3, 5]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "errors.py"], ids=lambda p: p.name
+)
+def test_float_info_read_in_errors_only(path):
+    # the range rule for computed numbers, errors._normal, is the one place
+    # that knows where the normal doubles end
+    assert float_info_reads(path.read_text()) == []
+
+
 def export_faults(sources):
     """Faults in the __all__ of each module that sources["__init__.py"] star-imports:
     no __all__, a listed name the module does not define, a name two modules list.

@@ -50,7 +50,8 @@ RECORDS = [
      DomainError("L must be a positive finite number, got 0.0")),
     (ClosureResult, dict(T=1.0, ratio=0.5, residual=0.0), {}, None, None),
     (PhononMedium, dict(c=1.0, nu=2.0), {}, dict(c=1e300, nu=1e-300),
-     DomainError("Debye frequency overflows at c = 1e+300, nu = 1e-300")),
+     DomainError("Debye frequency at c = 1e+300, nu = 1e-300 must be a positive normal double,"
+                 " got inf")),
     (CorrespondenceReport, dict(eps_m=1.0, eps_F=2.0, p_m=3.0, p_F=4.0, rel_diff_energy=0.5,
                                 rel_diff_momentum=0.25), {}, None, None),
     (WireGeometry, dict(sigma_tilde=0.5), {}, dict(sigma_tilde=math.inf),
