@@ -16,9 +16,10 @@ import sys
 from collections import namedtuple
 from functools import lru_cache
 
-from .box_oracle import compare_continuum, enumerate_levels
+from .box_oracle import ContinuumComparison, compare_continuum, enumerate_levels
 from .constants import UnitSystem, constants_for
-from .errors import ConfigError, ConvergenceError, DomainError, ResourceLimitError, _normal, _positive
+from .errors import (ConfigError, ConvergenceError, DomainError, ResourceLimitError, _Checked,
+                     _normal, _positive)
 from .gas_statistics import GasParameters, occupation
 from .phonon_map import (
     PhononMedium,
@@ -67,24 +68,17 @@ ORACLE_COLUMNS = [
     "cutoff_y",
     "cutoff_z",
     "level_count",
-    "N_discrete",
-    "N_continuum_3d",
-    "N_continuum_quasi1d",
-    "rel_err_3d",
-    "rel_err_quasi1d",
-    "ground_mode_fraction",
-    "sigma_tilde_fitted",
-    "truncation_bound",
+    *ContinuumComparison._fields,
     "message",
 ]
 
-class AxisSpec(namedtuple("AxisSpec", "minimum maximum points spacing", defaults=("linear",))):
+class AxisSpec(_Checked, namedtuple("AxisSpec", "minimum maximum points spacing",
+                                    defaults=("linear",))):
     """One scan axis: min:max:points with linear or log spacing."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if self.points < 1:
             raise ConfigError("axis needs points >= 1, got %d" % self.points)
         if self.minimum > self.maximum:
@@ -95,7 +89,6 @@ class AxisSpec(namedtuple("AxisSpec", "minimum maximum points spacing", defaults
             raise ConfigError("spacing must be linear or log, got %r" % (self.spacing,))
         if self.spacing == "log" and not self.minimum > 0.0:
             raise ConfigError("log spacing needs min > 0")
-        return self
 
     def values(self):
         """The grid: a + i*step with the exact end point, as np.linspace gives
@@ -180,10 +173,9 @@ def _parse_scan_axis(value):
     return parse_axis(value)
 
 
-_THRESHOLD_KEYS = ("z_degenerate", "deg_classical")
+_THRESHOLD_KEYS = RegimeThresholds._fields
 # Scan settings a --config file holds at its root, under their flag's name.
-_SCAN_KEYS = ("t_axis", "nu_axis", "sigma_axis", "statistics", "unit_system", "out_path",
-              "out_format")
+_SCAN_KEYS = tuple(key for key in ScanConfig._fields if key != "thresholds")
 
 
 def _read_scan_file(path):
@@ -349,13 +341,10 @@ def run_tabulate_oracle(statistics=Statistics.FERMI_DIRAC, L=3.0, a=3.0, z=1.0, 
         beta = 1.0 / _normal("k_B T", consts.k_B * _positive("T", T))
         spec = enumerate_levels(L, a, m, cutoff=cutoff, beta=beta, unit_system=unit_system)
         cmp_ = compare_continuum(spec, statistics, z, beta)
-        row = [L, a, m, T, z, statistics.value, *spec.cutoff, spec.level_count,
-               cmp_.N_discrete, cmp_.N_continuum_3d, cmp_.N_continuum_quasi1d,
-               cmp_.rel_err_3d, cmp_.rel_err_quasi1d, cmp_.ground_mode_fraction,
-               cmp_.sigma_tilde_fitted, cmp_.truncation_bound, ""]
+        row = [L, a, m, T, z, statistics.value, *spec.cutoff, spec.level_count, *cmp_, ""]
         code = 0
     except (DomainError, ResourceLimitError) as exc:
-        row = [L, a, m, T, z, statistics.value] + [None] * 12 + [str(exc)]
+        row = [L, a, m, T, z, statistics.value] + [None] * (len(ORACLE_COLUMNS) - 7) + [str(exc)]
         code = 1
     _write_output(_render_table(ORACLE_COLUMNS, [row], out_format), out_path)
     return code

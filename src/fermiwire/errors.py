@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and its two range rules: _positive for
-inputs, exact even when subnormal, and _normal for computed numbers, lossy when subnormal."""
+"""Exception types shared across the package, its two range rules (_positive for inputs,
+exact even when subnormal, and _normal for computed numbers, lossy when subnormal) and
+_Checked, the base whose records run their checks on every construction."""
 
 import math
 import sys
@@ -54,3 +55,19 @@ def _normal(name, value, *args):
     if sys.float_info.min <= value < math.inf:
         return value
     raise DomainError("%s must be a positive normal double, got %r" % (name % args, value))
+
+
+class _Checked:
+    """Base listed before the namedtuple of a record with checks: every construction,
+    _make and so _replace included, builds the tuple and then runs the record's _check."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)

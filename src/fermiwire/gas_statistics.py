@@ -16,7 +16,8 @@ from functools import cached_property
 
 from ._kernel_tables import ZETA_HALF_INTEGERS
 from .constants import UnitSystem, constants_for
-from .errors import CondensationError, ConvergenceError, DomainError, SingularityError, _normal, _positive
+from .errors import (CondensationError, ConvergenceError, DomainError, SingularityError, _Checked,
+                     _normal, _positive)
 from .specfun import (
     QuantumIntegralOrder,
     Statistics,
@@ -51,36 +52,33 @@ _REL_TOL = 1e-12
 _MAX_ITER = 80
 
 
-class GasParameters(namedtuple("GasParameters", "m T nu unit_system",
-                               defaults=(UnitSystem.REDUCED,))):
+class GasParameters(_Checked, namedtuple("GasParameters", "m T nu unit_system",
+                                         defaults=(UnitSystem.REDUCED,))):
     """Thermodynamic input state: mass, temperature, specific volume V/N."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         for name in ("m", "T", "nu"):
             _positive(name, getattr(self, name))
-        return self
 
     @property
     def beta(self):
-        """Inverse thermal energy 1/(k_B T); derived, never stored."""
-        return 1.0 / (constants_for(self.unit_system).k_B * self.T)
+        """Inverse thermal energy 1/(k_B T); derived, never stored.  DomainError
+        where k_B T is not a normal double."""
+        return 1.0 / _normal("k_B T", constants_for(self.unit_system).k_B * self.T)
 
 
-class ThermalState(namedtuple("ThermalState", "log_z lam degeneracy")):
+class ThermalState(_Checked, namedtuple("ThermalState", "log_z lam degeneracy")):
     """Solved equilibrium state: ln z, wavelength, degeneracy lambda^3/nu.
 
     No __slots__, so that z can be cached in __dict__; __setattr__ forbids the rest."""
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if not math.isfinite(self.log_z):
             raise DomainError("log_z must be finite, got %r" % (self.log_z,))
         for name in ("lam", "degeneracy"):
             _positive(name, getattr(self, name))
-        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to ThermalState.%s" % name)

@@ -12,7 +12,7 @@ import math
 from collections import namedtuple
 
 from .constants import UnitSystem, constants_for
-from .errors import DomainError, _positive
+from .errors import DomainError, _Checked, _normal, _positive
 
 __all__ = [
     "ChainParameters",
@@ -27,16 +27,15 @@ __all__ = [
 CLOSURE_RATIO = 12.0 / (6.0 * math.pi ** 2) ** (2.0 / 3.0)
 
 
-class ChainParameters(namedtuple("ChainParameters", "N L m")):
-    """N fermions on a wire of length L; the spacing d = L/N is derived."""
+class ChainParameters(_Checked, namedtuple("ChainParameters", "N L m")):
+    """N fermions on a wire of length L; the spacing d = L/N is derived and must be normal."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        for name in ("N", "L", "m", "d"):
+    def _check(self):
+        for name in ("N", "L", "m"):
             _positive(name, getattr(self, name))
-        return self
+        _normal("d = L/N", self.d)
 
     @property
     def d(self):

@@ -10,7 +10,7 @@ import math
 from collections import namedtuple
 
 from .constants import UnitSystem, constants_for
-from .errors import _normal, _positive
+from .errors import _Checked, _normal, _positive
 from .gas_statistics import GasParameters, fermi_energy, fermi_momentum
 
 __all__ = [
@@ -24,17 +24,15 @@ __all__ = [
 ]
 
 
-class PhononMedium(namedtuple("PhononMedium", "c nu")):
+class PhononMedium(_Checked, namedtuple("PhononMedium", "c nu")):
     """Sound speed and specific volume per mode; their Debye frequency must be normal."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         for name in ("c", "nu"):
             _positive(name, getattr(self, name))
         _normal("Debye frequency at c = %r, nu = %r", debye_omega_max(self), self.c, self.nu)
-        return self
 
 
 CorrespondenceReport = namedtuple(

@@ -15,7 +15,7 @@ import math
 from collections import namedtuple
 from enum import Enum
 
-from .errors import DomainError, _positive
+from .errors import DomainError, _Checked, _positive
 from .gas_statistics import _occupations, solve_thermal_state
 from .specfun import (
     QuantumIntegralOrder,
@@ -37,15 +37,13 @@ __all__ = [
 ]
 
 
-class WireGeometry(namedtuple("WireGeometry", "sigma_tilde")):
+class WireGeometry(_Checked, namedtuple("WireGeometry", "sigma_tilde")):
     """Dimensionless transverse cross-section, positive and finite."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         _positive("sigma_tilde", self.sigma_tilde)
-        return self
 
 
 class Regime(Enum):
@@ -55,19 +53,17 @@ class Regime(Enum):
     BOLTZMANN_CONVERGED = "BoltzmannConverged"
 
 
-class RegimeThresholds(namedtuple("RegimeThresholds", "z_degenerate deg_classical",
-                                  defaults=(100.0, 0.01))):
+class RegimeThresholds(_Checked, namedtuple("RegimeThresholds", "z_degenerate deg_classical",
+                                            defaults=(100.0, 0.01))):
     """Classifier cut points; the defaults quantify the qualitative << and >>."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if not (self.z_degenerate > 1.0 > self.deg_classical > 0.0):
             raise DomainError(
                 "thresholds must satisfy z_degenerate > 1 > deg_classical > 0"
             )
-        return self
 
 
 RegimeReport = namedtuple("RegimeReport", "rhs_approx rhs_exact inequality_holds regime")

@@ -124,11 +124,17 @@ def test_chain_validation():
         (1.0, math.inf, 1.0, "L"),
         (1e-300, 1e300, 1.0, "d"),  # L/N overflows
         (1.0, 1.0, math.inf, "m"),
+        (1e16, 5e-308, 1e300, "d"),  # L/N is subnormal, so a closure T would be 2.4 % off
     ],
 )
 def test_chain_rejects_non_finite_input(N, L, m, field):
-    # these reached closure_temperature, which divided by zero or blamed the temperature
-    with pytest.raises(DomainError, match="^%s must be a positive finite number, got " % field):
+    # these reached closure_temperature, which divided by zero or blamed the temperature;
+    # d = L/N is computed, so it is held to the computed-number rule
+    if field == "d":
+        message = "^d = L/N must be a positive normal double, got "
+    else:
+        message = "^%s must be a positive finite number, got " % field
+    with pytest.raises(DomainError, match=message):
         ChainParameters(N=N, L=L, m=m)
 
 

@@ -357,6 +357,16 @@ class TestThermalState:
         si = GasParameters(m=9.1e-31, T=300.0, nu=1e-27, unit_system=UnitSystem.SI)
         assert si.beta == pytest.approx(1.0 / (1.380649e-23 * 300.0), rel=1e-15)
 
+    @pytest.mark.parametrize("T, unit_system", [
+        (1e-300, UnitSystem.SI),  # k_B T is subnormal
+        (5e-324, UnitSystem.REDUCED),  # T, and so k_B T, is subnormal
+        (1e-310, UnitSystem.SI),  # k_B T underflows to 0
+    ])
+    def test_beta_needs_a_normal_thermal_energy(self, T, unit_system):
+        params = GasParameters(m=1.0, T=T, nu=1.0, unit_system=unit_system)
+        with pytest.raises(DomainError, match="^k_B T must be a positive normal double, got "):
+            params.beta
+
 
 class TestFermiScale:
     def params(self, m=1.0, nu=1.0):

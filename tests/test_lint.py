@@ -233,6 +233,35 @@ def test_float_info_read_in_errors_only(path):
     assert float_info_reads(path.read_text()) == []
 
 
+def constructor_overrides(source):
+    """(line, class name) of each def __new__ in a class body of source, nested classes included."""
+    return sorted(
+        (item.lineno, node.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name == "__new__"
+    )
+
+
+def test_detector_flags_a_class_that_defines_new():
+    source = (
+        "class A(tuple):\n    def __new__(cls):\n        return super().__new__(cls)\n"
+        "class B:\n    def _check(self):\n        return B.__new__\n"
+        "def f():\n    class C:\n        def __new__(cls):\n            pass\n    return C\n"
+        "def __new__(cls):\n    pass\n"
+    )
+    assert constructor_overrides(source) == [(2, "A"), (9, "C")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_checked_base_defines_new(path):
+    # errors._Checked runs a record's _check on every construction and on _make,
+    # so _replace too; a record's own __new__ would need its own _make as well
+    expected = ["_Checked"] if path.name == "errors.py" else []
+    assert [name for _, name in constructor_overrides(path.read_text())] == expected
+
+
 def export_faults(sources):
     """Faults in the __all__ of each module that sources["__init__.py"] star-imports:
     no __all__, a listed name the module does not define, a name two modules list.

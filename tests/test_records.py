@@ -91,9 +91,12 @@ def test_record_contract(record, fields, defaults, invalid, error):
     required = [value for name, value in fields.items() if name not in defaults]
     assert record(*required) == (*required, *defaults.values())
     if error is not None:
-        with pytest.raises(type(error), match="^%s$" % re.escape(str(error))) as info:
-            record(**invalid)
-        assert type(info.value) is type(error)
+        # _replace builds through _make: neither may skip the constructor's checks
+        for build in (lambda: record(**invalid), lambda: by_name._replace(**invalid),
+                      lambda: record._make({**fields, **invalid}.values())):
+            with pytest.raises(type(error), match="^%s$" % re.escape(str(error))) as info:
+                build()
+            assert type(info.value) is type(error)
 
 
 def test_cached_fugacity_is_not_assignable():
