@@ -9,7 +9,6 @@ failed run never leaves partial output, and identical invocations produce
 byte-identical files.
 """
 
-import argparse
 import json
 import math
 import sys
@@ -20,7 +19,7 @@ from .box_oracle import ContinuumComparison, compare_continuum, enumerate_levels
 from .constants import UnitSystem, constants_for
 from .errors import (ConfigError, ConvergenceError, DomainError, ResourceLimitError, _Checked,
                      _normal, _positive)
-from .gas_statistics import GasParameters, occupation
+from .gas_statistics import GasParameters, _solve_thermal_state, occupation
 from .phonon_map import (
     PhononMedium,
     correspondence_check,
@@ -28,7 +27,7 @@ from .phonon_map import (
     debye_wavelength,
 )
 from .specfun import Statistics
-from .thin_wire import RegimeThresholds, WireGeometry, _state_and_f_half, classify_wire
+from .thin_wire import RegimeThresholds, WireGeometry, _classify_sigmas
 from .verify import run_verify
 
 SCAN_COLUMNS = [
@@ -213,28 +212,12 @@ def _fmt(value):
     return "%.17g" % value
 
 
-def _column_text(column):
-    """CSV text of one column's cells.
-
-    A column of floats alone, none of them zero, formats each distinct value
-    once: 0.0 == -0.0 would share a dict key, while a NaN key is found by
-    identity and always reads nan.  Any other column formats cell by cell.
-    """
-    if set(map(type, column)) == {float}:
-        text = dict.fromkeys(column)
-        if 0.0 not in text:
-            text = dict(zip(text, map("%.17g".__mod__, text)))
-            return map(text.__getitem__, column)
-    return map(_fmt, column)
-
-
 def _render_table(columns, rows, out_format):
     """Render rows (lists aligned with columns) to CSV or JSON text."""
     if out_format == "json":
         payload = {"columns": columns, "rows": [list(r) for r in rows]}
         return json.dumps(payload, separators=(",", ":")) + "\n"
-    cells = zip(*map(_column_text, zip(*rows)))
-    return "\n".join([",".join(map(_fmt, columns)), *map(",".join, cells)]) + "\n"
+    return "\n".join(",".join(map(_fmt, row)) for row in [columns, *rows]) + "\n"
 
 
 def _write_output(text, path):
@@ -252,47 +235,61 @@ def _write_output(text, path):
 # scan
 
 
-def _error_row(T, nu, sigma, exc):
-    return [T, nu, sigma, None, None, None, None, None, "ERROR", str(exc)]
-
-
 def run_scan(config):
     """Solve and classify every grid point; write one row per point.
 
     Rows follow the grid in lexicographic (T, nu, sigma) order.  The fugacity
     depends on (T, nu) alone and both count bounds are linear in sigma, so
-    each pair is solved once and its sigma rows reuse that solution; each
-    sigma's wire (or the DomainError that rejects it) is built once.
+    each pair is solved once (which also gives F_{1/2}(z)) and its sigma rows
+    are classified together; each sigma's wire (or the DomainError that
+    rejects it) is built once.  A CSV row is written as the text _fmt gives:
+    axis values are formatted once, z, lambda and the degeneracy (floats) once
+    per pair, so each row formats only its two counts.
     """
     m = constants_for(config.unit_system).mass_ref
-    nus = config.nu_axis.values()
-    wires = []
+    text = config.out_format == "csv"
+
+    def error_row(T, nu, sigma, exc):
+        row = [T, nu, sigma, None, None, None, None, None, "ERROR", str(exc)]
+        return ",".join(map(_fmt, row)) if text else row
+
+    nus = [(nu, _fmt(nu)) for nu in config.nu_axis.values()]
+    sigmas = []  # (sigma, its cell, its wire or the DomainError that rejects it)
     for sigma in config.sigma_axis.values():
         try:
-            wires.append((sigma, WireGeometry(sigma)))
+            wire = WireGeometry(sigma)
         except DomainError as exc:
-            wires.append((sigma, exc))
-    rows = []
+            wire = exc
+        sigmas.append((sigma, _fmt(sigma), wire))
+    valid = [sigma for sigma, _, wire in sigmas if not isinstance(wire, DomainError)]
+    rows, solved = [], 0
     for T in config.t_axis.values():
-        for nu in nus:
+        T_cell = _fmt(T)
+        for nu, nu_cell in nus:
             try:
-                state, f_half = _state_and_f_half(
+                state, f_half = _solve_thermal_state(
                     GasParameters(m, T, nu, config.unit_system), config.statistics)
             except (ConvergenceError, DomainError) as exc:
-                rows.extend(_error_row(T, nu, sigma, exc) for sigma, _ in wires)
+                rows.extend(error_row(T, nu, sigma, exc) for sigma, _, _ in sigmas)
                 continue
-            z = state.z
-            for sigma, wire in wires:
+            solved += len(valid)
+            counts = iter(_classify_sigmas(state, f_half, valid, config.thresholds))
+            pair = (state.z, state.lam, state.degeneracy)
+            tail = ",%.17g,%.17g,%.17g," % pair
+            for sigma, sigma_cell, wire in sigmas:
                 if isinstance(wire, DomainError):
-                    rows.append(_error_row(T, nu, sigma, wire))
+                    rows.append(error_row(T, nu, sigma, wire))
                     continue
-                report = classify_wire(state, f_half, wire, config.thresholds)
-                rows.append([T, nu, sigma, z, state.lam, state.degeneracy,
-                             report.rhs_approx, report.rhs_exact, report.regime.value, ""])
-    text = _render_table(SCAN_COLUMNS, rows, config.out_format)
-    _write_output(text, config.out_path)
-    succeeded = sum(1 for r in rows if r[8] != "ERROR")
-    return 0 if succeeded >= 1 else 1
+                rhs_approx, rhs_exact, regime = next(counts)
+                label = regime._value_  # Regime.value, without the enum property's cost
+                if text:
+                    rows.append("%s,%s,%s%s%.17g,%.17g,%s," % (
+                        T_cell, nu_cell, sigma_cell, tail, rhs_approx, rhs_exact, label))
+                else:
+                    rows.append([T, nu, sigma, *pair, rhs_approx, rhs_exact, label, ""])
+    _write_output("\n".join([",".join(SCAN_COLUMNS), *rows]) + "\n" if text
+                  else _render_table(SCAN_COLUMNS, rows, "json"), config.out_path)
+    return 0 if solved else 1
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +401,7 @@ _COMMANDS = {
 
 
 def _add_command(subparsers, name):
+    import argparse
     _, help_text, keys = _COMMANDS[name]
     parser = subparsers.add_parser(name, help=help_text, allow_abbrev=False,
                                    argument_default=argparse.SUPPRESS)
@@ -416,7 +414,9 @@ def _add_command(subparsers, name):
 
 @lru_cache(maxsize=None)
 def _parser():
-    # built once per process: parsing leaves the tree as it was
+    # built once per process: parsing leaves the tree as it was.  argparse
+    # (and its gettext) loads here, not with the module, for run_scan callers
+    import argparse
     parser = argparse.ArgumentParser(
         prog="fermiwire",
         description="Quantum statistics of fermions in a quasi-1D wire",

@@ -22,10 +22,10 @@ from .specfun import (
     QuantumIntegralOrder,
     Statistics,
     _pow_or_inf,
+    _thermal_wavelength,
     density_and_slope,
     exp_or_inf,
     quantum_integral,
-    thermal_wavelength,
 )
 
 __all__ = [
@@ -145,18 +145,19 @@ def _occupations(stat, w, out=None):
 
 
 def _solve_log(stat, x, lo, hi, y):
-    """ln z in [lo, hi] solving F_{3/2}(e^y) = x by safeguarded Newton from y.
+    """(ln z, F_{1/2}(z)), ln z in [lo, hi] solving F_{3/2}(e^y) = x by safeguarded Newton from y.
 
     F_{3/2}(e^y) rises with y, its slope is F_{1/2}(e^y) and its curvature
     F_{-1/2}(e^y) > 0, so Newton converges from either side; a step that
     leaves the bracket falls back to bisection.  Each step takes F_{3/2}
-    and its slope from one density_and_slope call.
+    and its slope from one density_and_slope call; the last call is at the
+    returned ln z, so its slope is F_{1/2} there.
     """
     for _ in range(_MAX_ITER):
         density, slope = density_and_slope(stat, y)
         f = density - x
         if abs(f) <= _REL_TOL * x:
-            return y
+            return y, slope
         if f > 0.0:
             hi = y
         else:
@@ -165,7 +166,7 @@ def _solve_log(stat, x, lo, hi, y):
         if not lo < y_next < hi:
             y_next = 0.5 * (lo + hi)
         if y_next == y:
-            return y
+            return y, slope
         y = y_next
     raise ConvergenceError("fugacity iteration did not converge at degeneracy %r"
                            " in the ln z bracket [%r, %r]" % (x, lo, hi))
@@ -173,9 +174,14 @@ def _solve_log(stat, x, lo, hi, y):
 
 def solve_log_fugacity(stat, degeneracy):
     """ln z solving F_{3/2}(z) = degeneracy; exact far into degeneracy."""
-    x = _positive("degeneracy", degeneracy)
+    return _solve_log_fugacity(stat, _positive("degeneracy", degeneracy))[0]
+
+
+def _solve_log_fugacity(stat, x):
+    """(ln z, F_{1/2}(z)) solving F_{3/2}(z) = x, a degeneracy the caller has
+    checked; F_{1/2} comes from the solver's last walk, and for MB it is z."""
     if stat is Statistics.MAXWELL_BOLTZMANN:
-        return math.log(x)
+        return math.log(x), exp_or_inf(math.log(x))
     # Closed-form brackets, so no search loop:
     #   FD: f_{3/2}(z) <= z (alternating series) and, for y > 0,
     #       f_{3/2}(e^y) >= C y^(3/2) with C = SOMMERFELD_COEFF (the smeared
@@ -201,7 +207,7 @@ def solve_log_fugacity(stat, degeneracy):
                 % (x, ZETA_THREE_HALVES)
             )
         if x == ZETA_THREE_HALVES:
-            return 0.0
+            return 0.0, math.inf
         lo = math.log(x / ZETA_THREE_HALVES)
         hi = min(math.log(x), 0.0)
         if x < 1.0:
@@ -260,10 +266,16 @@ def solve_fugacity(stat, degeneracy):
 
 def solve_thermal_state(params, stat=Statistics.FERMI_DIRAC):
     """ThermalState for GasParameters and stat; lambda^3/nu must be a normal double."""
-    lam = thermal_wavelength(params.m, params.T, params.unit_system)
+    return _solve_thermal_state(params, stat)[0]
+
+
+def _solve_thermal_state(params, stat):
+    """(ThermalState, F_{1/2}(z)) of GasParameters, whose m and T are checked, from one solve."""
+    lam = _thermal_wavelength(params.m, params.T, params.unit_system)
     degeneracy = _normal("lambda^3/nu at T = %r, nu = %r",
                          _pow_or_inf(lam, 3) / params.nu, params.T, params.nu)
-    return ThermalState(solve_log_fugacity(stat, degeneracy), lam, degeneracy)
+    log_z, f_half = _solve_log_fugacity(stat, degeneracy)
+    return ThermalState(log_z, lam, degeneracy), f_half
 
 
 def fermi_momentum(params):

@@ -15,7 +15,7 @@ import math
 from bisect import bisect
 from enum import Enum
 from functools import lru_cache
-from itertools import islice
+from itertools import count, islice
 
 from ._kernel_tables import FD_CENTRES, FD_EDGES, FD_ROWS, TWO_ETA_EVEN
 from ._kernel_tables import ZETA_HALF_INTEGERS as _ZETA_HALF_INTEGERS
@@ -32,6 +32,15 @@ BOSE_EXPANSION_ALPHA = 1.0
 SOMMERFELD_LOG_Z = 65.0
 # (k^nu, k^(nu-1)) for k = 2..43, the power series' longest run (at ln z = -1)
 _K_POWERS = {nu: tuple((k ** nu, k ** (nu - 1.0)) for k in range(2, 44)) for nu in (2.5, 1.5, 0.5)}
+# Sommerfeld terms k = 0..9: (2 eta(2k), Gamma(nu+1-2k), Gamma(nu-2k))
+_SOMMERFELD_TERMS = {nu: tuple((two_eta, math.gamma(nu + 1.0 - 2 * k), math.gamma(nu - 2 * k))
+                               for k, two_eta in enumerate(TWO_ETA_EVEN[:10]))
+                     for nu in (2.5, 1.5, 0.5)}
+# alpha-expansion: ((zeta(nu-k), zeta(nu-1-k), k+1) for k >= 2, zeta(nu), zeta(nu-1),
+# zeta(nu-2), Gamma(1-nu), Gamma(2-nu))
+_BE_TERMS = {nu: (tuple(zip(zeta[2:], zeta[3:], count(3.0))), *zeta[:3],
+                  math.gamma(1.0 - nu), math.gamma(2.0 - nu))
+             for nu, zeta in zip((2.5, 1.5, 0.5), (_ZETA_HALF_INTEGERS[j:] for j in range(3)))}
 
 
 class Statistics(Enum):
@@ -126,9 +135,9 @@ def _sommerfeld(nu, y):
     # terms, as at y = 65 the tenth of F_{-1/2} is 4e-18 of the first; y^mu as
     # (y^(mu/2))^2, as it overflows first
     t, power, value, slope = 1.0 / (y * y), 1.0, 0.0, 0.0
-    for k, two_eta in enumerate(TWO_ETA_EVEN[:10]):
-        value += two_eta * power / math.gamma(nu + 1.0 - 2 * k)
-        slope += two_eta * power / math.gamma(nu - 2 * k)
+    for two_eta, gamma_value, gamma_slope in _SOMMERFELD_TERMS[nu]:
+        value += two_eta * power / gamma_value
+        slope += two_eta * power / gamma_slope
         power *= t
     root, root_next = _pow_or_inf(y, 0.5 * nu), _pow_or_inf(y, 0.5 * (nu - 1.0))
     return root * (root * value), root_next * (root_next * slope)
@@ -140,18 +149,18 @@ def _be_expansion(nu, alpha):
     # stop on (-alpha)^k/k! < 1e-18 comes by k = 20 of the table's 40.  The
     # terms from k = 2 are summed first, then k = 1, k = 0 and the lead, which
     # cancel most as alpha nears 1; a lead past double range, or at z = 1, is inf
-    zeta, factor = _ZETA_HALF_INTEGERS[int(2.5 - nu):], 0.5 * alpha * alpha
-    value = slope = 0.0
-    for k, (a, b) in enumerate(zip(zeta[2:], zeta[3:]), 2):
+    terms, zeta0, zeta1, zeta2, gamma_value, gamma_slope = _BE_TERMS[nu]
+    factor, value, slope = 0.5 * alpha * alpha, 0.0, 0.0
+    for a, b, k_next in terms:
         value += a * factor
         slope += b * factor
         if abs(factor) < 1e-18:
             break
-        factor *= -alpha / (k + 1.0)
-    lead = math.gamma(1.0 - nu) * _pow_or_inf(alpha, nu - 1.0)
-    lead_next = math.gamma(2.0 - nu) * _pow_or_inf(alpha, nu - 2.0)
-    return (lead + (zeta[0] + (zeta[1] * -alpha + value)),
-            lead_next + (zeta[1] + (zeta[2] * -alpha + slope)))
+        factor *= -alpha / k_next
+    lead = gamma_value * _pow_or_inf(alpha, nu - 1.0)
+    lead_next = gamma_slope * _pow_or_inf(alpha, nu - 2.0)
+    return (lead + (zeta0 + (zeta1 * -alpha + value)),
+            lead_next + (zeta1 + (zeta2 * -alpha + slope)))
 
 
 def _pair(stat, nu, y, z):
@@ -205,7 +214,11 @@ def thermal_wavelength(m, T, unit_system=UnitSystem.REDUCED):
     """lambda = sqrt(2 pi hbar^2 / (m k T)) for m > 0 and T > 0, in the length
     unit of unit_system: REDUCED (hbar = k = 1) or SI (CODATA-2018); math.inf
     once lambda is past double range."""
-    m, T = _positive("m", m), _positive("T", T)
+    return _thermal_wavelength(_positive("m", m), _positive("T", T), unit_system)
+
+
+def _thermal_wavelength(m, T, unit_system):
+    """thermal_wavelength of an m and a T already checked, as GasParameters holds them."""
     consts = constants_for(unit_system)
     mkT = m * consts.k_B * T
     ratio = 2.0 * math.pi / mkT if mkT else math.inf

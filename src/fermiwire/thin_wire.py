@@ -16,7 +16,7 @@ from collections import namedtuple
 from enum import Enum
 
 from .errors import DomainError, _Checked, _positive
-from .gas_statistics import _occupations, solve_thermal_state
+from .gas_statistics import _occupations, _solve_thermal_state
 from .specfun import (
     QuantumIntegralOrder,
     Statistics,
@@ -128,25 +128,28 @@ def number_integral_quasi1d(stat, state, wire):
     return 2.0 * value * wire.sigma_tilde / state.degeneracy
 
 
-def _state_and_f_half(params, stat):
-    """The solved state of params and F_{1/2}(z): the part of a classification free of the wire."""
-    state = solve_thermal_state(params, stat)
-    return state, quantum_integral(stat, QuantumIntegralOrder.ONE_HALF, log_z=state.log_z)
-
-
 def classify_regime(params, wire, thresholds=None, stat=Statistics.FERMI_DIRAC):
     """Classify the gas of params in the wire under statistics stat: solve
-    its state and F_{1/2}(z) and hand both to classify_wire."""
-    return classify_wire(*_state_and_f_half(params, stat), wire, thresholds)
+    its state, which also gives F_{1/2}(z), and hand both to classify_wire."""
+    return classify_wire(*_solve_thermal_state(params, stat), wire, thresholds)
 
 
 def classify_wire(state, f_half, wire, thresholds=None):
-    """Regime of a solved state at one cross-section, given f_half = F_{1/2}(z).
+    """Regime of a solved state at one cross-section, given f_half = F_{1/2}(z):
+    the one-sigma case of _classify_sigmas."""
+    [(rhs_approx, rhs_exact, regime)] = _classify_sigmas(
+        state, f_half, [wire.sigma_tilde], thresholds)
+    return RegimeReport(rhs_approx, rhs_exact, rhs_approx > 1.0, regime)
+
+
+def _classify_sigmas(state, f_half, sigmas, thresholds=None):
+    """(rhs_approx, rhs_exact, regime) of a solved state at each sigma_tilde
+    of sigmas, given f_half = F_{1/2}(z).
 
     Both counts are linear in sigma_tilde: rhs_approx = sigma_tilde z/degeneracy
     and rhs_exact = sigma_tilde F_{1/2}(z)/degeneracy.  The decision cascade,
     honouring the boundary-tie priority DegenerateSubFermi >
-    BoltzmannConverged > BosonizedClassical > Bosonized:
+    BoltzmannConverged > BosonizedClassical > Bosonized, reads sigma_tilde in step 2 alone:
 
       1. z >= z_degenerate               -> DEGENERATE_SUB_FERMI
       2. degeneracy <= deg_classical and
@@ -156,25 +159,15 @@ def classify_wire(state, f_half, wire, thresholds=None):
     """
     if thresholds is None:
         thresholds = RegimeThresholds()
-
-    rhs_approx = rhs_eq3(state, wire)
-    rhs_exact = wire.sigma_tilde * f_half / state.degeneracy
-
-    if state.z >= thresholds.z_degenerate:
-        regime = Regime.DEGENERATE_SUB_FERMI
-    elif state.degeneracy <= thresholds.deg_classical and rhs_approx >= 1.0:
-        regime = Regime.BOLTZMANN_CONVERGED
-    elif state.degeneracy <= thresholds.deg_classical:
-        regime = Regime.BOSONIZED_CLASSICAL
+    z, degeneracy = state.z, state.degeneracy  # regimes: at rhs_approx < 1, at >= 1
+    if z >= thresholds.z_degenerate:
+        regimes = (Regime.DEGENERATE_SUB_FERMI,) * 2
+    elif degeneracy <= thresholds.deg_classical:
+        regimes = (Regime.BOSONIZED_CLASSICAL, Regime.BOLTZMANN_CONVERGED)
     else:
-        regime = Regime.BOSONIZED
-
-    return RegimeReport(
-        rhs_approx=rhs_approx,
-        rhs_exact=rhs_exact,
-        inequality_holds=rhs_approx > 1.0,
-        regime=regime,
-    )
+        regimes = (Regime.BOSONIZED,) * 2
+    return [(rhs_approx, sigma * f_half / degeneracy, regimes[rhs_approx >= 1.0])
+            for sigma in sigmas for rhs_approx in (sigma * z / degeneracy,)]
 
 
 def sigma_critical(state, stat=None):

@@ -8,13 +8,17 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fermiwire import WireGeometry, classify_regime, cli, gas_statistics, verify
-from fermiwire.cli import AxisSpec, main, parse_axis
+from fermiwire import (ConvergenceError, DomainError, GasParameters, RegimeThresholds, Statistics,
+                       WireGeometry, classify_regime, classify_wire, cli, constants_for, errors,
+                       gas_statistics, quantum_integral, solve_thermal_state, specfun,
+                       thermal_wavelength, verify)
+from fermiwire.cli import AxisSpec, ScanConfig, main, parse_axis
 from fermiwire.errors import ConfigError
 from oracles import render_csv
 
@@ -159,14 +163,16 @@ class TestScan:
         assert float(rows[0][7]) == pytest.approx(0.1 * z / deg, rel=1e-15)
 
     def test_one_solve_per_temperature_and_volume(self, capsys, monkeypatch):
+        # the scan solves through the private sibling of solve_log_fugacity,
+        # which also hands back F_{1/2} at the root
         calls = []
-        solve = gas_statistics.solve_log_fugacity
+        solve = gas_statistics._solve_log_fugacity
 
         def counted(stat, degeneracy):
             calls.append(degeneracy)
             return solve(stat, degeneracy)
 
-        monkeypatch.setattr(gas_statistics, "solve_log_fugacity", counted)
+        monkeypatch.setattr(gas_statistics, "_solve_log_fugacity", counted)
         code, rows = scan_rows(
             capsys, ["--T", "1:30:3:log", "--nu", "0.5:4:2:log", "--sigma", "1e-6:1:4:log"]
         )
@@ -295,7 +301,7 @@ class TestScan:
         monkeypatch.setattr(gas_statistics, "density_and_slope", lambda stat, y: (1e300, 1e306))
         code, rows = scan_rows(capsys, ["--T", "1:1:1", "--nu", "1:2:2", "--sigma", "0.5:1:2"])
         assert code == 1
-        lam = gas_statistics.thermal_wavelength(1.0, 1.0)
+        lam = thermal_wavelength(1.0, 1.0)
         for nu, pair in zip((1.0, 2.0), (rows[:2], rows[2:])):
             for row in pair:
                 assert row[3:9] == ["", "", "", "", "", "ERROR"]
@@ -773,6 +779,151 @@ RENDER_TABLES = {
 }
 
 
+def scan_reference_rows(config):
+    """The rows of config's scan built point by point: the pair's state from
+    solve_thermal_state, F_{1/2}(z) from quantum_integral and the row from
+    classify_wire, which classify_regime must match."""
+    m = constants_for(config.unit_system).mass_ref
+    rows = []
+    for T in config.t_axis.values():
+        for nu in config.nu_axis.values():
+            for sigma in config.sigma_axis.values():
+                try:
+                    params = GasParameters(m, T, nu, config.unit_system)
+                    state = solve_thermal_state(params, config.statistics)
+                    f_half = quantum_integral(config.statistics, 0.5, log_z=state.log_z)
+                    wire = WireGeometry(sigma)
+                except (ConvergenceError, DomainError) as exc:
+                    rows.append([T, nu, sigma, None, None, None, None, None, "ERROR", str(exc)])
+                    continue
+                report = classify_wire(state, f_half, wire, config.thresholds)
+                assert classify_regime(params, wire, config.thresholds, config.statistics) == report
+                rows.append([T, nu, sigma, state.z, state.lam, state.degeneracy,
+                             report.rhs_approx, report.rhs_exact, report.regime.value, ""])
+    return rows
+
+
+def tie_grid(stat):
+    """Axes and thresholds with exact ties: deg_classical is the degeneracy of
+    the pair at T = 50, where the top sigma is the first to give rhs_approx
+    = 1; for FD and MB, z_degenerate is the z of the pair at T = 0.5 (a Bose
+    z stays below 1, so BE takes T = 5 and the default threshold)."""
+    t_low = 5.0 if stat is Statistics.BOSE_EINSTEIN else 0.5
+    low, classical = (solve_thermal_state(GasParameters(1.0, T, 1.0), stat) for T in (t_low, 50.0))
+    z, degeneracy = classical.z, classical.degeneracy
+    sigma = degeneracy / z * (1.0 - 1e-15)
+    while sigma * z / degeneracy < 1.0:
+        sigma = math.nextafter(sigma, math.inf)
+    assert sigma * z / degeneracy == 1.0
+    z_degenerate = 100.0 if stat is Statistics.BOSE_EINSTEIN else low.z
+    axes = (AxisSpec(t_low, 50.0, 2), AxisSpec(1.0, 1.0, 1),
+            AxisSpec(math.nextafter(sigma, 0.0), sigma, 2))
+    return axes, RegimeThresholds(z_degenerate, degeneracy)
+
+
+# (T, nu, sigma) axes of the streamed-scan grids, the thresholds default
+SCAN_GRIDS = {
+    "regimes": (AxisSpec(0.05, 200.0, 9, "log"), AxisSpec(0.5, 8.0, 4, "log"),
+                AxisSpec(1e-4, 100.0, 9, "log")),
+    "errors": (AxisSpec(1e-300, 2.0 * math.pi, 3, "log"), AxisSpec(0.0, 2.0, 3),
+               AxisSpec(-1.0, 1.0, 3)),
+    "z = inf": (AxisSpec(0.005, 0.02, 3, "log"), AxisSpec(1.0, 1.0, 1),
+                AxisSpec(1e-6, 1.0, 3, "log")),
+    "ints": (AxisSpec(1, 10 ** 20, 3, "log"), AxisSpec(1, 2, 2), AxisSpec(3, 3, 1)),
+    "ties": None,
+}
+
+
+class TestStreamedScan:
+    """run_scan writes what the per-point reference rows render to."""
+
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    @pytest.mark.parametrize("stat", list(Statistics), ids=lambda s: s.value)
+    @pytest.mark.parametrize("grid", list(SCAN_GRIDS))
+    def test_matches_per_point_reference(self, tmp_path, grid, stat, out_format):
+        axes, thresholds = tie_grid(stat) if grid == "ties" else (SCAN_GRIDS[grid],
+                                                                  RegimeThresholds())
+        config = ScanConfig(*axes, stat, thresholds, out_path=str(tmp_path / "scan"),
+                            out_format=out_format)
+        rows = scan_reference_rows(config)
+        expected = (render_csv(cli.SCAN_COLUMNS, rows) if out_format == "csv"
+                    else cli._render_table(cli.SCAN_COLUMNS, rows, "json"))
+        code = cli.run_scan(config)
+        assert (tmp_path / "scan").read_bytes() == expected.encode("utf-8")
+        assert code == (0 if any(r[8] != "ERROR" for r in rows) else 1)
+        regimes = Counter(r[8] for r in rows)
+        if grid == "regimes" and stat is Statistics.FERMI_DIRAC:
+            assert set(regimes) == {"Bosonized", "BosonizedClassical", "DegenerateSubFermi",
+                                    "BoltzmannConverged"}
+        if grid == "errors":
+            messages = " ".join(r[9] for r in rows)
+            for part in ("at T = 1e-300", "nu must be", "sigma_tilde must be"):
+                assert part in messages
+            assert ("condensed phase" in messages) == (stat is Statistics.BOSE_EINSTEIN)
+        if grid == "z = inf" and stat is Statistics.FERMI_DIRAC:
+            assert any(r[3] == math.inf for r in rows)
+        if grid == "ties":
+            # each tie goes to the regime first in the cascade
+            lo, hi = rows[-2:]
+            assert lo[5] == thresholds.deg_classical == hi[5]
+            assert hi[6] == 1.0 > lo[6]
+            assert (lo[8], hi[8]) == ("BosonizedClassical", "BoltzmannConverged")
+            if stat is not Statistics.BOSE_EINSTEIN:
+                assert rows[0][3] == thresholds.z_degenerate
+                assert rows[0][8] == rows[1][8] == "DegenerateSubFermi"
+
+    def test_each_input_checked_once(self, capsys, monkeypatch):
+        # GasParameters checks m, T and nu and ThermalState lambda and the
+        # degeneracy: five _positive calls a (T, nu) pair, plus one a sigma's wire
+        calls = []
+        positive = errors._positive
+
+        def counted(name, value):
+            calls.append(name)
+            return positive(name, value)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("fermiwire") and getattr(module, "_positive", None) is positive:
+                monkeypatch.setattr(module, "_positive", counted)
+        code, rows = scan_rows(
+            capsys, ["--T", "1:30:3:log", "--nu", "0.5:4:2:log", "--sigma", "1e-6:1:4:log"]
+        )
+        assert code == 0 and len(rows) == 24
+        assert Counter(calls)["sigma_tilde"] == 4
+        assert len(calls) - 4 <= 5 * 6
+
+    @pytest.mark.parametrize(
+        "stat, axes, bound",
+        [
+            # the seed-1 grids of bench/run.py: be_sweep, 500 pairs of one
+            # sigma (3.66 walks a pair at the parent), and phase_map_fd, 50
+            # pairs of 20 sigma each (5.02 at the parent)
+            ("be", (AxisSpec(3.333016638580184, 180.2754923795323, 500, "log"),
+                    AxisSpec(1.0, 1.0, 1), AxisSpec(1.634364244112401, 1.634364244112401, 1)),
+             2.7),
+            ("fd", (AxisSpec(0.04567182122056201, 162.71150605405848, 10, "log"),
+                    AxisSpec(0.5105509847590646, 7.804055220591537, 5, "log"),
+                    AxisSpec(9.990870174183882e-05, 98.98982129577476, 20, "log")), 4.05),
+        ],
+        ids=["be_sweep", "phase_map_fd"],
+    )
+    def test_kernel_walks_per_pair(self, tmp_path, monkeypatch, stat, axes, bound):
+        # one solve a pair, its last walk's slope serving as F_{1/2}: the
+        # walks are the solver's Newton steps alone
+        walks = []
+        kernel = specfun._pair
+
+        def counted(*args):
+            walks.append(args[0])
+            return kernel(*args)
+
+        monkeypatch.setattr(specfun, "_pair", counted)
+        config = ScanConfig(*axes, Statistics(stat), out_path=str(tmp_path / "scan"))
+        assert cli.run_scan(config) == 0
+        pairs = axes[0].points * axes[1].points
+        assert len(walks) / pairs <= bound
+
+
 class TestCsvRendering:
     @pytest.mark.parametrize("table", RENDER_TABLES.values(), ids=list(RENDER_TABLES))
     def test_matches_reference(self, table):
@@ -800,14 +951,22 @@ class TestCsvRendering:
         ids=lambda args: " ".join(args),
     )
     def test_cli_output_matches_reference(self, capsys, monkeypatch, args):
+        # a table command renders its rows once through _render_table; a CSV
+        # scan writes its rows as text itself, so its reference rows are
+        # built point by point from the public classifier
         tables = []
-        render = cli._render_table
+        render, scan = cli._render_table, cli.run_scan
 
         def recording(columns, rows, out_format):
             tables.append((columns, rows))
             return render(columns, rows, out_format)
 
+        def scan_recording(config):
+            tables.append((cli.SCAN_COLUMNS, scan_reference_rows(config)))
+            return scan(config)
+
         monkeypatch.setattr(cli, "_render_table", recording)
+        monkeypatch.setattr(cli, "run_scan", scan_recording)
         main(args)
         [(columns, rows)] = tables
         assert capsys.readouterr().out == render_csv(columns, rows)

@@ -257,6 +257,22 @@ class TestSolveFugacity:
         counts = self.count_calls(monkeypatch, BE, degeneracies)
         assert sum(counts) / len(counts) <= 3.1
 
+    @pytest.mark.parametrize("stat, degeneracies", [
+        (FD, [*np.geomspace(1e-6, 1e6, 150), 1.7e300]),
+        (BE, [*np.geomspace(1e-6, 2.6, 150),
+              *(ZETA_THREE_HALVES - 10.0 ** -k for k in range(3, 16)), ZETA_THREE_HALVES]),
+        (MB, [*np.geomspace(1e-300, 1e300, 50)]),
+    ], ids=["fd", "be", "mb"])
+    def test_private_solve_gives_f_half_at_the_root(self, stat, degeneracies):
+        # the scan's solve: the same ln z as solve_log_fugacity and, from the
+        # last walk, the F_{1/2} that quantum_integral gives there, bit for
+        # bit; MB's is z, and the Bose limit's is inf
+        for x in map(float, degeneracies):
+            y, f_half = gas_statistics._solve_log_fugacity(stat, x)
+            assert y == solve_log_fugacity(stat, x), x
+            assert f_half == quantum_integral(stat, 0.5, log_z=y), x
+        assert gas_statistics._solve_log_fugacity(BE, ZETA_THREE_HALVES) == (0.0, math.inf)
+
     def test_step_leaving_the_bracket_bisects(self, monkeypatch):
         # from ln z = -50 the Newton step for x = 1 lands near 1e22, far past
         # the bracket [-50, 50], so the next ln z is its midpoint 0
@@ -268,9 +284,11 @@ class TestSolveFugacity:
             return kernel(stat, y)
 
         monkeypatch.setattr(gas_statistics, "density_and_slope", recorded)
-        y = gas_statistics._solve_log(FD, 1.0, -50.0, 50.0, -50.0)
+        y, f_half = gas_statistics._solve_log(FD, 1.0, -50.0, 50.0, -50.0)
         assert tried[:2] == [-50.0, 0.0]
         assert abs(quantum_integral(FD, N32, log_z=y) - 1.0) <= 1e-12
+        # the slope handed back is the last walk's, at the returned ln z
+        assert tried[-1] == y and f_half == quantum_integral(FD, 0.5, log_z=y)
 
     def test_bracket_closed_on_a_jump_returns(self, monkeypatch):
         # a density that jumps by 2e-6 of itself at ln z = 0.3 never meets the
@@ -286,9 +304,10 @@ class TestSolveFugacity:
 
         x = kernel(FD, 0.3)[0]
         monkeypatch.setattr(gas_statistics, "density_and_slope", jump)
-        y = gas_statistics._solve_log(FD, x, 0.0, 1.2, 1.2)
+        y, f_half = gas_statistics._solve_log(FD, x, 0.0, 1.2, 1.2)
         assert math.nextafter(0.3, 0.0) <= y <= 0.3
         assert len(tried) < gas_statistics._MAX_ITER
+        assert tried[-1] == y and f_half == quantum_integral(FD, 0.5, log_z=y)
 
     def test_exhausted_iterations_name_degeneracy_and_bracket(self, monkeypatch):
         # a density stuck at twice the target with a steep slope moves ln z

@@ -298,6 +298,24 @@ def test_scan_and_tables_load_no_numpy(tmp_path):
         assert proc.stdout.strip() == "0 []", argv
 
 
+def test_cli_import_loads_no_argparse():
+    # the parser is built on use: run_scan and run_verify callers pay for
+    # neither argparse nor the gettext it loads; main still parses
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, fermiwire.cli; "
+        "print(sorted(m for m in ('argparse', 'gettext') if m in sys.modules)); "
+        "fermiwire.cli._parser(); "
+        "print(sorted(m for m in ('argparse', 'gettext') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "['argparse', 'gettext']"]
+
+
 def test_cli_import_loads_no_scipy():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
