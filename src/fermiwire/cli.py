@@ -19,7 +19,7 @@ from .box_oracle import ContinuumComparison, compare_continuum, enumerate_levels
 from .constants import UnitSystem, constants_for
 from .errors import (ConfigError, ConvergenceError, DomainError, ResourceLimitError, _Checked,
                      _normal, _positive)
-from .gas_statistics import GasParameters, _solve_thermal_state, occupation
+from .gas_statistics import _solve_pair, occupation
 from .phonon_map import (
     PhononMedium,
     correspondence_check,
@@ -241,44 +241,52 @@ def run_scan(config):
     Rows follow the grid in lexicographic (T, nu, sigma) order.  The fugacity
     depends on (T, nu) alone and both count bounds are linear in sigma, so
     each pair is solved once (which also gives F_{1/2}(z)) and its sigma rows
-    are classified together; each sigma's wire (or the DomainError that
-    rejects it) is built once.  A CSV row is written as the text _fmt gives:
+    are classified together, with no record built for it.  m, each T, each nu
+    and each sigma's wire are checked once (the error that rejects one goes
+    to all its rows).  A CSV row is written as the text _fmt gives:
     axis values are formatted once, z, lambda and the degeneracy (floats) once
     per pair, so each row formats only its two counts.
     """
-    m = constants_for(config.unit_system).mass_ref
+    unit_system, stat = config.unit_system, config.statistics
+    m = _positive("m", constants_for(unit_system).mass_ref)
     text = config.out_format == "csv"
 
     def error_row(T, nu, sigma, exc):
         row = [T, nu, sigma, None, None, None, None, None, "ERROR", str(exc)]
         return ",".join(map(_fmt, row)) if text else row
 
-    nus = [(nu, _fmt(nu)) for nu in config.nu_axis.values()]
-    sigmas = []  # (sigma, its cell, its wire or the DomainError that rejects it)
-    for sigma in config.sigma_axis.values():
-        try:
-            wire = WireGeometry(sigma)
-        except DomainError as exc:
-            wire = exc
-        sigmas.append((sigma, _fmt(sigma), wire))
-    valid = [sigma for sigma, _, wire in sigmas if not isinstance(wire, DomainError)]
-    rows, solved = [], 0
-    for T in config.t_axis.values():
-        T_cell = _fmt(T)
-        for nu, nu_cell in nus:
+    def checked(axis, check):
+        # (value, its cell, the DomainError that rejects it or None) of each axis value
+        for value in axis.values():
+            error = None
             try:
-                state, f_half = _solve_thermal_state(
-                    GasParameters(m, T, nu, config.unit_system), config.statistics)
-            except (ConvergenceError, DomainError) as exc:
-                rows.extend(error_row(T, nu, sigma, exc) for sigma, _, _ in sigmas)
+                check(value)
+            except DomainError as exc:
+                error = exc
+            yield value, _fmt(value), error
+
+    nus = list(checked(config.nu_axis, lambda nu: _positive("nu", nu)))
+    sigmas = list(checked(config.sigma_axis, WireGeometry))
+    valid = [sigma for sigma, _, error in sigmas if error is None]
+    rows, solved = [], 0
+    for T, T_cell, T_error in checked(config.t_axis, lambda T: _positive("T", T)):
+        for nu, nu_cell, nu_error in nus:
+            error = T_error or nu_error
+            if not error:
+                try:
+                    _, z, lam, degeneracy, f_half = _solve_pair(m, T, nu, unit_system, stat)
+                except (ConvergenceError, DomainError) as exc:
+                    error = exc
+            if error:
+                rows.extend(error_row(T, nu, sigma, error) for sigma, _, _ in sigmas)
                 continue
             solved += len(valid)
-            counts = iter(_classify_sigmas(state, f_half, valid, config.thresholds))
-            pair = (state.z, state.lam, state.degeneracy)
+            counts = iter(_classify_sigmas(z, degeneracy, f_half, valid, config.thresholds))
+            pair = (z, lam, degeneracy)
             tail = ",%.17g,%.17g,%.17g," % pair
-            for sigma, sigma_cell, wire in sigmas:
-                if isinstance(wire, DomainError):
-                    rows.append(error_row(T, nu, sigma, wire))
+            for sigma, sigma_cell, sigma_error in sigmas:
+                if sigma_error:
+                    rows.append(error_row(T, nu, sigma, sigma_error))
                     continue
                 rhs_approx, rhs_exact, regime = next(counts)
                 label = regime._value_  # Regime.value, without the enum property's cost

@@ -14,7 +14,7 @@ import math
 from collections import namedtuple
 from functools import cached_property
 
-from ._kernel_tables import ZETA_HALF_INTEGERS
+from ._kernel_tables import BE_INVERSE_ROWS, FD_INVERSE_LOG_TOP, FD_INVERSE_ROWS, FD_INVERSE_U_TOP
 from .constants import UnitSystem, constants_for
 from .errors import (CondensationError, ConvergenceError, DomainError, SingularityError, _Checked,
                      _normal, _positive)
@@ -43,8 +43,6 @@ __all__ = [
 
 # zeta(3/2): the Bose degeneracy parameter cannot exceed this.
 ZETA_THREE_HALVES = 2.612375348685488
-# zeta(1/2) and zeta(-1/2), for the Bose seed
-_ZETA_HALF, _ZETA_MINUS_HALF = ZETA_HALF_INTEGERS[2:4]
 # Sommerfeld leading coefficient 4/(3 sqrt(pi)): f_{3/2}(z) ~ it * (ln z)^(3/2).
 SOMMERFELD_COEFF = 0.7522527780636751
 
@@ -177,49 +175,54 @@ def solve_log_fugacity(stat, degeneracy):
     return _solve_log_fugacity(stat, _positive("degeneracy", degeneracy))[0]
 
 
+def _chebyshev(row, t):
+    """sum_k row[k] T_k(t), by Clenshaw's recurrence."""
+    b1, b2, t2 = 0.0, 0.0, t + t
+    for c in reversed(row):
+        b1, b2 = t2 * b1 - b2 + c, b1
+    return b1 - t * b2
+
+
 def _solve_log_fugacity(stat, x):
     """(ln z, F_{1/2}(z)) solving F_{3/2}(z) = x, a degeneracy the caller has
     checked; F_{1/2} comes from the solver's last walk, and for MB it is z."""
+    log_x = math.log(x)
     if stat is Statistics.MAXWELL_BOLTZMANN:
-        return math.log(x), exp_or_inf(math.log(x))
+        return log_x, exp_or_inf(log_x)
     # Closed-form brackets, so no search loop:
     #   FD: f_{3/2}(z) <= z (alternating series) and, for y > 0,
     #       f_{3/2}(e^y) >= C y^(3/2) with C = SOMMERFELD_COEFF (the smeared
     #       Fermi edge only adds to the Sommerfeld term), so
-    #       ln x <= y <= (x/C)^(2/3).
+    #       ln x <= y <= u = (x/C)^(2/3).
     #   BE: z <= g_{3/2}(z) <= zeta(3/2) z for z <= 1, so
     #       ln(x/zeta) <= y <= min(ln x, 0).
-    # The BE seed, clipped into the bracket, takes g_{3/2} to its third term
-    # from the nearer end; either is within 1e-2 of ln z at the switch x = 1:
-    #   x < 1: the series inverted, z = x - x^2/2^(3/2) + (1/4 - 3^(-3/2)) x^3;
-    #   x >= 1: x = zeta(3/2) - 2 sqrt(pi) s - zeta(1/2) s^2 + zeta(-1/2) s^4/2
-    #       in s = sqrt(-ln z), solved as a quadratic, then again with s^4 fixed.
-    if stat is Statistics.FERMI_DIRAC:
-        hi = (x / SOMMERFELD_COEFF) ** (2.0 / 3.0)
-        if math.isinf(hi):  # x/C overflows above ~1.35e308
-            hi = x ** (2.0 / 3.0) / SOMMERFELD_COEFF ** (2.0 / 3.0)
-        lo = math.log(x)
-        return _solve_log(stat, x, lo, hi, lo if x <= 0.7 else hi)
+    # The seed, clipped into the bracket, is a Chebyshev row S of the inverse
+    # (tests/make_kernel_tables.py) whose F_{3/2} is within a few 1e-15 of x,
+    # so Newton's first walk ends the solve: y = ln x + S(2x - 1) below x = 1;
+    # above it y = -s^2 with s = (zeta - x) S(t) for BE, and for FD y = u + S_i
+    # on three pieces of ln x up to f_{3/2}(e^65), then y = u S(2 (u_65/u)^2 - 1).
     if stat is Statistics.BOSE_EINSTEIN:
         if x > ZETA_THREE_HALVES:
-            raise CondensationError(
-                "degeneracy %.17g exceeds zeta(3/2) = %.16g: condensed phase"
-                % (x, ZETA_THREE_HALVES)
-            )
+            raise CondensationError("degeneracy %.17g exceeds zeta(3/2) = %.16g: condensed"
+                                    " phase" % (x, ZETA_THREE_HALVES))
         if x == ZETA_THREE_HALVES:
             return 0.0, math.inf
-        lo = math.log(x / ZETA_THREE_HALVES)
-        hi = min(math.log(x), 0.0)
-        if x < 1.0:
-            seed = math.log(x - x * x / 2.0 ** 1.5 + (0.25 - 3.0 ** -1.5) * x ** 3)
-        else:
-            s = 0.0
-            for _ in range(2):
-                d = ZETA_THREE_HALVES - x + 0.5 * _ZETA_MINUS_HALF * s ** 4
-                s = d / (math.sqrt(math.pi) + math.sqrt(math.pi + _ZETA_HALF * d))
-            seed = -s * s
-        return _solve_log(stat, x, lo, hi, min(max(seed, lo), hi))
-    raise DomainError("stat must be a Statistics member, got %r" % (stat,))
+        lo, hi, rows = math.log(x / ZETA_THREE_HALVES), min(log_x, 0.0), BE_INVERSE_ROWS
+    elif stat is Statistics.FERMI_DIRAC:  # u as x^(2/3)/C^(2/3): x/C overflows above ~1.35e308
+        lo, hi, rows = log_x, x ** (2.0 / 3.0) / SOMMERFELD_COEFF ** (2.0 / 3.0), FD_INVERSE_ROWS
+    else:
+        raise DomainError("stat must be a Statistics member, got %r" % (stat,))
+    if x < 1.0:
+        seed = log_x + _chebyshev(rows[0], 2.0 * x - 1.0)
+    elif stat is Statistics.BOSE_EINSTEIN:
+        t = 2.0 * (x - 1.0) / (ZETA_THREE_HALVES - 1.0) - 1.0
+        seed = -((ZETA_THREE_HALVES - x) * _chebyshev(rows[1], t)) ** 2
+    elif log_x < FD_INVERSE_LOG_TOP:
+        piece, t = divmod(3.0 * log_x / FD_INVERSE_LOG_TOP, 1.0)
+        seed = hi + _chebyshev(rows[1 + int(piece)], 2.0 * t - 1.0)
+    else:
+        seed = hi * _chebyshev(rows[4], 2.0 * (FD_INVERSE_U_TOP / hi) ** 2 - 1.0)
+    return _solve_log(stat, x, lo, hi, min(max(seed, lo), hi))
 
 
 def solve_fugacity(stat, degeneracy):
@@ -270,12 +273,19 @@ def solve_thermal_state(params, stat=Statistics.FERMI_DIRAC):
 
 
 def _solve_thermal_state(params, stat):
-    """(ThermalState, F_{1/2}(z)) of GasParameters, whose m and T are checked, from one solve."""
-    lam = _thermal_wavelength(params.m, params.T, params.unit_system)
-    degeneracy = _normal("lambda^3/nu at T = %r, nu = %r",
-                         _pow_or_inf(lam, 3) / params.nu, params.T, params.nu)
-    log_z, f_half = _solve_log_fugacity(stat, degeneracy)
+    """(ThermalState, F_{1/2}(z)) of GasParameters from one solve."""
+    log_z, _, lam, degeneracy, f_half = _solve_pair(
+        params.m, params.T, params.nu, params.unit_system, stat)
     return ThermalState(log_z, lam, degeneracy), f_half
+
+
+def _solve_pair(m, T, nu, unit_system, stat):
+    """(ln z, z, lambda, lambda^3/nu, F_{1/2}(z)) of an m, T and nu already
+    checked, from one solve and no record; lambda^3/nu must be a normal double."""
+    lam = _thermal_wavelength(m, T, unit_system)
+    degeneracy = _normal("lambda^3/nu at T = %r, nu = %r", _pow_or_inf(lam, 3) / nu, T, nu)
+    log_z, f_half = _solve_log_fugacity(stat, degeneracy)
+    return log_z, exp_or_inf(log_z), lam, degeneracy, f_half
 
 
 def fermi_momentum(params):

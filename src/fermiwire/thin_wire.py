@@ -70,8 +70,8 @@ RegimeReport = namedtuple("RegimeReport", "rhs_approx rhs_exact inequality_holds
 
 
 def rhs_eq3(state, wire):
-    """Approximate count bound nu*sigma*z/lambda^3 = sigma_tilde*z/(lambda^3/nu)."""
-    return wire.sigma_tilde * state.z / state.degeneracy
+    """Approximate count bound nu*sigma*z/lambda^3 = sigma_tilde*z/(lambda^3/nu), ratio first."""
+    return wire.sigma_tilde * (state.z / state.degeneracy)
 
 
 # Integration window above the Fermi edge: the integrand is below e^-60 past it.
@@ -138,16 +138,17 @@ def classify_wire(state, f_half, wire, thresholds=None):
     """Regime of a solved state at one cross-section, given f_half = F_{1/2}(z):
     the one-sigma case of _classify_sigmas."""
     [(rhs_approx, rhs_exact, regime)] = _classify_sigmas(
-        state, f_half, [wire.sigma_tilde], thresholds)
+        state.z, state.degeneracy, f_half, [wire.sigma_tilde], thresholds)
     return RegimeReport(rhs_approx, rhs_exact, rhs_approx > 1.0, regime)
 
 
-def _classify_sigmas(state, f_half, sigmas, thresholds=None):
-    """(rhs_approx, rhs_exact, regime) of a solved state at each sigma_tilde
-    of sigmas, given f_half = F_{1/2}(z).
+def _classify_sigmas(z, degeneracy, f_half, sigmas, thresholds=None):
+    """(rhs_approx, rhs_exact, regime) of a solved state's z, degeneracy and
+    f_half = F_{1/2}(z) at each sigma_tilde of sigmas.
 
-    Both counts are linear in sigma_tilde: rhs_approx = sigma_tilde z/degeneracy
-    and rhs_exact = sigma_tilde F_{1/2}(z)/degeneracy.  The decision cascade,
+    Both counts are linear in sigma_tilde: rhs_approx = sigma_tilde (z/degeneracy)
+    and rhs_exact = sigma_tilde (F_{1/2}(z)/degeneracy), each ratio formed once,
+    so a count underflows or overflows only where its value does.  The decision cascade,
     honouring the boundary-tie priority DegenerateSubFermi >
     BoltzmannConverged > BosonizedClassical > Bosonized, reads sigma_tilde in step 2 alone:
 
@@ -159,15 +160,16 @@ def _classify_sigmas(state, f_half, sigmas, thresholds=None):
     """
     if thresholds is None:
         thresholds = RegimeThresholds()
-    z, degeneracy = state.z, state.degeneracy  # regimes: at rhs_approx < 1, at >= 1
+    # regimes: at rhs_approx < 1, at >= 1
     if z >= thresholds.z_degenerate:
         regimes = (Regime.DEGENERATE_SUB_FERMI,) * 2
     elif degeneracy <= thresholds.deg_classical:
         regimes = (Regime.BOSONIZED_CLASSICAL, Regime.BOLTZMANN_CONVERGED)
     else:
         regimes = (Regime.BOSONIZED,) * 2
-    return [(rhs_approx, sigma * f_half / degeneracy, regimes[rhs_approx >= 1.0])
-            for sigma in sigmas for rhs_approx in (sigma * z / degeneracy,)]
+    z_ratio, f_ratio = z / degeneracy, f_half / degeneracy
+    return [(rhs_approx, sigma * f_ratio, regimes[rhs_approx >= 1.0])
+            for sigma in sigmas for rhs_approx in (sigma * z_ratio,)]
 
 
 def sigma_critical(state, stat=None):

@@ -140,6 +140,19 @@ class TestScan:
         assert first.returncode == second.returncode == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_counts_formed_ratio_first(self, capsys):
+        # sigma_tilde z and sigma_tilde F_{1/2}(z) underflow here (about
+        # 1e-150 times 1e-225), while each count is about sigma_tilde: the
+        # scan forms z/degeneracy and F_{1/2}/degeneracy first
+        code, rows = scan_rows(capsys, ["--T", "1e150:1e150:1", "--nu", "1:1:1",
+                                        "--sigma", "1e-150:1e-150:1", "--stat", "be"])
+        assert code == 0
+        z, degeneracy, rhs_approx, rhs_exact = (float(rows[0][k]) for k in (3, 5, 6, 7))
+        assert z < 1e-200 and degeneracy < 1e-200
+        assert abs(rhs_approx - 1e-150) <= 1e-12 * 1e-150
+        assert abs(rhs_exact - 1e-150) <= 1e-12 * 1e-150
+        assert rows[0][8] == "BosonizedClassical"
+
     def test_rhs_exact_uses_scan_statistics(self, capsys):
         # rhs_exact = sigma_tilde F_{1/2}(z)/degeneracy with F the scan's own
         # integral; at lambda = nu = sigma_tilde = 1 it is F_{1/2}(z) itself
@@ -810,15 +823,15 @@ def tie_grid(stat):
     z stays below 1, so BE takes T = 5 and the default threshold)."""
     t_low = 5.0 if stat is Statistics.BOSE_EINSTEIN else 0.5
     low, classical = (solve_thermal_state(GasParameters(1.0, T, 1.0), stat) for T in (t_low, 50.0))
-    z, degeneracy = classical.z, classical.degeneracy
-    sigma = degeneracy / z * (1.0 - 1e-15)
-    while sigma * z / degeneracy < 1.0:
+    ratio = classical.z / classical.degeneracy  # rhs_approx = sigma * ratio
+    sigma = (1.0 - 1e-15) / ratio
+    while sigma * ratio < 1.0:
         sigma = math.nextafter(sigma, math.inf)
-    assert sigma * z / degeneracy == 1.0
+    assert sigma * ratio == 1.0
     z_degenerate = 100.0 if stat is Statistics.BOSE_EINSTEIN else low.z
     axes = (AxisSpec(t_low, 50.0, 2), AxisSpec(1.0, 1.0, 1),
             AxisSpec(math.nextafter(sigma, 0.0), sigma, 2))
-    return axes, RegimeThresholds(z_degenerate, degeneracy)
+    return axes, RegimeThresholds(z_degenerate, classical.degeneracy)
 
 
 # (T, nu, sigma) axes of the streamed-scan grids, the thresholds default
@@ -873,8 +886,8 @@ class TestStreamedScan:
                 assert rows[0][8] == rows[1][8] == "DegenerateSubFermi"
 
     def test_each_input_checked_once(self, capsys, monkeypatch):
-        # GasParameters checks m, T and nu and ThermalState lambda and the
-        # degeneracy: five _positive calls a (T, nu) pair, plus one a sigma's wire
+        # m once, each T and each nu value once and each sigma's wire once;
+        # no record is built per (T, nu) pair
         calls = []
         positive = errors._positive
 
@@ -889,21 +902,20 @@ class TestStreamedScan:
             capsys, ["--T", "1:30:3:log", "--nu", "0.5:4:2:log", "--sigma", "1e-6:1:4:log"]
         )
         assert code == 0 and len(rows) == 24
-        assert Counter(calls)["sigma_tilde"] == 4
-        assert len(calls) - 4 <= 5 * 6
+        assert Counter(calls) == {"m": 1, "T": 3, "nu": 2, "sigma_tilde": 4}
 
     @pytest.mark.parametrize(
         "stat, axes, bound",
         [
             # the seed-1 grids of bench/run.py: be_sweep, 500 pairs of one
-            # sigma (3.66 walks a pair at the parent), and phase_map_fd, 50
-            # pairs of 20 sigma each (5.02 at the parent)
+            # sigma, and phase_map_fd, 50 pairs of 20 sigma each: one walk a
+            # pair
             ("be", (AxisSpec(3.333016638580184, 180.2754923795323, 500, "log"),
                     AxisSpec(1.0, 1.0, 1), AxisSpec(1.634364244112401, 1.634364244112401, 1)),
-             2.7),
+             1.0),
             ("fd", (AxisSpec(0.04567182122056201, 162.71150605405848, 10, "log"),
                     AxisSpec(0.5105509847590646, 7.804055220591537, 5, "log"),
-                    AxisSpec(9.990870174183882e-05, 98.98982129577476, 20, "log")), 4.05),
+                    AxisSpec(9.990870174183882e-05, 98.98982129577476, 20, "log")), 1.0),
         ],
         ids=["be_sweep", "phase_map_fd"],
     )

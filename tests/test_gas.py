@@ -237,25 +237,46 @@ class TestSolveFugacity:
         return counts
 
     def test_kernel_calls_per_solve(self, monkeypatch):
-        # the closed-form bracket and seed keep each solve to a few Newton
-        # steps of one fused (F_{3/2}, F_{1/2}) call each; measured means
-        # 3.25 (FD, at most 6) and 1.70 (BE, at most 4, from the Bose seed's
-        # third terms)
-        fd = self.count_calls(monkeypatch, FD, np.geomspace(1e-6, 1e6, 60))
-        assert sum(fd) / len(fd) <= 3.3
-        be = self.count_calls(monkeypatch, BE, np.concatenate(
-            [np.geomspace(1e-6, 2.6, 60), [ZETA_THREE_HALVES - 10.0 ** -k for k in range(3, 13)]]))
-        assert sum(be) / len(be) <= 2.3
-        assert max(be) <= 5
+        # the seed rows put F_{3/2} within a few 1e-15 of x, so Newton's first
+        # (F_{3/2}, F_{1/2}) walk ends every solve: over the whole double range
+        # for FD, and for BE over (0, zeta(3/2)) up to zeta(3/2) - 1e-15
+        fd = self.count_calls(monkeypatch, FD, np.geomspace(2.3e-308, 1.7e308, 20001))
+        assert set(fd) == {1}
+        be = self.count_calls(monkeypatch, BE, [
+            *(ZETA_THREE_HALVES * k / 15000 for k in range(1, 15000)),
+            *(ZETA_THREE_HALVES - 10.0 ** (-k / 100) for k in range(1501))])
+        assert set(be) == {1}
 
     def test_kernel_calls_on_the_bose_sweep(self, monkeypatch):
         # the degeneracies (2 pi/T)^(3/2) of the seed-1 be_sweep workload in
-        # bench/run.py, 500 log-spaced T at nu = 1 from ~2.6 down to ~0.006;
-        # measured 2.66 calls a solve, at most 4
+        # bench/run.py, 500 log-spaced T at nu = 1 from ~2.6 down to ~0.006:
+        # one walk each
         axis = AxisSpec(3.333016638580184, 180.2754923795323, 500, "log")
         degeneracies = [thermal_wavelength(1.0, T) ** 3 for T in axis.values()]
         counts = self.count_calls(monkeypatch, BE, degeneracies)
-        assert sum(counts) / len(counts) <= 3.1
+        assert set(counts) == {1}
+
+    @pytest.mark.parametrize("stat, degeneracies", [
+        (FD, np.geomspace(1e-300, 1.7e308, 40)),
+        (BE, [*np.geomspace(1e-300, 2.6, 30),
+              *(ZETA_THREE_HALVES - 10.0 ** -k for k in range(1, 16, 3)),
+              *(ZETA_THREE_HALVES - k / 10 for k in range(1, 6))]),
+    ], ids=["fd", "be"])
+    def test_round_trip_against_mpmath(self, stat, degeneracies):
+        # F_{3/2}(e^y) at 30 digits, by mpmath and not the kernel: the polylog
+        # below z = 1 and Jonquiere's formula above it (FD up to ln z ~ 3.7e205)
+        mpmath = pytest.importorskip("mpmath")
+        from make_kernel_tables import fermi_dirac
+
+        for x in map(float, degeneracies):
+            y = solve_log_fugacity(stat, x)
+            with mpmath.workdps(30):
+                if stat is FD and y >= 0.0:
+                    back = fermi_dirac(1.5, y)
+                else:
+                    sign = -1 if stat is FD else 1
+                    back = sign * mpmath.polylog(1.5, sign * mpmath.exp(y))
+                assert abs(back - x) <= 1e-12 * x, (x, y)
 
     @pytest.mark.parametrize("stat, degeneracies", [
         (FD, [*np.geomspace(1e-6, 1e6, 150), 1.7e300]),
@@ -312,15 +333,26 @@ class TestSolveFugacity:
     def test_exhausted_iterations_name_degeneracy_and_bracket(self, monkeypatch):
         # a density stuck at twice the target with a steep slope moves ln z
         # down 1e-6 a step: every step stays in the bracket and none converges
-        monkeypatch.setattr(gas_statistics, "density_and_slope", lambda stat, y: (2.0, 1e6))
+        walks = []
+
+        def stuck(stat, y):
+            walks.append(y)
+            return 2.0, 1e6
+
+        root = solve_log_fugacity(FD, 1.0)
+        monkeypatch.setattr(gas_statistics, "density_and_slope", stuck)
         with pytest.raises(ConvergenceError) as info:
             solve_log_fugacity(FD, 1.0)
         match = re.fullmatch(r"fugacity iteration did not converge at degeneracy 1\.0"
                              r" in the ln z bracket \[0\.0, (.+)\]", str(info.value))
         assert match is not None, str(info.value)
-        # the seed is the top of the bracket, (1/C)^(2/3); 79 steps lower it
-        top = (1.0 / gas_statistics.SOMMERFELD_COEFF) ** (2.0 / 3.0)
-        assert float(match.group(1)) == pytest.approx(top - 79e-6, abs=1e-12)
+        # the first walk is at the seed, the root itself; each walk above the
+        # target closes the bracket on it, so the top is the 80th walk, 79
+        # steps of 1e-6 below the seed
+        assert len(walks) == gas_statistics._MAX_ITER
+        assert walks[0] == pytest.approx(root, abs=1e-14)
+        assert float(match.group(1)) == walks[-1]
+        assert walks[-1] == pytest.approx(walks[0] - 79e-6, abs=1e-12)
 
 
 class TestThermalState:
@@ -425,7 +457,8 @@ class TestFermiScale:
 
 
 def test_solver_seed_regions_consistent():
-    """The classical and degenerate seeds must hand off smoothly near x ~ 0.7."""
+    """Solves from x = 0.5 up to x = eta(3/2), where z = 1, round-trip against
+    the alternating series."""
     for x in np.linspace(0.5, ETA_THREE_HALVES, 21):
         z = solve_fugacity(FD, float(x))
         assert abs(fd_series(1.5, z) - x) / x < 1e-10

@@ -191,8 +191,8 @@ EXTREME_INVOCATIONS = {
 
 # The computed columns of each table.  An input cell may be subnormal, as it
 # is exact; a computed one would have lost bits.  rhs_approx and rhs_exact are
-# left out: they underflow through sigma_tilde z before the division by the
-# degeneracy, which is still to be mended.
+# left out: each is sigma_tilde times a ratio formed first, near 1 for the
+# three scans with sigma_tilde = 5e-324 that print a subnormal count.
 COMPUTED_COLUMNS = {
     "scan": {"z", "lambda", "degeneracy"},
     "phonon": {"omega_max", "lambda_m", "p_m", "eps_m", "eps_F", "p_F"},

@@ -352,7 +352,9 @@ def test_kernel_tables_regenerate():
     )
     for name, want_rows in fresh.items():
         got_rows = getattr(_kernel_tables, name)
-        if not isinstance(want_rows[0], tuple):
+        if isinstance(want_rows, float):  # FD_INVERSE_LOG_TOP, FD_INVERSE_U_TOP
+            want_rows, got_rows = [[want_rows]], [[got_rows]]
+        elif not isinstance(want_rows[0], tuple):
             want_rows, got_rows = [want_rows], [got_rows]
         assert len(got_rows) == len(want_rows), name
         for got_row, want_row in zip(got_rows, want_rows):
