@@ -17,8 +17,8 @@ from enum import Enum
 from functools import lru_cache
 from itertools import count, islice
 
-from ._kernel_tables import FD_CENTRES, FD_EDGES, FD_ROWS, TWO_ETA_EVEN
-from ._kernel_tables import ZETA_HALF_INTEGERS as _ZETA_HALF_INTEGERS
+from ._kernel_tables import (FD_CENTRES, FD_EDGES, FD_ROWS, GAUSS_LEGENDRE_8, GAUSS_LEGENDRE_16,
+                             TWO_ETA_EVEN, ZETA_HALF_INTEGERS as _ZETA_HALF_INTEGERS)
 from .constants import UnitSystem, constants_for
 from .errors import ConvergenceError, DomainError, _positive
 
@@ -72,8 +72,8 @@ def _gauss_legendre():
     # 16 then 8 nodes on [-1, 1]; weight column 0 is the 16-node rule, 1 the 8
     import numpy as np
 
-    (x16, w16), (x8, w8) = (np.polynomial.legendre.leggauss(n) for n in (16, 8))
-    return np.r_[x16, x8], np.stack([np.r_[w16, 0.0 * w8], np.r_[0.0 * w16, w8]], axis=1)
+    (x16, w16), (x8, w8) = GAUSS_LEGENDRE_16, GAUSS_LEGENDRE_8
+    return np.array(x16 + x8), np.array([(w, 0.0) for w in w16] + [(0.0, w) for w in w8])
 
 
 def quad_checked(func, a, b, points=None):

@@ -85,18 +85,18 @@ def _panel_edges(stat, log_z):
     even in t up to max(ln z, 0) + 60; the integrand past that is below
     e^-60 and is dropped.  MB: the FD edges at ln z = 0.  BE: 16 equal
     panels over [0, sqrt(60)], plus edges at sqrt(alpha) 2^k (alpha = -ln z)
-    that resolve the peak of width sqrt(alpha) at the origin.
+    that resolve the peak of width sqrt(alpha) at the origin, merged as a
+    set: numpy's sorted-set routines would load numpy.ma.
     """
     import numpy as np
 
     if stat is Statistics.BOSE_EINSTEIN:
-        even = np.linspace(0.0, math.sqrt(_TAIL_OFFSET), 17)
-        graded = []
+        edges = set(np.linspace(0.0, math.sqrt(_TAIL_OFFSET), 17).tolist())
         u = math.sqrt(-log_z)
-        while u < even[-1]:
-            graded.append(u)
+        while u < math.sqrt(_TAIL_OFFSET):
+            edges.add(u)
             u *= 2.0
-        return np.union1d(even, graded)
+        return np.array(sorted(edges))
     if stat is Statistics.MAXWELL_BOLTZMANN:
         log_z = 0.0
     t_lo = max(log_z - 40.0, 0.0)
@@ -125,7 +125,7 @@ def number_integral_quasi1d(stat, state, wire):
         lambda q: _occupations(stat, math.pi * q * q - log_z),
         edges[0], edges[-1], edges[1:-1],
     )
-    return 2.0 * value * wire.sigma_tilde / state.degeneracy
+    return wire.sigma_tilde * (2.0 * value / state.degeneracy)
 
 
 def classify_regime(params, wire, thresholds=None, stat=Statistics.FERMI_DIRAC):

@@ -2,8 +2,9 @@
 
     python tests/make_kernel_tables.py
 
-Every table entry is an mpmath value at 30 digits rounded to a double, so
-test_specfun.py can regenerate the tables and compare them entry by entry.
+Every table entry is an mpmath value at 30 digits (40 for the quadrature
+rules) rounded to a double, so test_specfun.py can regenerate the tables and
+compare them entry by entry.
 
 - ZETA_HALF_INTEGERS[j] = zeta(5/2 - j), j = 0..42, for the Bose
   alpha-expansion g_nu(e^-a) = Gamma(1-nu) a^(nu-1) + sum_k zeta(nu-k) (-a)^k/k!.
@@ -40,6 +41,17 @@ start (ln x, u or s = (zeta(3/2) - x)/(2 sqrt pi)), not by fermiwire, so
 the rows check the solver rather than repeat it.  With these lengths
 each seed's F_{3/2} is within a few 1e-15 of x (away from the ulp of ln x
 at tiny x), so the solver's first Newton walk accepts it.
+
+The quadrature rows are the reference rule of specfun.quad_checked, in the
+variable x on [-1, 1]:
+
+- GAUSS_LEGENDRE_16, GAUSS_LEGENDRE_8: (nodes, weights) of the 16- and
+  8-node Gauss-Legendre rules, nodes ascending.  Each node is the root of
+  P_n found by Newton's method on the three-term recurrence
+  (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1} from cos(pi (i - 1/4)/(n + 1/2)),
+  i = n..1, at 40 digits; its weight is 2/((1 - x^2) P_n'(x)^2).  Both are
+  correctly rounded, where an eigen-solver's weights (numpy's leggauss) are
+  off by up to about 60 ulp.
 """
 
 import math
@@ -102,6 +114,24 @@ def _be_root_s(x, zeta):
     return _newton(lambda s: bose_einstein(1.5, -s * s) - x,
                    lambda s: -2 * s * bose_einstein(0.5, -s * s),
                    (zeta - x) / (2 * mpmath.sqrt(mpmath.pi)))
+
+
+def _legendre(n, x):
+    """(P_n(x), P_n'(x)) by the three-term recurrence, for n >= 1 and |x| < 1."""
+    p_prev, p = mpmath.mpf(1), x
+    for k in range(1, n):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    return p, n * (x * p - p_prev) / (x * x - 1)
+
+
+def gauss_legendre(n):
+    """(nodes, weights) of the n-node Gauss-Legendre rule; see the docstring."""
+    with mpmath.workdps(40):
+        nodes = [_newton(lambda x: _legendre(n, x)[0], lambda x: _legendre(n, x)[1],
+                         mpmath.cos(mpmath.pi * (i - mpmath.mpf(1) / 4) / (n + mpmath.mpf(1) / 2)))
+                 for i in range(n, 0, -1)]
+        return (tuple(float(x) for x in nodes),
+                tuple(float(2 / ((1 - x * x) * _legendre(n, x)[1] ** 2)) for x in nodes))
 
 
 def _sommerfeld_coeff():
@@ -177,6 +207,8 @@ def tables():
                 for c in FD_CENTRES
             ),
             **inverse_tables(),
+            "GAUSS_LEGENDRE_16": gauss_legendre(16),
+            "GAUSS_LEGENDRE_8": gauss_legendre(8),
         }
 
 

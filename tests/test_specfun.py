@@ -298,6 +298,32 @@ def test_scan_and_tables_load_no_numpy(tmp_path):
         assert proc.stdout.strip() == "0 []", argv
 
 
+def test_runtime_paths_load_no_numpy_submodule(tmp_path):
+    # verify, the box oracle and the Bose wire integral run on what a bare
+    # `import numpy` loads (numpy.linalg among it): the quadrature rule is
+    # tabled, not numpy.polynomial's, and the panel edges merge without numpy.ma
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    probe = "\n".join([
+        "import contextlib, io, sys",
+        "import numpy",
+        "bare = {m for m in sys.modules if m.split('.')[0] == 'numpy'}",
+        "from fermiwire import Statistics, ThermalState, WireGeometry, number_integral_quasi1d",
+        "from fermiwire.cli import main",
+        "from fermiwire.verify import run_verify",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    codes = [run_verify(), main(['oracle', '--out', %r])]" % str(tmp_path / "out.csv"),
+        "state = ThermalState(log_z=-0.5, lam=1.0, degeneracy=1.0)",
+        "number_integral_quasi1d(Statistics.BOSE_EINSTEIN, state, WireGeometry(1.0))",
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy' and m not in bare))",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0] []"
+
+
 def test_cli_import_loads_no_argparse():
     # the parser is built on use: run_scan and run_verify callers pay for
     # neither argparse nor the gettext it loads; main still parses
@@ -361,6 +387,22 @@ def test_kernel_tables_regenerate():
             assert len(got_row) == len(want_row), name
             for k, (got, want) in enumerate(zip(got_row, want_row)):
                 assert abs(got - want) <= 1e-15 * abs(want), (name, k)
+
+
+def test_gauss_legendre_rules_exact():
+    # each n-node rule integrates x^k over [-1, 1] to 1e-15 for k <= 2n - 1
+    # (k = 0: its weights sum to 2), and its nodes and weights are symmetric
+    mpmath = pytest.importorskip("mpmath")
+    for n, (nodes, weights) in ((16, _kernel_tables.GAUSS_LEGENDRE_16),
+                                (8, _kernel_tables.GAUSS_LEGENDRE_8)):
+        assert len(nodes) == len(weights) == n
+        assert list(nodes) == sorted(nodes) and nodes == tuple(-x for x in reversed(nodes))
+        assert weights == weights[::-1]
+        with mpmath.workdps(40):
+            for k in range(2 * n):
+                got = mpmath.fsum(w * mpmath.mpf(x) ** k for x, w in zip(nodes, weights))
+                want = mpmath.mpf(2) / (k + 1) if k % 2 == 0 else 0
+                assert abs(got - want) <= 1e-15, (n, k)
 
 
 def _fd_mpmath(order, y):

@@ -23,6 +23,7 @@ from fermiwire import (
     sigma_critical,
     solve_thermal_state,
 )
+from fermiwire.thin_wire import _panel_edges
 from oracles import ETA_HALF, fd_series
 
 FD = Statistics.FERMI_DIRAC
@@ -120,6 +121,33 @@ class TestNumberIntegral:
         value = number_integral_quasi1d(FD, state, WireGeometry(1.0))
         f_half = quantum_integral(FD, QuantumIntegralOrder.ONE_HALF, log_z=500.0)
         assert abs(value - f_half) / f_half < 1e-9
+
+    def test_count_formed_ratio_first(self):
+        # sigma_tilde * F/degeneracy is about 1e-150, though sigma_tilde * F
+        # alone underflows; relative error compared directly, as approx's
+        # default absolute tolerance would pass a 0
+        state = ThermalState(log_z=math.log(1e-225), lam=1.0, degeneracy=1e-225)
+        wire = WireGeometry(1e-150)
+        want = rhs_eq3(state, wire)
+        for stat in (MB, FD, BE):
+            assert abs(number_integral_quasi1d(stat, state, wire) / want - 1.0) < 1e-14, stat
+
+    def test_bose_panel_edges_match_union1d(self):
+        # the set merge of the even and graded edges is np.union1d's array,
+        # element for element, over alpha from 1e-300 to 100 and at alphas
+        # whose sqrt lands on an even edge
+        top = math.sqrt(60.0)
+        even = np.linspace(0.0, top, 17)
+        rng = np.random.default_rng(28)
+        alphas = [*(10.0 ** rng.uniform(-300.0, 2.0, 5000)).tolist(),
+                  *(float(e) ** 2 for e in even[1:]), *(60.0 / 4.0 ** k for k in range(8)),
+                  5e-324, 60.0, 100.0]
+        for alpha in alphas:
+            root = math.sqrt(alpha)
+            graded = [root * 2.0 ** k for k in range(600) if root * 2.0 ** k < top]
+            want = np.union1d(even, graded)
+            got = _panel_edges(BE, -alpha)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist(), alpha
 
 
 # Dense sweeps of number_integral_quasi1d at sigma_tilde = degeneracy = 1,
