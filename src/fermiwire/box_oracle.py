@@ -39,9 +39,7 @@ MAX_LEVELS = 10 ** 8
 
 
 class BoxSpectrum(namedtuple(
-        "BoxSpectrum",
-        "L_long a_transverse m cutoff axis_levels levels_transverse_ground unit_system",
-        defaults=(UnitSystem.REDUCED,))):
+        "BoxSpectrum", "L_long a_transverse cutoff axis_levels levels_transverse_ground")):
     """Complete single-particle spectrum of a periodic box.
 
     cutoff holds the three per-axis cutoffs c_i, and axis_levels, per axis,
@@ -145,11 +143,9 @@ def enumerate_levels(
     return BoxSpectrum(
         L_long=L_long,
         a_transverse=a_transverse,
-        m=m,
         cutoff=cutoffs,
         axis_levels=axis_levels,
         levels_transverse_ground=np.sort(_mirrored(axis_levels[0])),
-        unit_system=unit_system,
     )
 
 

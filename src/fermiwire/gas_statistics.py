@@ -12,7 +12,6 @@ textbook (3 pi^2 n)^(2/3).  See README for the comparison.
 
 import math
 from collections import namedtuple
-from functools import cached_property
 
 from ._kernel_tables import BE_INVERSE_ROWS, FD_INVERSE_LOG_TOP, FD_INVERSE_ROWS, FD_INVERSE_U_TOP
 from .constants import UnitSystem, constants_for
@@ -68,9 +67,9 @@ class GasParameters(_Checked, namedtuple("GasParameters", "m T nu unit_system",
 
 
 class ThermalState(_Checked, namedtuple("ThermalState", "log_z lam degeneracy")):
-    """Solved equilibrium state: ln z, wavelength, degeneracy lambda^3/nu.
+    """Solved equilibrium state: ln z, wavelength, degeneracy lambda^3/nu."""
 
-    No __slots__, so that z can be cached in __dict__; __setattr__ forbids the rest."""
+    __slots__ = ()
 
     def _check(self):
         if not math.isfinite(self.log_z):
@@ -78,14 +77,10 @@ class ThermalState(_Checked, namedtuple("ThermalState", "log_z lam degeneracy"))
         for name in ("lam", "degeneracy"):
             _positive(name, getattr(self, name))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to ThermalState.%s" % name)
-
-    @cached_property
+    @property
     def z(self):
         """Fugacity e^log_z; math.inf once that overflows a double, as it
-        does deep in the degenerate Fermi regime.  Computed on first read;
-        equality, hash and repr see the fields alone."""
+        does deep in the degenerate Fermi regime."""
         return exp_or_inf(self.log_z)
 
 
@@ -269,19 +264,13 @@ def solve_fugacity(stat, degeneracy):
 
 def solve_thermal_state(params, stat=Statistics.FERMI_DIRAC):
     """ThermalState for GasParameters and stat; lambda^3/nu must be a normal double."""
-    return _solve_thermal_state(params, stat)[0]
-
-
-def _solve_thermal_state(params, stat):
-    """(ThermalState, F_{1/2}(z)) of GasParameters from one solve."""
-    log_z, _, lam, degeneracy, f_half = _solve_pair(
-        params.m, params.T, params.nu, params.unit_system, stat)
-    return ThermalState(log_z, lam, degeneracy), f_half
+    log_z, _, lam, degeneracy, _ = _solve_pair(*params, stat)
+    return ThermalState(log_z, lam, degeneracy)
 
 
 def _solve_pair(m, T, nu, unit_system, stat):
-    """(ln z, z, lambda, lambda^3/nu, F_{1/2}(z)) of an m, T and nu already
-    checked, from one solve and no record; lambda^3/nu must be a normal double."""
+    """(ln z, z, lambda, lambda^3/nu, F_{1/2}(z)) of an m, T and nu already checked,
+    in GasParameters' field order, from one solve; lambda^3/nu must be a normal double."""
     lam = _thermal_wavelength(m, T, unit_system)
     degeneracy = _normal("lambda^3/nu at T = %r, nu = %r", _pow_or_inf(lam, 3) / nu, T, nu)
     log_z, f_half = _solve_log_fugacity(stat, degeneracy)

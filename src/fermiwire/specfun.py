@@ -34,7 +34,7 @@ SOMMERFELD_LOG_Z = 65.0
 _K_POWERS = {nu: tuple((k ** nu, k ** (nu - 1.0)) for k in range(2, 44)) for nu in (2.5, 1.5, 0.5)}
 # Sommerfeld terms k = 0..9: (2 eta(2k), Gamma(nu+1-2k), Gamma(nu-2k))
 _SOMMERFELD_TERMS = {nu: tuple((two_eta, math.gamma(nu + 1.0 - 2 * k), math.gamma(nu - 2 * k))
-                               for k, two_eta in enumerate(TWO_ETA_EVEN[:10]))
+                               for k, two_eta in enumerate(TWO_ETA_EVEN))
                      for nu in (2.5, 1.5, 0.5)}
 # alpha-expansion: ((zeta(nu-k), zeta(nu-1-k), k+1) for k >= 2, zeta(nu), zeta(nu-1),
 # zeta(nu-2), Gamma(1-nu), Gamma(2-nu))
@@ -145,10 +145,10 @@ def _sommerfeld(nu, y):
 
 def _be_expansion(nu, alpha):
     # Gamma(1-mu) alpha^(mu-1) + sum_k zeta(mu-k) (-alpha)^k/k! for mu = nu and
-    # nu - 1 from one (-alpha)^k/k!.  The terms fall like (alpha/2pi)^k, and a
-    # stop on (-alpha)^k/k! < 1e-18 comes by k = 20 of the table's 40.  The
-    # terms from k = 2 are summed first, then k = 1, k = 0 and the lead, which
-    # cancel most as alpha nears 1; a lead past double range, or at z = 1, is inf
+    # nu - 1 from one (-alpha)^k/k!.  The terms fall like (alpha/2pi)^k; the stop
+    # on alpha^k/k! < 1e-18 comes by k = 20 at alpha < 1, the table's last for
+    # nu = 1/2.  The terms from k = 2 are summed first, then k = 1, k = 0 and the
+    # lead, which cancel most as alpha nears 1; a lead past double range, or at z = 1, is inf
     terms, zeta0, zeta1, zeta2, gamma_value, gamma_slope = _BE_TERMS[nu]
     factor, value, slope = 0.5 * alpha * alpha, 0.0, 0.0
     for a, b, k_next in terms:

@@ -16,7 +16,7 @@ from collections import namedtuple
 from enum import Enum
 
 from .errors import DomainError, _Checked, _positive
-from .gas_statistics import _occupations, _solve_thermal_state
+from .gas_statistics import ThermalState, _occupations, _solve_pair
 from .specfun import (
     QuantumIntegralOrder,
     Statistics,
@@ -131,7 +131,8 @@ def number_integral_quasi1d(stat, state, wire):
 def classify_regime(params, wire, thresholds=None, stat=Statistics.FERMI_DIRAC):
     """Classify the gas of params in the wire under statistics stat: solve
     its state, which also gives F_{1/2}(z), and hand both to classify_wire."""
-    return classify_wire(*_solve_thermal_state(params, stat), wire, thresholds)
+    log_z, _, lam, degeneracy, f_half = _solve_pair(*params, stat)
+    return classify_wire(ThermalState(log_z, lam, degeneracy), f_half, wire, thresholds)
 
 
 def classify_wire(state, f_half, wire, thresholds=None):

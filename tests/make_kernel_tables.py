@@ -6,10 +6,12 @@ Every table entry is an mpmath value at 30 digits (40 for the quadrature
 rules) rounded to a double, so test_specfun.py can regenerate the tables and
 compare them entry by entry.
 
-- ZETA_HALF_INTEGERS[j] = zeta(5/2 - j), j = 0..42, for the Bose
+- ZETA_HALF_INTEGERS[j] = zeta(5/2 - j), j = 0..23, for the Bose
   alpha-expansion g_nu(e^-a) = Gamma(1-nu) a^(nu-1) + sum_k zeta(nu-k) (-a)^k/k!.
-- TWO_ETA_EVEN[k] = 2 eta(2k), k = 0..15, for the Sommerfeld series
-  f_nu(e^y) ~ sum_k 2 eta(2k) y^(nu-2k) / Gamma(nu+1-2k).
+  It runs at a < 1 only, where its stop on a^k/k! < 1e-18 comes by k = 20;
+  F_{-1/2} at k = 20 reads zeta(-41/2), j = 23.
+- TWO_ETA_EVEN[k] = 2 eta(2k), k = 0..9, for the Sommerfeld series
+  f_nu(e^y) ~ sum_k 2 eta(2k) y^(nu-2k) / Gamma(nu+1-2k), which takes ten terms.
 - FD_ROWS[i][k] = f_{5/2-k}(e^c) at the centre c = FD_CENTRES[i],
   k = 0..48.  Since d/dy f_nu(e^y) = f_{nu-1}(e^y), row i read from
   offset 5/2 - nu holds the Taylor coefficients (times n!) of f_nu(e^y)
@@ -62,8 +64,8 @@ import mpmath
 TARGET = Path(__file__).resolve().parents[1] / "src" / "fermiwire" / "_kernel_tables.py"
 FD_CENTRES = (0.0, 2.99, 8.26, 19.8, 46.5)
 ROW_LENGTH = 49  # 46 terms, read from offsets 0..3
-ZETA_COUNT = 43
-ETA_COUNT = 16
+ZETA_COUNT = 24
+ETA_COUNT = 10
 # terms of each inverse row (see the docstring)
 SMALL_TERMS, MIDDLE_TERMS, SOMMERFELD_TERMS = 12, 21, 7
 

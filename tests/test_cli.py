@@ -1026,6 +1026,22 @@ class TestVerify:
         assert "computed=nan " in rows[-1] and rows[-1].endswith(" FAIL")
         assert summary == "19 passed, 1 failed, 1 info"
 
+    def test_unraised_condensation_fails(self, capsys, monkeypatch):
+        # a Bose solve that returns past zeta(3/2) instead of raising must fail the row
+        solve = verify.solve_fugacity
+
+        def lenient(stat, degeneracy):
+            if stat is Statistics.BOSE_EINSTEIN and degeneracy > gas_statistics.ZETA_THREE_HALVES:
+                return 1.0
+            return solve(stat, degeneracy)
+
+        monkeypatch.setattr(verify, "solve_fugacity", lenient)
+        assert verify.run_verify() == 1
+        *rows, summary = capsys.readouterr().out.split("\n")[:-1]
+        [row] = [r for r in rows if r.startswith("be_condensation_rejected ")]
+        assert "computed=no error " in row and row.endswith(" FAIL")
+        assert summary == "19 passed, 1 failed, 1 info"
+
     def test_classical_occupation_evaluated_once(self, capsys, monkeypatch):
         # 501 grid points: FD, BE and the shared Maxwell-Boltzmann reference
         calls = []

@@ -1,6 +1,7 @@
 """Static checks on the package source that no installed linter covers."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -92,6 +93,35 @@ def test_detector_flags_an_orphaned_helper():
 def test_no_orphaned_helpers():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert orphaned_helpers(sources) == []
+
+
+def unimported_tables(sources):
+    """Upper-case names that sources["_kernel_tables.py"] assigns and no other
+    module in sources imports from it."""
+    tables = {name.id for node in ast.parse(sources["_kernel_tables.py"]).body
+              if isinstance(node, ast.Assign)
+              for target in node.targets for name in ast.walk(target)
+              if isinstance(name, ast.Name) and name.id.isupper()}
+    imported = {alias.name for source in sources.values()
+                for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom) and node.module == "_kernel_tables"
+                for alias in node.names}
+    return sorted(tables - imported)
+
+
+def test_detector_flags_an_unimported_table():
+    sources = {
+        "_kernel_tables.py": '"""Tables."""\n\nA_ROWS = (1.0,)\nB_TOP = 2.0\nC = 3.0\n_d = 4.0\n',
+        "a.py": "from ._kernel_tables import A_ROWS as _ROWS\nB_TOP = 1.0\n",
+        "b.py": "from . import _kernel_tables\nprint(_kernel_tables.C)\n",
+    }
+    assert unimported_tables(sources) == ["B_TOP", "C"]
+
+
+def test_every_table_is_imported():
+    # a table no module imports is compiled on every start and never read
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unimported_tables(sources) == []
 
 
 def module_level_imports(source, package="numpy"):
@@ -187,6 +217,19 @@ def test_records_are_plain_named_tuples(path):
     # one record style, collections.namedtuple; dataclasses and typing would
     # load inspect, ast, dis and tokenize into every start
     assert absolute_imports(path.read_text(), ("dataclasses", "typing")) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__main__.py"],
+                         ids=lambda p: p.name)
+def test_records_have_no_instance_dict(path):
+    # every record class defines __slots__ = (), as namedtuple does, so a
+    # record holds its fields alone and no attribute can be set on it
+    module = importlib.import_module("fermiwire." + path.stem)
+    records = [value for value in vars(module).values()
+               if isinstance(value, type) and issubclass(value, tuple)
+               and value.__module__ == module.__name__]
+    assert [cls.__name__ for cls in records
+            if vars(cls).get("__slots__") != () or cls.__dictoffset__] == []
 
 
 def test_cli_import_loads_no_dataclasses_typing_or_inspect():

@@ -389,6 +389,26 @@ def test_kernel_tables_regenerate():
                 assert abs(got - want) <= 1e-15 * abs(want), (name, k)
 
 
+def test_kernel_tables_end_where_the_stop_rules_do():
+    # the alpha-expansion runs at alpha < 1 only; at the largest such alpha its
+    # stop on alpha^k/k! < 1e-18 fires on the last zeta term nu = 1/2 reads
+    alpha = math.nextafter(1.0, 0.0)
+    terms = specfun._BE_TERMS[0.5][0]
+    factor, stops = 0.5 * alpha * alpha, []
+    for _, _, k_next in terms:
+        stops.append(abs(factor) < 1e-18)
+        factor *= -alpha / k_next
+    assert stops == [False] * (len(terms) - 1) + [True]
+    # the Sommerfeld series reads every 2 eta(2k): ten terms, as at y = 65 the
+    # tenth of F_{-1/2}, the slowest, is below 1e-17 of the first and the ninth is not
+    y = specfun.SOMMERFELD_LOG_Z
+    assert all(len(specfun._SOMMERFELD_TERMS[nu]) == len(_kernel_tables.TWO_ETA_EVEN) == 10
+               for nu in (2.5, 1.5, 0.5))
+    shares = [two_eta * y ** (-2 * k) * math.gamma(0.5) / gamma_slope
+              for k, (two_eta, _, gamma_slope) in enumerate(specfun._SOMMERFELD_TERMS[0.5])]
+    assert abs(shares[-1]) < 1e-17 < abs(shares[-2])
+
+
 def test_gauss_legendre_rules_exact():
     # each n-node rule integrates x^k over [-1, 1] to 1e-15 for k <= 2n - 1
     # (k = 0: its weights sum to 2), and its nodes and weights are symmetric
