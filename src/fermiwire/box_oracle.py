@@ -10,9 +10,10 @@ stored as three per-axis arrays over n_i = 0..c_i, and a sum over the full
 (2c+1)^3 grid becomes a sum over n_i >= 0 in which every n_i > 0 counts
 twice.  The sum streams over x-slabs in a fixed order, one
 (c_y+1) x (c_z+1) plane at a time, so its memory is that of one plane and
-repeated runs agree bit for bit.  The full sorted level array is built only
-on request, for inspecting small boxes.  numpy is imported on first use, so
-importing the package does not load it.
+repeated runs agree bit for bit.  The record keeps only the cutoffs and the
+axis energies; the full sorted level array, for inspecting small boxes, and
+the levels with no transverse excitation are built from them on each read.
+numpy is imported on first use, so importing the package does not load it.
 """
 
 import math
@@ -38,15 +39,12 @@ BETA_EPS_CUTOFF = 45.0
 MAX_LEVELS = 10 ** 8
 
 
-class BoxSpectrum(namedtuple(
-        "BoxSpectrum", "L_long a_transverse cutoff axis_levels levels_transverse_ground")):
+class BoxSpectrum(namedtuple("BoxSpectrum", "cutoff axis_levels")):
     """Complete single-particle spectrum of a periodic box.
 
     cutoff holds the three per-axis cutoffs c_i, and axis_levels, per axis,
     a numpy array of the energies for n_i = 0..c_i; each level of the box is
     a sum of one energy per axis, and n_i and -n_i share an energy.
-    levels_transverse_ground is the sorted array of the subset with
-    n_y = n_z = 0, used for mode freeze-out diagnostics.
     """
 
     __slots__ = ()
@@ -63,19 +61,16 @@ class BoxSpectrum(namedtuple(
         """
         import numpy as np
 
-        ex, ey, ez = (_mirrored(e) for e in self.axis_levels)
+        ex, ey, ez = (np.concatenate((e[:0:-1], e)) for e in self.axis_levels)
         return np.sort((ex[:, None, None] + ey[None, :, None] + ez[None, None, :]).ravel())
 
     @property
-    def edge_lengths(self):
-        return (self.L_long, self.a_transverse, self.a_transverse)
+    def levels_transverse_ground(self):
+        """The 2 c_x + 1 levels with n_y = n_z = 0 in ascending order: the x axis's
+        e_0, e_1, e_1, e_2, e_2, ..., since its energies never fall as n rises."""
+        import numpy as np
 
-
-def _mirrored(energies):
-    # energies for n = 0..c extended to n = -c..c
-    import numpy as np
-
-    return np.concatenate((energies[:0:-1], energies))
+        return np.repeat(self.axis_levels[0], 2)[1:]
 
 
 def _axis_cutoff(length, m, beta, h):
@@ -140,13 +135,7 @@ def enumerate_levels(
         (h * np.arange(c + 1, dtype=np.float64) / L) ** 2 / (2.0 * m)
         for L, c in zip(lengths, cutoffs)
     )
-    return BoxSpectrum(
-        L_long=L_long,
-        a_transverse=a_transverse,
-        cutoff=cutoffs,
-        axis_levels=axis_levels,
-        levels_transverse_ground=np.sort(_mirrored(axis_levels[0])),
-    )
+    return BoxSpectrum(cutoffs, axis_levels)
 
 
 def _parity_weights(energies):

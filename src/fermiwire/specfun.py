@@ -76,15 +76,15 @@ def _gauss_legendre():
     return np.array(x16 + x8), np.array([(w, 0.0) for w in w16] + [(0.0, w) for w in w8])
 
 
-def quad_checked(func, a, b, points=None):
+def quad_checked(func, edges):
     """(value, error_estimate) of a composite 16-node Gauss-Legendre rule on
-    the panels [a, *points, b]; the estimate is the gap to the 8-node rule,
-    and ConvergenceError is raised past 1e-6 of the value.  func maps a numpy
-    array elementwise; its overflow is ignored (e^w -> inf: occupation 0)."""
+    the panels between consecutive edges; the estimate is the gap to the 8-node
+    rule, and ConvergenceError is raised past 1e-6 of the value.  func maps a
+    numpy array elementwise; its overflow is ignored (e^w -> inf: occupation 0)."""
     import numpy as np
 
     nodes, weights = _gauss_legendre()
-    edges = np.concatenate(([a], [] if points is None else points, [b]))
+    edges = np.asarray(edges, dtype=np.float64)
     centre, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
     with np.errstate(over="ignore", invalid="ignore"):
         f = func(centre[:, None] + half[:, None] * nodes)

@@ -120,11 +120,8 @@ def number_integral_quasi1d(stat, state, wire):
         # the integrand e^(ln z - pi q^2) and the count sigma_tilde z/degeneracy overflow
         raise DomainError("Boltzmann wire integral needs z within double range, got ln z = %r"
                           % (log_z,))
-    edges = _panel_edges(stat, log_z) / math.sqrt(math.pi)
-    value, _ = quad_checked(
-        lambda q: _occupations(stat, math.pi * q * q - log_z),
-        edges[0], edges[-1], edges[1:-1],
-    )
+    value, _ = quad_checked(lambda q: _occupations(stat, math.pi * q * q - log_z),
+                            _panel_edges(stat, log_z) / math.sqrt(math.pi))
     return wire.sigma_tilde * (2.0 * value / state.degeneracy)
 
 

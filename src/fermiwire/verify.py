@@ -55,7 +55,8 @@ def check_rows(unit_system=UnitSystem.REDUCED):
     m = consts.mass_ref
     T_ref = 2.0 * math.pi if unit_system is UnitSystem.REDUCED else 300.0
     lam = thermal_wavelength(m, T_ref, unit_system)
-    beta = 1.0 / (consts.k_B * T_ref)
+    params = GasParameters(m=m, T=T_ref, nu=lam ** 3, unit_system=unit_system)
+    beta = params.beta
 
     # Debye cutoff versus Fermi scale on a (nu, m, c) grid
     grid = [0.5, 1.0, 2.0, 4.0]
@@ -74,7 +75,6 @@ def check_rows(unit_system=UnitSystem.REDUCED):
         for s in AxisSpec(1e-6, 1.0, 10, "log").values()
     ], "1e-12")
 
-    params = GasParameters(m=m, T=T_ref, nu=lam ** 3, unit_system=unit_system)
     report = classify_regime(params, WireGeometry(1e-6))
     add("bosonized_at_vanishing_sigma", report.regime.value, "Bosonized", "exact",
         report.regime is Regime.BOSONIZED and not report.inequality_holds)

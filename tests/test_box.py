@@ -66,7 +66,7 @@ class TestEnumerate:
         # smallest c with beta * (h^2/2mL^2) c^2 >= 45 per axis
         spec = enumerate_levels(2.0, 1.0, 1.0, beta=BETA)
         h = 2.0 * math.pi
-        for L, c in zip(spec.edge_lengths, spec.cutoff):
+        for L, c in zip((2.0, 1.0, 1.0), spec.cutoff):
             s = BETA * h * h / (2.0 * L * L)
             assert s * c * c >= 45.0
             assert s * (c - 1) * (c - 1) < 45.0
@@ -78,9 +78,24 @@ class TestEnumerate:
 
     def test_axis_levels_hold_nonnegative_n(self):
         spec = enumerate_levels(4.0, 1.0, 1.0, cutoff=(5, 2, 3))
-        for energies, L, c in zip(spec.axis_levels, spec.edge_lengths, spec.cutoff):
+        for energies, L, c in zip(spec.axis_levels, (4.0, 1.0, 1.0), spec.cutoff):
             n = np.arange(c + 1)
             assert np.array_equal(energies, (H * n / L) ** 2 / 2.0)
+
+    @pytest.mark.parametrize("L,a,cutoff", [
+        (4.0, 1.0, (5, 2, 3)),
+        pytest.param(2.0, 1.0, None, id="default-cutoff"),
+        pytest.param(100.0, 100.0, 125, id="verify-box"),
+        pytest.param(4.4e155, 1.0, (1000, 1, 1), id="subnormal-e1"),
+    ])
+    def test_transverse_ground_is_sorted_mirror(self, L, a, cutoff):
+        # the repeated axis row equals the sorted n = -c..c row bit for bit
+        spec = enumerate_levels(L, a, 1.0, cutoff, beta=BETA)
+        e = spec.axis_levels[0]
+        if L > 1e100:
+            assert 0.0 < e[1] < np.finfo(np.float64).tiny <= e[-1]
+        assert np.array_equal(spec.levels_transverse_ground,
+                              np.sort(np.concatenate((e[:0:-1], e))))
 
     def test_resource_limit(self):
         with pytest.raises(ResourceLimitError):
@@ -182,7 +197,7 @@ class TestDirectSum:
     @pytest.mark.parametrize("stat,z", [(FD, 0.7), (FD, 50.0), (BE, 0.9), (MB, 0.3)])
     def test_folded_sum_matches_full_grid(self, L, a, cutoff, stat, z):
         spec = enumerate_levels(L, a, 1.0, cutoff=cutoff, beta=BETA)
-        axes = [BETA * H * H / (2.0 * edge * edge) for edge in spec.edge_lengths]
+        axes = [BETA * H * H / (2.0 * edge * edge) for edge in (L, a, a)]
         want = brute_box_number(stat.value, z, axes, spec.cutoff)
         got = direct_number_sum(spec, stat, z, BETA)
         assert abs(got - want) / want < 1e-13

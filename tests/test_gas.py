@@ -378,7 +378,7 @@ class TestThermalState:
         back = quantum_integral(FD, N32, log_z=state.log_z)
         assert abs(back - state.degeneracy) / state.degeneracy < 1e-10
 
-    def test_cached_fugacity_leaves_equality_hash_repr(self):
+    def test_fugacity_leaves_equality_hash_repr(self):
         read, fresh = (ThermalState(log_z=0.5, lam=1.0, degeneracy=2.0) for _ in range(2))
         assert read.z == math.exp(0.5)
         assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)

@@ -62,9 +62,7 @@ RECORDS = [
     (RegimeReport, dict(rhs_approx=1.0, rhs_exact=2.0, inequality_holds=False,
                         regime=Regime.BOSONIZED), {}, None, None),
     # tuples stand in for the numpy arrays, which == cannot compare
-    (BoxSpectrum, dict(L_long=4.0, a_transverse=2.0, cutoff=(1, 1, 1),
-                       axis_levels=((0.0, 1.0),) * 3, levels_transverse_ground=(0.0, 1.0, 1.0)),
-     {}, None, None),
+    (BoxSpectrum, dict(cutoff=(1, 1, 1), axis_levels=((0.0, 1.0),) * 3), {}, None, None),
     (ContinuumComparison, dict(N_discrete=1.0, N_continuum_3d=2.0, N_continuum_quasi1d=3.0,
                                rel_err_3d=4.0, rel_err_quasi1d=5.0, ground_mode_fraction=0.5,
                                sigma_tilde_fitted=6.0, truncation_bound=7.0), {}, None, None),
@@ -98,7 +96,7 @@ def test_record_contract(record, fields, defaults, invalid, error):
             assert type(info.value) is type(error)
 
 
-def test_cached_fugacity_is_not_assignable():
+def test_fugacity_is_not_assignable():
     state = solve_thermal_state(GasParameters(m=1.0, T=2.0 * math.pi, nu=1.0))
     z = state.z
     with pytest.raises(AttributeError):
