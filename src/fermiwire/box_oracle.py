@@ -6,14 +6,15 @@ spectrum gives particle counts with no continuum approximation at all,
 which is what every integral in the package is checked against.
 
 Each axis energy (h n_i / L_i)^2 / 2m is even in n_i, so the spectrum is
-stored as three per-axis arrays over n_i = 0..c_i, and a sum over the full
+stored as three per-axis tuples over n_i = 0..c_i, and a sum over the full
 (2c+1)^3 grid becomes a sum over n_i >= 0 in which every n_i > 0 counts
-twice.  The sum streams over x-slabs in a fixed order, one
-(c_y+1) x (c_z+1) plane at a time, so its memory is that of one plane and
-repeated runs agree bit for bit.  The record keeps only the cutoffs and the
-axis energies; the full sorted level array, for inspecting small boxes, and
-the levels with no transverse excitation are built from them on each read.
-numpy is imported on first use, so importing the package does not load it.
+twice.  Every sum is pure Python on occupation's one rule.  The
+Maxwell-Boltzmann sum is the product of three axis sums, the same finite
+sum rearranged; the Fermi-Dirac and Bose-Einstein sums stream over x-slabs
+in a fixed order, one (c_y+1) x (c_z+1) plane at a time, so repeated runs
+agree bit for bit.  The full sorted level array, for inspecting small boxes,
+and the levels with no transverse excitation are numpy arrays built from the
+axis energies on each read; nothing else here uses numpy.
 """
 
 import math
@@ -21,7 +22,7 @@ from collections import namedtuple
 
 from .constants import UnitSystem, constants_for
 from .errors import CondensationError, DomainError, ResourceLimitError, _normal, _positive
-from .gas_statistics import _occupations
+from .gas_statistics import _occupation_at
 from .specfun import QuantumIntegralOrder, Statistics, quantum_integral
 
 __all__ = [
@@ -43,7 +44,7 @@ class BoxSpectrum(namedtuple("BoxSpectrum", "cutoff axis_levels")):
     """Complete single-particle spectrum of a periodic box.
 
     cutoff holds the three per-axis cutoffs c_i, and axis_levels, per axis,
-    a numpy array of the energies for n_i = 0..c_i; each level of the box is
+    a tuple of the energies for n_i = 0..c_i; each level of the box is
     a sum of one energy per axis, and n_i and -n_i share an energy.
     """
 
@@ -61,7 +62,7 @@ class BoxSpectrum(namedtuple("BoxSpectrum", "cutoff axis_levels")):
         """
         import numpy as np
 
-        ex, ey, ez = (np.concatenate((e[:0:-1], e)) for e in self.axis_levels)
+        ex, ey, ez = (np.array(e[:0:-1] + e) for e in self.axis_levels)
         return np.sort((ex[:, None, None] + ey[None, :, None] + ez[None, None, :]).ravel())
 
     @property
@@ -129,29 +130,29 @@ def enumerate_levels(
             "spectrum would hold %d levels, above the limit %d" % (count, MAX_LEVELS)
         )
 
-    import numpy as np
-
     axis_levels = tuple(
-        (h * np.arange(c + 1, dtype=np.float64) / L) ** 2 / (2.0 * m)
+        tuple((h * n / L) * (h * n / L) / (2.0 * m) for n in range(c + 1))
         for L, c in zip(lengths, cutoffs)
     )
     return BoxSpectrum(cutoffs, axis_levels)
 
 
-def _parity_weights(energies):
-    # n = 0 stands for itself, every n > 0 for the pair +n, -n
-    import numpy as np
+def _folded(energies):
+    # (energy, weight) per n >= 0: n = 0 stands for itself, every n > 0 for the pair +n, -n
+    return zip(energies, [1.0] + [2.0] * (len(energies) - 1))
 
-    weights = np.full(energies.size, 2.0)
-    weights[0] = 1.0
-    return weights
+
+def _axis_sum(stat, log_z, beta, energies):
+    """Occupations summed over one axis's 2c + 1 levels, with math.fsum."""
+    return math.fsum(weight * _occupation_at(stat, beta * e - log_z)
+                     for e, weight in _folded(energies))
 
 
 def _axis_scales(spec, beta):
     # s_i = beta eps_1 = pi (lambda/L_i)^2 from each axis's n = 1 level; no constant enters
     scales = []
     for axis, levels in zip("xyz", spec.axis_levels):
-        eps_1 = _normal("eps_1 on axis %s", float(levels[1]), axis)
+        eps_1 = _normal("eps_1 on axis %s", levels[1], axis)
         scales.append(_normal("s = beta eps_1 on axis %s", beta * eps_1, axis))
     return scales
 
@@ -183,11 +184,14 @@ def truncation_bound(spec, z, beta):
 def direct_number_sum(spec, stat, z, beta):
     """Sum occupations over every level of the spectrum.
 
-    The x-slabs n_x = 0..c_x are summed in order, each over the same
-    (c_y+1) x (c_z+1) plane of transverse energies with parity weights, and
-    the slab sums are added with math.fsum.  A level whose beta*eps
-    overflows holds 0, and a sum past double range reads inf.
-    truncation_bound estimates what the cutoffs leave out.
+    Maxwell-Boltzmann: z times the product of the three axis sums of
+    e^(-beta eps).  Otherwise the x-slabs n_x = 0..c_x are summed in order,
+    each over the same (c_y+1) x (c_z+1) plane of transverse energies with
+    parity weights; each slab, and then the slab sums, go through math.fsum.
+    A level whose beta*eps overflows holds 0.  An MB sum past double range
+    reads inf; FD and BE sums cannot get there, as no occupation tops 1e16
+    and no box holds more than MAX_LEVELS levels.  truncation_bound
+    estimates what the cutoffs leave out.
     """
     _positive("z", z)
     _positive("beta", beta)
@@ -195,26 +199,15 @@ def direct_number_sum(spec, stat, z, beta):
         raise CondensationError(
             "Bose box sum needs z < 1 (ground level at eps = 0), got %r" % (z,)
         )
-    import numpy as np
-
+    if stat is Statistics.MAXWELL_BOLTZMANN:
+        return math.prod((_axis_sum(stat, 0.0, beta, e) for e in spec.axis_levels), start=z)
     log_z = math.log(z)
     ex, ey, ez = spec.axis_levels
-    plane = ey[:, None] + ez[None, :]
-    plane_weights = np.outer(_parity_weights(ey), _parity_weights(ez))
-    # one set of plane buffers for all slabs: the speed of per-slab
-    # temporaries depended on the heap layout left by import order
-    w, n = np.empty_like(plane), np.empty_like(plane)
-    slab_sums = []
-    with np.errstate(over="ignore"):
-        for e, weight in zip(ex, _parity_weights(ex)):
-            # w = beta * (plane + e) - ln z
-            np.subtract(np.multiply(np.add(plane, e, out=w), beta, out=w), log_z, out=w)
-            _occupations(stat, w, n)
-            slab_sums.append(weight * float(np.sum(np.multiply(n, plane_weights, out=n))))
-    try:
-        return math.fsum(slab_sums)
-    except OverflowError:  # finite slab sums whose total passes the largest double
-        return math.inf
+    plane = [(e_y + e_z, w_y * w_z) for e_y, w_y in _folded(ey) for e_z, w_z in _folded(ez)]
+    slab_sums = [w_x * math.fsum(weight * _occupation_at(stat, (p + e_x) * beta - log_z)
+                                 for p, weight in plane)
+                 for e_x, w_x in _folded(ex)]
+    return math.fsum(slab_sums)
 
 
 ContinuumComparison = namedtuple(
@@ -243,9 +236,7 @@ def compare_continuum(spec, stat, z, beta):
     f12 = quantum_integral(stat, QuantumIntegralOrder.ONE_HALF, z)
     n_q1d = l_lam * f12
 
-    w = spec.levels_transverse_ground * beta
-    w -= math.log(z)
-    ground = float(_occupations(stat, w).sum())
+    ground = _axis_sum(stat, math.log(z), beta, spec.axis_levels[0])
     return ContinuumComparison(
         N_discrete=n_disc,
         N_continuum_3d=n_3d,

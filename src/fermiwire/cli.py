@@ -26,7 +26,7 @@ from .phonon_map import (
     debye_omega_max,
     debye_wavelength,
 )
-from .specfun import Statistics
+from .specfun import Statistics, _linspace
 from .thin_wire import RegimeThresholds, WireGeometry, _classify_sigmas
 from .verify import run_verify
 
@@ -90,18 +90,14 @@ class AxisSpec(_Checked, namedtuple("AxisSpec", "minimum maximum points spacing"
             raise ConfigError("log spacing needs min > 0")
 
     def values(self):
-        """The grid: a + i*step with the exact end point, as np.linspace gives
-        it bit for bit; log axes take that grid in log10 and then 10**v."""
+        """The grid: np.linspace's, bit for bit (specfun._linspace); log axes
+        take that grid in log10 and then 10**v, with the exact end points."""
         if self.points == 1:
             return [self.minimum]
-        log = self.spacing == "log"
-        a, b = (math.log10(self.minimum), math.log10(self.maximum)) if log else (
-            self.minimum, self.maximum)
-        step = (b - a) / (self.points - 1)
-        grid = [a + i * step for i in range(self.points - 1)] + [b]
-        if log:
-            grid = [self.minimum] + [10.0 ** v for v in grid[1:-1]] + [self.maximum]
-        return grid
+        if self.spacing == "linear":
+            return _linspace(self.minimum, self.maximum, self.points)
+        grid = _linspace(math.log10(self.minimum), math.log10(self.maximum), self.points)
+        return [self.minimum] + [10.0 ** v for v in grid[1:-1]] + [self.maximum]
 
 
 def parse_axis(text):

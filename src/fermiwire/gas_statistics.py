@@ -88,52 +88,34 @@ def occupation(stat, z, beta, eps):
     """Mean occupation 1/(e^w + 1) (FD), 1/(e^w - 1) (BE) or e^-w (MB) of a
     level at energy eps, w = beta*eps - ln z, for finite z > 0, beta >= 0 and
     eps >= 0.  The FD value lies in [0, 1).  Once e^w overflows a double the
-    FD value is e^-w and the BE value 0, as in the array rule _occupations.
-    SingularityError: BE with z e^(-beta eps) >= 1, where the occupation
-    diverges (or is negative)."""
+    FD value is e^-w and the BE value 0.  SingularityError: BE with
+    z e^(-beta eps) >= 1, where the occupation diverges (or is negative)."""
     _positive("z", z)
     for name, value in (("beta", beta), ("eps", eps)):
         if not 0.0 <= value < math.inf:
             raise DomainError("%s must be a non-negative finite number, got %r" % (name, value))
-    w = beta * eps - math.log(z)
+    return _occupation_at(stat, beta * eps - math.log(z))
+
+
+def _occupation_at(stat, w):
+    """occupation at w = beta*eps - ln z, a w the caller has formed: the one
+    rule behind occupation, the box sums and the wire quadrature."""
     if stat is Statistics.MAXWELL_BOLTZMANN:
         return math.exp(-w)
-    e = exp_or_inf(w)
     if stat is Statistics.FERMI_DIRAC:
-        return 1.0 / (1.0 + e) if e < math.inf else math.exp(-w)
+        try:
+            return 1.0 / (1.0 + math.exp(w))
+        except OverflowError:  # e^w past double range
+            return math.exp(-w)
     if stat is Statistics.BOSE_EINSTEIN:
         if w <= 0.0:
             raise SingularityError(
                 "Bose occupation pole: beta*eps - ln z = %g <= 0" % w
             )
-        return 1.0 / math.expm1(w) if e < math.inf else 0.0
-    raise DomainError("stat must be a Statistics member, got %r" % (stat,))
-
-
-def _occupations(stat, w, out=None):
-    """Occupation at every w = beta*eps - ln z of a numpy array.
-
-    The array form of occupation, for the box sums and the wire quadrature.
-    w is overwritten, and the result goes to out (a new array if None), so a
-    loop that passes its own buffers allocates nothing.  Nothing overflows:
-    FD goes through e^-|w|, and a Bose level whose expm1(w) overflows reads
-    0.  BE needs w > 0; callers check it once.
-    """
-    import numpy as np
-
-    out = np.empty_like(w) if out is None else out
-    if stat is Statistics.FERMI_DIRAC:
-        # where(w > 0, e, 1) / (1 + e) with e = exp(-|w|), step by step in
-        # out and w, so each element has the bits of that expression;
-        # e <= 1, so max(e, w <= 0) is the numerator
-        e = np.exp(np.negative(np.abs(w, out=out), out=out), out=out)
-        numerator = np.maximum(e, np.less_equal(w, 0.0, out=w), out=w)
-        return np.divide(numerator, np.add(e, 1.0, out=out), out=out)
-    if stat is Statistics.BOSE_EINSTEIN:
-        with np.errstate(over="ignore"):
-            return np.divide(1.0, np.expm1(w, out=out), out=out)
-    if stat is Statistics.MAXWELL_BOLTZMANN:
-        return np.exp(np.negative(w, out=w), out=out)
+        try:
+            return 1.0 / math.expm1(w)
+        except OverflowError:
+            return 0.0
     raise DomainError("stat must be a Statistics member, got %r" % (stat,))
 
 

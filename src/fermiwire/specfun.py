@@ -8,13 +8,13 @@ walks once for the pair (F_nu, F_{nu-1}), the value and its slope in y = ln z
 Taylor series in y < 65 from mpmath tables of f_{5/2-k}(e^c), then the
 Sommerfeld series; for BE, Robinson's expansion in alpha = -ln z < 1.  No
 branch's stop rule reads the order, so F_{1/2} is the same sum whether it
-comes first or second.  Only quad_checked uses numpy, imported on use.
+comes first or second.  quad_checked, the wire quadrature's rule, runs on
+the tabled Gauss-Legendre nodes in pure Python; no function here uses numpy.
 """
 
 import math
 from bisect import bisect
 from enum import Enum
-from functools import lru_cache
 from itertools import count, islice
 
 from ._kernel_tables import (FD_CENTRES, FD_EDGES, FD_ROWS, GAUSS_LEGENDRE_8, GAUSS_LEGENDRE_16,
@@ -67,28 +67,22 @@ def exp_or_inf(x):
         return math.inf
 
 
-@lru_cache(maxsize=None)
-def _gauss_legendre():
-    # 16 then 8 nodes on [-1, 1]; weight column 0 is the 16-node rule, 1 the 8
-    import numpy as np
-
-    (x16, w16), (x8, w8) = GAUSS_LEGENDRE_16, GAUSS_LEGENDRE_8
-    return np.array(x16 + x8), np.array([(w, 0.0) for w in w16] + [(0.0, w) for w in w8])
+def _linspace(a, b, points):
+    """points >= 2 values a + i (b - a)/(points - 1), the last one b exactly:
+    np.linspace(a, b, points) bit for bit."""
+    step = (b - a) / (points - 1)
+    return [a + i * step for i in range(points - 1)] + [b]
 
 
 def quad_checked(func, edges):
     """(value, error_estimate) of a composite 16-node Gauss-Legendre rule on
     the panels between consecutive edges; the estimate is the gap to the 8-node
     rule, and ConvergenceError is raised past 1e-6 of the value.  func maps a
-    numpy array elementwise; its overflow is ignored (e^w -> inf: occupation 0)."""
-    import numpy as np
-
-    nodes, weights = _gauss_legendre()
-    edges = np.asarray(edges, dtype=np.float64)
-    centre, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        f = func(centre[:, None] + half[:, None] * nodes)
-        value, coarse = (half @ f @ weights).tolist()
+    float to a float; each rule's terms are added with math.fsum."""
+    panels = [(0.5 * (b + a), 0.5 * (b - a)) for a, b in zip(edges, edges[1:])]
+    value, coarse = (math.fsum(half * w * func(centre + half * x)
+                               for centre, half in panels for x, w in zip(nodes, weights))
+                     for nodes, weights in (GAUSS_LEGENDRE_16, GAUSS_LEGENDRE_8))
     estimate = abs(value - coarse)
     if not estimate <= 1e-6 * abs(value):
         raise ConvergenceError("quadrature did not converge: 16- and 8-node rules differ by "

@@ -9,6 +9,9 @@ and self-consistency demands R > 1.  With a vanishing cross-section the
 inequality fails, which is the contradiction the classifier turns into a
 regime label.  sigma is kept dimensionless as sigma_tilde = sigma
 (lambda/h)^2, which reproduces the displayed bound exactly.
+
+number_integral_quasi1d, the quadrature that checks the closed forms, runs
+in pure Python: occupation's rule at each Gauss-Legendre node of quad_checked.
 """
 
 import math
@@ -16,10 +19,11 @@ from collections import namedtuple
 from enum import Enum
 
 from .errors import DomainError, _Checked, _positive
-from .gas_statistics import ThermalState, _occupations, _solve_pair
+from .gas_statistics import ThermalState, _occupation_at, _solve_pair
 from .specfun import (
     QuantumIntegralOrder,
     Statistics,
+    _linspace,
     quad_checked,
     quantum_integral,
 )
@@ -79,29 +83,26 @@ _TAIL_OFFSET = 60.0
 
 
 def _panel_edges(stat, log_z):
-    """Edges in u = sqrt(t) of the quadrature panels for F_nu(e^log_z).
+    """Edges in u = sqrt(t) of the quadrature panels for F_nu(e^log_z), ascending.
 
     FD: one panel up to 40 below the Fermi edge t = ln z, then 25 panels
     even in t up to max(ln z, 0) + 60; the integrand past that is below
     e^-60 and is dropped.  MB: the FD edges at ln z = 0.  BE: 16 equal
     panels over [0, sqrt(60)], plus edges at sqrt(alpha) 2^k (alpha = -ln z)
-    that resolve the peak of width sqrt(alpha) at the origin, merged as a
-    set: numpy's sorted-set routines would load numpy.ma.
+    that resolve the peak of width sqrt(alpha) at the origin.
     """
-    import numpy as np
-
     if stat is Statistics.BOSE_EINSTEIN:
-        edges = set(np.linspace(0.0, math.sqrt(_TAIL_OFFSET), 17).tolist())
+        edges = set(_linspace(0.0, math.sqrt(_TAIL_OFFSET), 17))
         u = math.sqrt(-log_z)
         while u < math.sqrt(_TAIL_OFFSET):
             edges.add(u)
             u *= 2.0
-        return np.array(sorted(edges))
+        return sorted(edges)
     if stat is Statistics.MAXWELL_BOLTZMANN:
         log_z = 0.0
     t_lo = max(log_z - 40.0, 0.0)
-    t = t_lo + (max(log_z, 0.0) + _TAIL_OFFSET - t_lo) * np.linspace(0.0, 1.0, 26)
-    return np.sqrt(np.concatenate(([0.0], t)))
+    span = max(log_z, 0.0) + _TAIL_OFFSET - t_lo
+    return [0.0] + [math.sqrt(t_lo + span * g) for g in _linspace(0.0, 1.0, 26)]
 
 
 def number_integral_quasi1d(stat, state, wire):
@@ -120,8 +121,9 @@ def number_integral_quasi1d(stat, state, wire):
         # the integrand e^(ln z - pi q^2) and the count sigma_tilde z/degeneracy overflow
         raise DomainError("Boltzmann wire integral needs z within double range, got ln z = %r"
                           % (log_z,))
-    value, _ = quad_checked(lambda q: _occupations(stat, math.pi * q * q - log_z),
-                            _panel_edges(stat, log_z) / math.sqrt(math.pi))
+    root_pi = math.sqrt(math.pi)
+    value, _ = quad_checked(lambda q: _occupation_at(stat, math.pi * q * q - log_z),
+                            [u / root_pi for u in _panel_edges(stat, log_z)])
     return wire.sigma_tilde * (2.0 * value / state.degeneracy)
 
 

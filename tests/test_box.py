@@ -31,6 +31,17 @@ MB = Statistics.MAXWELL_BOLTZMANN
 BETA = 1.0 / (2.0 * math.pi)  # lambda = 1 at m = 1
 H = 2.0 * math.pi  # reduced units
 
+# boxes whose per-axis energies and views are checked bit for bit
+VIEW_BOXES = [
+    (4.0, 1.0, (5, 2, 3)),
+    pytest.param(2.0, 1.0, None, id="default-cutoff"),
+    pytest.param(100.0, 100.0, 125, id="verify-box"),
+    pytest.param(4.4e155, 1.0, (1000, 1, 1), id="subnormal-e1"),
+]
+# the seven boxes of `fermiwire verify`, edges in thermal wavelengths
+VERIFY_BOXES = [(100.0, 100.0, 125), *((size, size, None) for size in (1.0, 1.5, 2.0, 2.5, 3.0)),
+                (30.0, math.sqrt(math.pi / 6.5), None)]
+
 
 class TestEnumerate:
     def test_cutoff_one_gives_27_levels(self):
@@ -82,12 +93,15 @@ class TestEnumerate:
             n = np.arange(c + 1)
             assert np.array_equal(energies, (H * n / L) ** 2 / 2.0)
 
-    @pytest.mark.parametrize("L,a,cutoff", [
-        (4.0, 1.0, (5, 2, 3)),
-        pytest.param(2.0, 1.0, None, id="default-cutoff"),
-        pytest.param(100.0, 100.0, 125, id="verify-box"),
-        pytest.param(4.4e155, 1.0, (1000, 1, 1), id="subnormal-e1"),
-    ])
+    @pytest.mark.parametrize("L,a,cutoff", VIEW_BOXES)
+    def test_axis_levels_are_numpys_floats(self, L, a, cutoff):
+        # tuples of Python floats, each the numpy array expression's element bit for bit
+        spec = enumerate_levels(L, a, 1.0, cutoff, beta=BETA)
+        for energies, edge, c in zip(spec.axis_levels, (L, a, a), spec.cutoff):
+            assert type(energies) is tuple and all(type(e) is float for e in energies)
+            assert np.array_equal(energies, (H * np.arange(c + 1) / edge) ** 2 / (2.0 * 1.0))
+
+    @pytest.mark.parametrize("L,a,cutoff", VIEW_BOXES)
     def test_transverse_ground_is_sorted_mirror(self, L, a, cutoff):
         # the repeated axis row equals the sorted n = -c..c row bit for bit
         spec = enumerate_levels(L, a, 1.0, cutoff, beta=BETA)
@@ -130,8 +144,9 @@ class TestEnumerate:
 class TestDirectSum:
     def test_mb_matches_theta_product(self):
         h = 2.0 * math.pi
-        for L, a in ((1.0, 1.0), (3.0, 0.8), (6.0, 2.0)):
-            spec = enumerate_levels(L, a, 1.0, beta=BETA)
+        for L, a, cutoff in ((1.0, 1.0, None), (3.0, 0.8, None), (6.0, 2.0, None),
+                             *VERIFY_BOXES):
+            spec = enumerate_levels(L, a, 1.0, cutoff, beta=BETA)
             axes = [BETA * h * h / (2.0 * edge * edge) for edge in (L, a, a)]
             want = mb_box_number(0.3, axes, spec.cutoff)
             got = direct_number_sum(spec, MB, 0.3, BETA)
@@ -163,9 +178,8 @@ class TestDirectSum:
 
     @pytest.mark.parametrize("z", [9e306, 1.7e308], ids=["total", "slab"])
     def test_sum_past_double_range_reads_inf(self, z):
-        # 27 levels near eps = 0 hold about z each: the slab sums 9z and 18z
-        # stay finite at z = 9e306 and their total does not (math.fsum raised
-        # OverflowError); at 1.7e308 a slab overflows (a RuntimeWarning)
+        # 27 levels near eps = 0 hold about z each, and the product
+        # z theta_x theta_y theta_z, about 27 z, passes the largest double
         spec = enumerate_levels(1e100, 1e100, 1.0, cutoff=1)
         assert direct_number_sum(spec, MB, z, 1.0) == math.inf
 
@@ -203,7 +217,8 @@ class TestDirectSum:
         assert abs(got - want) / want < 1e-13
 
     def test_verify_box_memory(self):
-        # the 15.8M-level box of verify, summed one x-slab at a time
+        # the 15.8M-level box of verify: a Maxwell-Boltzmann box sum is a
+        # product of three axis sums, so it holds the axis energies and no level array
         tracemalloc.start()
         try:
             spec = enumerate_levels(100.0, 100.0, 1.0, cutoff=125)
@@ -238,6 +253,15 @@ class TestCompareContinuum:
         s = 6.5
         excited_bound = 2.0 * (2.0 * math.exp(-s) / (1.0 - math.exp(-s)))
         assert 1.0 - report.ground_mode_fraction <= excited_bound
+
+    @pytest.mark.parametrize("L,a,cutoff", [(3.0, 0.8, None), (6.0, 2.0, (9, 4, 4)),
+                                            *VERIFY_BOXES])
+    def test_mb_ground_fraction_is_theta_ratio(self, L, a, cutoff):
+        # z theta_x over z theta_x theta_y theta_z: the ground row's share is 1/(theta_y theta_z)
+        spec = enumerate_levels(L, a, 1.0, cutoff, beta=BETA)
+        theta_y, theta_z = (theta_sum(BETA * H * H / (2.0 * a * a), c) for c in spec.cutoff[1:])
+        report = compare_continuum(spec, MB, 0.1, BETA)
+        assert report.ground_mode_fraction == pytest.approx(1.0 / (theta_y * theta_z), rel=1e-14)
 
     def test_fitted_sigma_z_independent(self):
         a = math.sqrt(math.pi / 6.5)

@@ -673,13 +673,14 @@ class TestTabulate:
 
     def test_oracle_bose_levels_past_expm1_overflow(self, capsys):
         # the 0.2-wide axes put beta*eps ~ 987 at n_y = n_z = 1, where expm1
-        # overflows: those levels hold 0, with no RuntimeWarning (an error here)
+        # overflows: those levels hold 0, with no RuntimeWarning (an error here),
+        # so the ground-mode share is 1, its value to within 1.1e-214
         code = main(["oracle", "--stat", "be", "--a", "0.2", "--T", "1", "--z", "0.5"])
         assert code == 0
         assert capsys.readouterr().out.split("\n")[1] == (
             "3,0.20000000000000001,1,1,0.5,be,5,1,1,99,1.1182987119066414,"
             "0.0047607809181810417,0.9647940995497486,0.99574283608887981,"
-            "0.13726619795097092,0.99999999999999978,182.07195812476445,6.9531137395436824e-26,"
+            "0.13726619795097092,1,182.07195812476445,6.9531137395436824e-26,"
         )
 
     @pytest.mark.parametrize("T, value",

@@ -6,7 +6,6 @@ import itertools
 import math
 import sys
 
-import numpy as np
 import pytest
 
 from fermiwire import (
@@ -26,7 +25,6 @@ from fermiwire import (
     solve_log_fugacity,
     thermal_wavelength,
 )
-from fermiwire import gas_statistics
 from fermiwire.cli import main
 from fermiwire.errors import _normal
 
@@ -118,10 +116,9 @@ def test_occupation_rejects_non_finite_beta_and_eps(field, value):
 
 @pytest.mark.parametrize("call", [
     lambda: occupation("fd", 1.0, 1.0, 1.0),
-    lambda: gas_statistics._occupations("fd", np.zeros(3)),
     lambda: solve_log_fugacity("fd", 1.0),
     lambda: quantum_integral("fd", 1.5, 0.5),
-], ids=["occupation", "_occupations", "solve_log_fugacity", "quantum_integral"])
+], ids=["occupation", "solve_log_fugacity", "quantum_integral"])
 def test_statistics_must_be_a_member(call):
     with pytest.raises(DomainError, match="^stat must be a Statistics member, got 'fd'$"):
         call()

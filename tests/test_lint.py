@@ -163,8 +163,8 @@ def test_detector_flags_a_module_level_numpy_import():
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_numpy_imported_on_use_only(path):
-    # scan and the occupation and phonon tables run without numpy, and its
-    # import (about 0.1 s) would add to every command's start-up
+    # no command runs numpy, and its import (about 0.1 s) would add to
+    # every command's start-up; only the two BoxSpectrum views import it
     assert module_level_imports(path.read_text()) == []
 
 

@@ -61,7 +61,7 @@ RECORDS = [
      DomainError("thresholds must satisfy z_degenerate > 1 > deg_classical > 0")),
     (RegimeReport, dict(rhs_approx=1.0, rhs_exact=2.0, inequality_holds=False,
                         regime=Regime.BOSONIZED), {}, None, None),
-    # tuples stand in for the numpy arrays, which == cannot compare
+    # axis_levels holds one tuple of floats per axis
     (BoxSpectrum, dict(cutoff=(1, 1, 1), axis_levels=((0.0, 1.0),) * 3), {}, None, None),
     (ContinuumComparison, dict(N_discrete=1.0, N_continuum_3d=2.0, N_continuum_quasi1d=3.0,
                                rel_err_3d=4.0, rel_err_quasi1d=5.0, ground_mode_fraction=0.5,

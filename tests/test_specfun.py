@@ -275,7 +275,8 @@ def test_nothing_imports_scipy():
 
 
 def test_scan_and_tables_load_no_numpy(tmp_path):
-    # numpy is for the box oracle, verify and the reference quadrature only
+    # no command loads numpy: scans, tables, verify, the box oracle and the
+    # wire quadrature all run in pure Python, each in a fresh interpreter
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     out = str(tmp_path / "out.csv")
@@ -284,24 +285,36 @@ def test_scan_and_tables_load_no_numpy(tmp_path):
         ["scan", "--stat", "be", "--T", "3.4:170:4:log", "--sigma", "2:2:1"],
         ["tabulate", "occupation", "--stat", "be", "--z", "0.5"],
         ["tabulate", "phonon", "--nu", "0.5:4:3:log"],
+        *(["oracle", "--stat", stat, "--z", "0.5"] for stat in ("fd", "be", "mb")),
     ]
-    for argv in commands:
-        probe = (
-            "import sys; from fermiwire.cli import main; code = main(%r); "
-            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
-            % (argv + ["--out", out],)
-        )
+    checks = [
+        *("main(%r) == 0" % (argv + ["--out", out],) for argv in commands),
+        "main(['verify']) == 0",
+        "main(['verify', '--units', 'si']) == 0",
+        *("number_integral_quasi1d(Statistics.%s, ThermalState(%r, 1.0, 1.0), WireGeometry(1.0))"
+          " > 0.0" % (stat, log_z)
+          for stat, log_z in (("FERMI_DIRAC", 3.0), ("BOSE_EINSTEIN", -0.5),
+                              ("MAXWELL_BOLTZMANN", -2.0))),
+    ]
+    for check in checks:
+        probe = "\n".join([
+            "import contextlib, io, sys",
+            "from fermiwire import Statistics, ThermalState, WireGeometry, number_integral_quasi1d",
+            "from fermiwire.cli import main",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    assert %s" % check,
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))",
+        ])
         proc = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, env=env
         )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "0 []", argv
+        assert proc.returncode == 0, (check, proc.stderr)
+        assert proc.stdout.strip() == "[]", check
 
 
 def test_runtime_paths_load_no_numpy_submodule(tmp_path):
-    # verify, the box oracle and the Bose wire integral run on what a bare
-    # `import numpy` loads (numpy.linalg among it): the quadrature rule is
-    # tabled, not numpy.polynomial's, and the panel edges merge without numpy.ma
+    # verify, the box oracle and the Bose wire integral load no numpy module
+    # past what a bare `import numpy` loads, even where numpy is already in
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     probe = "\n".join([
@@ -363,7 +376,7 @@ def test_quad_checked_contract():
     assert rel(value, 4.0) < 1e-15
     assert estimate < 1e-14
     with pytest.raises(ConvergenceError) as info:
-        quad_checked(lambda u: np.cos(40.0 * u), np.array([0.0, 1.0]))
+        quad_checked(lambda u: math.cos(40.0 * u), [0.0, 1.0])
     assert info.value.error_estimate > 1e-6 * abs(math.sin(40.0) / 40.0)
 
 
