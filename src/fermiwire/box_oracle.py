@@ -7,22 +7,23 @@ which is what every integral in the package is checked against.
 
 Each axis energy (h n_i / L_i)^2 / 2m is even in n_i, so the spectrum is
 stored as three per-axis tuples over n_i = 0..c_i, and a sum over the full
-(2c+1)^3 grid becomes a sum over n_i >= 0 in which every n_i > 0 counts
-twice.  Every sum is pure Python on occupation's one rule.  The
-Maxwell-Boltzmann sum is the product of three axis sums, the same finite
-sum rearranged; the Fermi-Dirac and Bose-Einstein sums stream over x-slabs
-in a fixed order, one (c_y+1) x (c_z+1) plane at a time, so repeated runs
-agree bit for bit.  The full sorted level array, for inspecting small boxes,
-and the levels with no transverse excitation are numpy arrays built from the
-axis energies on each read; nothing else here uses numpy.
+(2c+1)^3 grid becomes a sum over n_i >= 0 in which every n_i > 0 counts twice.
+Every sum is pure Python, on occupation's one rule given a whole axis or plane
+at once.  The Maxwell-Boltzmann sum is the product of three axis sums, the
+same finite sum rearranged; the Fermi-Dirac and Bose-Einstein sums stream over
+x-slabs in a fixed order, one (c_y+1) x (c_z+1) plane at a time, so repeated
+runs agree bit for bit.  The full sorted level array, for inspecting small
+boxes, and the levels with no transverse excitation are numpy arrays built
+from the axis energies on each read; nothing else here uses numpy.
 """
 
 import math
 from collections import namedtuple
+from operator import mul
 
 from .constants import UnitSystem, constants_for
 from .errors import CondensationError, DomainError, ResourceLimitError, _normal, _positive
-from .gas_statistics import _occupation_at
+from .gas_statistics import _occupations
 from .specfun import QuantumIntegralOrder, Statistics, quantum_integral
 
 __all__ = [
@@ -113,9 +114,9 @@ def enumerate_levels(
     if cutoff is None:
         if beta is None:
             raise DomainError("default cutoff rule needs beta")
-        cutoffs = tuple(_axis_cutoff(L, m, beta, h) for L in lengths)
+        cutoffs = tuple([_axis_cutoff(L, m, beta, h) for L in lengths])
     elif isinstance(cutoff, (tuple, list)):
-        cutoffs = tuple(int(c) for c in cutoff)
+        cutoffs = tuple([int(c) for c in cutoff])
     else:
         cutoffs = (int(cutoff),) * 3
     if len(cutoffs) != 3 or any(c < 1 for c in cutoffs):
@@ -130,22 +131,23 @@ def enumerate_levels(
             "spectrum would hold %d levels, above the limit %d" % (count, MAX_LEVELS)
         )
 
-    axis_levels = tuple(
-        tuple((h * n / L) * (h * n / L) / (2.0 * m) for n in range(c + 1))
+    # tuples of lists: tuple(generator) resizes, parking spare tuples in CPython's free lists
+    axis_levels = tuple([
+        tuple([(h * n / L) * (h * n / L) / (2.0 * m) for n in range(c + 1)])
         for L, c in zip(lengths, cutoffs)
-    )
+    ])
     return BoxSpectrum(cutoffs, axis_levels)
 
 
-def _folded(energies):
-    # (energy, weight) per n >= 0: n = 0 stands for itself, every n > 0 for the pair +n, -n
-    return zip(energies, [1.0] + [2.0] * (len(energies) - 1))
+def _weights(terms):
+    # weight per term of n = 0..c: n = 0 stands for itself, every n > 0 for the pair +n, -n
+    return [1.0] + [2.0] * (len(terms) - 1)
 
 
 def _axis_sum(stat, log_z, beta, energies):
     """Occupations summed over one axis's 2c + 1 levels, with math.fsum."""
-    return math.fsum(weight * _occupation_at(stat, beta * e - log_z)
-                     for e, weight in _folded(energies))
+    return math.fsum(map(mul, _weights(energies),
+                         _occupations(stat, [beta * e - log_z for e in energies])))
 
 
 def _axis_scales(spec, beta):
@@ -171,7 +173,8 @@ def truncation_bound(spec, z, beta):
     """
     thetas, tails = [], []
     for s, c in zip(_axis_scales(spec, beta), spec.cutoff):
-        thetas.append(math.fsum(math.exp(-s * n * n) for n in range(-c, c + 1)))
+        terms = [math.exp(-s * n * n) for n in range(c + 1)]  # n and -n share a term
+        thetas.append(math.fsum(map(mul, _weights(terms), terms)))
         tails.append(math.sqrt(math.pi / s) * math.erfc(math.sqrt(s) * c))
     # expand prod(theta + tail) - prod(theta) term by term: tail i times the
     # thetas before it and the theta + tail after it; the direct subtraction
@@ -203,11 +206,11 @@ def direct_number_sum(spec, stat, z, beta):
         return math.prod((_axis_sum(stat, 0.0, beta, e) for e in spec.axis_levels), start=z)
     log_z = math.log(z)
     ex, ey, ez = spec.axis_levels
-    plane = [(e_y + e_z, w_y * w_z) for e_y, w_y in _folded(ey) for e_z, w_z in _folded(ez)]
-    slab_sums = [w_x * math.fsum(weight * _occupation_at(stat, (p + e_x) * beta - log_z)
-                                 for p, weight in plane)
-                 for e_x, w_x in _folded(ex)]
-    return math.fsum(slab_sums)
+    plane = [e_y + e_z for e_y in ey for e_z in ez]
+    weights = [w_y * w_z for w_y in _weights(ey) for w_z in _weights(ez)]
+    return math.fsum([w_x * math.fsum(map(mul, weights, _occupations(
+                          stat, [(p + e_x) * beta - log_z for p in plane])))
+                      for e_x, w_x in zip(ex, _weights(ex))])
 
 
 ContinuumComparison = namedtuple(

@@ -8,14 +8,15 @@ walks once for the pair (F_nu, F_{nu-1}), the value and its slope in y = ln z
 Taylor series in y < 65 from mpmath tables of f_{5/2-k}(e^c), then the
 Sommerfeld series; for BE, Robinson's expansion in alpha = -ln z < 1.  No
 branch's stop rule reads the order, so F_{1/2} is the same sum whether it
-comes first or second.  quad_checked, the wire quadrature's rule, runs on
-the tabled Gauss-Legendre nodes in pure Python; no function here uses numpy.
+comes first or second.  quad_checked, the wire quadrature's rule, calls its
+integrand once per tabled Gauss-Legendre rule; no function here uses numpy.
 """
 
 import math
 from bisect import bisect
 from enum import Enum
 from itertools import count, islice
+from operator import mul
 
 from ._kernel_tables import (FD_CENTRES, FD_EDGES, FD_ROWS, GAUSS_LEGENDRE_8, GAUSS_LEGENDRE_16,
                              TWO_ETA_EVEN, ZETA_HALF_INTEGERS as _ZETA_HALF_INTEGERS)
@@ -77,11 +78,11 @@ def _linspace(a, b, points):
 def quad_checked(func, edges):
     """(value, error_estimate) of a composite 16-node Gauss-Legendre rule on
     the panels between consecutive edges; the estimate is the gap to the 8-node
-    rule, and ConvergenceError is raised past 1e-6 of the value.  func maps a
-    float to a float; each rule's terms are added with math.fsum."""
+    rule, and ConvergenceError is raised past 1e-6 of the value.  func maps the
+    node list of a rule to as many values, one call per rule; terms go through math.fsum."""
     panels = [(0.5 * (b + a), 0.5 * (b - a)) for a, b in zip(edges, edges[1:])]
-    value, coarse = (math.fsum(half * w * func(centre + half * x)
-                               for centre, half in panels for x, w in zip(nodes, weights))
+    value, coarse = (math.fsum(map(mul, [half * w for _, half in panels for w in weights],
+                                   func([c + half * x for c, half in panels for x in nodes])))
                      for nodes, weights in (GAUSS_LEGENDRE_16, GAUSS_LEGENDRE_8))
     estimate = abs(value - coarse)
     if not estimate <= 1e-6 * abs(value):

@@ -11,7 +11,7 @@ regime label.  sigma is kept dimensionless as sigma_tilde = sigma
 (lambda/h)^2, which reproduces the displayed bound exactly.
 
 number_integral_quasi1d, the quadrature that checks the closed forms, runs
-in pure Python: occupation's rule at each Gauss-Legendre node of quad_checked.
+in pure Python: quad_checked hands occupation's rule all of a rule's nodes at once.
 """
 
 import math
@@ -19,7 +19,7 @@ from collections import namedtuple
 from enum import Enum
 
 from .errors import DomainError, _Checked, _positive
-from .gas_statistics import ThermalState, _occupation_at, _solve_pair
+from .gas_statistics import ThermalState, _occupations, _solve_pair
 from .specfun import (
     QuantumIntegralOrder,
     Statistics,
@@ -115,14 +115,14 @@ def number_integral_quasi1d(stat, state, wire):
     the R = sigma_tilde F_{1/2}(z)/degeneracy that classify_regime uses.
     """
     log_z = state.log_z
-    if stat is Statistics.BOSE_EINSTEIN and not log_z < 0.0:
-        raise DomainError("Bose wire integral needs z < 1, got ln z = %r" % (log_z,))
+    if stat is Statistics.BOSE_EINSTEIN and not (log_z < 0.0 and 1.0 / -log_z < math.inf):
+        raise DomainError("Bose wire integral needs z < 1 and 1/ln z finite, got ln z = %r" % log_z)
     if stat is Statistics.MAXWELL_BOLTZMANN and state.z == math.inf:
         # the integrand e^(ln z - pi q^2) and the count sigma_tilde z/degeneracy overflow
         raise DomainError("Boltzmann wire integral needs z within double range, got ln z = %r"
                           % (log_z,))
     root_pi = math.sqrt(math.pi)
-    value, _ = quad_checked(lambda q: _occupation_at(stat, math.pi * q * q - log_z),
+    value, _ = quad_checked(lambda qs: _occupations(stat, [math.pi * q * q - log_z for q in qs]),
                             [u / root_pi for u in _panel_edges(stat, log_z)])
     return wire.sigma_tilde * (2.0 * value / state.degeneracy)
 

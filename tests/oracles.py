@@ -183,6 +183,18 @@ def brute_box_number(stat, z, beta_eps_axes, cutoffs):
     return math.fsum(terms)
 
 
+def occupation_at(stat, w):
+    """One level's occupation at w = beta*eps - ln z, level by level: FD
+    1/(1 + e^w), or e^-w once e^w overflows; BE 1/expm1(w), or 0 once that
+    overflows; MB e^-w.  stat is "fd", "be" or "mb"; a BE w must be > 0."""
+    if stat == "mb":
+        return math.exp(-w)
+    try:
+        return 1.0 / (1.0 + math.exp(w)) if stat == "fd" else 1.0 / math.expm1(w)
+    except OverflowError:
+        return math.exp(-w) if stat == "fd" else 0.0
+
+
 def _cell_text(value):
     """A table cell as the CLI's first renderer wrote it: None empty, str as
     is, int (bool too) as str(int(v)), anything else %.17g."""

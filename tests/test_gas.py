@@ -29,7 +29,7 @@ from fermiwire import (
 )
 from fermiwire import gas_statistics
 from fermiwire.cli import AxisSpec
-from oracles import EPS_F_REDUCED, ETA_THREE_HALVES, fd_series
+from oracles import EPS_F_REDUCED, ETA_THREE_HALVES, fd_series, occupation_at
 
 FD = Statistics.FERMI_DIRAC
 BE = Statistics.BOSE_EINSTEIN
@@ -101,6 +101,21 @@ class TestOccupation:
         if stat is not BE:
             high = occupation(stat, 1e300, 1.0, 0.0)
             assert high == (1.0 if stat is FD else pytest.approx(1e300, rel=1e-13))
+
+    @pytest.mark.parametrize("stat", [FD, BE, MB], ids=lambda s: s.value)
+    def test_rule_takes_each_w_of_a_list_alone(self, stat):
+        # around e^w's overflow (the last double before it is 709.782712893384)
+        # each w of one list takes its own branch: the list equals occupation
+        # and the level-by-level rule element by element
+        ws = [709.7, 709.78, 709.79, 745.0, 800.0, 709.782712893384, 709.7827128933841, 3.0]
+        got = gas_statistics._occupations(stat, ws)
+        assert got == [occupation(stat, 1.0, 1.0, w) for w in ws]
+        assert got == [occupation_at(stat.value, w) for w in ws]
+
+    def test_bose_list_with_a_pole_raises(self):
+        for ws in ([3.0, -0.5, 1.0], [1.0, 0.0]):
+            with pytest.raises(SingularityError, match="= %g <= 0" % min(ws)):
+                gas_statistics._occupations(BE, ws)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):

@@ -370,14 +370,31 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_quad_checked_contract():
-    # exact for a cubic on any panels; an integrand the 8-node rule cannot
-    # resolve raises, carrying the 16- vs 8-node gap
-    value, estimate = quad_checked(lambda u: u ** 3, [0.0, 0.5, 1.0, 2.0])
+    # func maps a rule's node list to its values; exact for a cubic on any
+    # panels, and an integrand the 8-node rule cannot resolve raises,
+    # carrying the 16- vs 8-node gap
+    value, estimate = quad_checked(lambda us: [u ** 3 for u in us], [0.0, 0.5, 1.0, 2.0])
     assert rel(value, 4.0) < 1e-15
     assert estimate < 1e-14
     with pytest.raises(ConvergenceError) as info:
-        quad_checked(lambda u: math.cos(40.0 * u), [0.0, 1.0])
+        quad_checked(lambda us: [math.cos(40.0 * u) for u in us], [0.0, 1.0])
     assert info.value.error_estimate > 1e-6 * abs(math.sin(40.0) / 40.0)
+
+
+def test_quad_checked_calls_func_once_per_rule():
+    # one call with the 16 P nodes of the fine rule, one with the 8 P of the
+    # coarse rule, over P = 3 panels, each list ascending panel by panel
+    calls = []
+
+    def func(us):
+        calls.append(list(us))
+        return [1.0] * len(us)
+
+    value, _ = quad_checked(func, [0.0, 0.5, 1.0, 2.0])
+    assert [len(us) for us in calls] == [16 * 3, 8 * 3]
+    for us in calls:
+        assert 0.0 < us[0] and us == sorted(us) and us[-1] < 2.0
+    assert rel(value, 2.0) < 1e-15
 
 
 def test_kernel_tables_regenerate():

@@ -23,8 +23,9 @@ from fermiwire import (
     sigma_critical,
     solve_thermal_state,
 )
+from fermiwire._kernel_tables import GAUSS_LEGENDRE_16
 from fermiwire.thin_wire import _panel_edges
-from oracles import ETA_HALF, fd_series
+from oracles import ETA_HALF, fd_series, occupation_at
 
 FD = Statistics.FERMI_DIRAC
 BE = Statistics.BOSE_EINSTEIN
@@ -103,6 +104,36 @@ class TestNumberIntegral:
     def test_be_requires_subunit_fugacity(self):
         with pytest.raises(DomainError):
             number_integral_quasi1d(BE, make_state(1.0, 1.0), WireGeometry(0.1))
+
+    def test_be_alpha_past_reciprocal_range(self):
+        # below alpha = -ln z = 1/DBL_MAX the integrand's top, 1/expm1(alpha)
+        # = 1/alpha, overflows; at the smallest normal alpha it still holds
+        for alpha in (5e-324, 1e-320, 1e-310):
+            state = ThermalState(log_z=-alpha, lam=1.0, degeneracy=1.0)
+            with pytest.raises(DomainError, match="1/ln z finite, got ln z = -%r" % alpha):
+                number_integral_quasi1d(BE, state, WireGeometry(1.0))
+        state = ThermalState(log_z=-2.3e-308, lam=1.0, degeneracy=1.0)
+        got = number_integral_quasi1d(BE, state, WireGeometry(1.0))
+        want = quantum_integral(BE, QuantumIntegralOrder.ONE_HALF, log_z=-2.3e-308)
+        assert abs(got / want - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("stat,log_z", [
+        *((FD, y) for y in (-700.0, -30.0, -1.0, -1e-9, 0.0, 1e-9, 3.0, 39.5, 65.0, 1234.5, 1e4)),
+        *((BE, -alpha) for alpha in (2.3e-308, 1e-200, 1e-12, 1e-3, 0.5, 1.0, 7.0, 30.0)),
+        *((MB, y) for y in (-700.0, -30.0, 0.0, 3.0, 300.0, 709.0)),
+    ])
+    def test_batched_integrand_is_the_per_node_sum(self, stat, log_z):
+        # the level-by-level rule at each 16-node point, panel by panel, the
+        # terms through math.fsum: every bit the same as one call per rule
+        # (FD at ln z = -700 takes e^w's overflow fallback at the top nodes)
+        nodes, weights = GAUSS_LEGENDRE_16
+        edges = [u / math.sqrt(math.pi) for u in _panel_edges(stat, log_z)]
+        value = math.fsum(
+            half * w * occupation_at(stat.value, math.pi * q * q - log_z)
+            for a, b in zip(edges, edges[1:]) for centre, half in [(0.5 * (b + a), 0.5 * (b - a))]
+            for x, w in zip(nodes, weights) for q in [centre + half * x])
+        state = ThermalState(log_z=log_z, lam=1.0, degeneracy=1.3)
+        assert number_integral_quasi1d(stat, state, WireGeometry(0.7)) == 0.7 * (2.0 * value / 1.3)
 
     def test_mb_fugacity_past_double_range(self):
         # up to ln z = ln(DBL_MAX) the count sigma_tilde z/degeneracy holds; past
