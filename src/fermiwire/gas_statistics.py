@@ -50,6 +50,8 @@ _REL_TOL = 1e-12
 _MAX_ITER = 80
 # occupation's dispatch reads these, as a Statistics.X lookup costs ~0.1 us in CPython 3.11
 _FD, _BE, _MB = Statistics.FERMI_DIRAC, Statistics.BOSE_EINSTEIN, Statistics.MAXWELL_BOLTZMANN
+# the last double w whose e^w (and e^w - 1) is finite: math.exp overflows at the next one
+_W_MAX = 709.782712893384
 
 
 class GasParameters(_Checked, namedtuple("GasParameters", "m T nu unit_system",
@@ -105,23 +107,22 @@ def occupation(stat, z, beta, eps):
 def _occupations(stat, ws):
     """[occupation at w for w in ws], each w = beta*eps - ln z formed by the
     caller: the one rule behind occupation, the box sums and the wire
-    quadrature.  Where e^w overflows, that w alone takes the fallback."""
+    quadrature.  Where e^w overflows, that w alone takes the fallback, chosen
+    by one comparison with _W_MAX."""
     if stat is _MB:
         return [math.exp(-w) for w in ws]
     if stat is _FD:
         try:
             return [1.0 / (1.0 + math.exp(w)) for w in ws]
         except OverflowError:  # an e^w past double range: that w reads e^-w
-            return [1.0 / (1.0 + e) if e < math.inf else math.exp(-w)
-                    for w, e in zip(ws, map(exp_or_inf, ws))]
+            return [1.0 / (1.0 + math.exp(w)) if w <= _W_MAX else math.exp(-w) for w in ws]
     if stat is _BE:
         if min(ws) <= 0.0:
             raise SingularityError("Bose occupation pole: beta*eps - ln z = %g <= 0" % min(ws))
         try:
             return [1.0 / math.expm1(w) for w in ws]
         except OverflowError:  # an e^w past double range: that w reads 0
-            return [1.0 / math.expm1(w) if e < math.inf else 0.0
-                    for w, e in zip(ws, map(exp_or_inf, ws))]
+            return [1.0 / math.expm1(w) if w <= _W_MAX else 0.0 for w in ws]
     raise DomainError("stat must be a Statistics member, got %r" % (stat,))
 
 

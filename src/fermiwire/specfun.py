@@ -9,12 +9,14 @@ Taylor series in y < 65 from mpmath tables of f_{5/2-k}(e^c), then the
 Sommerfeld series; for BE, Robinson's expansion in alpha = -ln z < 1.  No
 branch's stop rule reads the order, so F_{1/2} is the same sum whether it
 comes first or second.  quad_checked, the wire quadrature's rule, calls its
-integrand once per tabled Gauss-Legendre rule; no function here uses numpy.
+integrand once per tabled Gauss-Legendre rule, with a node tuple laid out once
+per run of calls on one edge set; no function here uses numpy.
 """
 
 import math
 from bisect import bisect
 from enum import Enum
+from functools import lru_cache
 from itertools import count, islice
 from operator import mul
 
@@ -75,15 +77,26 @@ def _linspace(a, b, points):
     return [a + i * step for i in range(points - 1)] + [b]
 
 
+@lru_cache(maxsize=1)
+def _layout(edges):
+    """((nodes, weights) of the 16-node rule, then of the 8-node rule) on the
+    panels between consecutive edges, a tuple: each node c + half*x and each
+    weight half*w, panel by panel.  Only the last edge set's layout is kept:
+    callers repeat one edge set in runs, and a layout is about 40 KB."""
+    panels = [(0.5 * (b + a), 0.5 * (b - a)) for a, b in zip(edges, edges[1:])]
+    return tuple((tuple(c + half * x for c, half in panels for x in nodes),
+                  tuple(half * w for _, half in panels for w in weights))
+                 for nodes, weights in (GAUSS_LEGENDRE_16, GAUSS_LEGENDRE_8))
+
+
 def quad_checked(func, edges):
     """(value, error_estimate) of a composite 16-node Gauss-Legendre rule on
     the panels between consecutive edges; the estimate is the gap to the 8-node
     rule, and ConvergenceError is raised past 1e-6 of the value.  func maps the
-    node list of a rule to as many values, one call per rule; terms go through math.fsum."""
-    panels = [(0.5 * (b + a), 0.5 * (b - a)) for a, b in zip(edges, edges[1:])]
-    value, coarse = (math.fsum(map(mul, [half * w for _, half in panels for w in weights],
-                                   func([c + half * x for c, half in panels for x in nodes])))
-                     for nodes, weights in (GAUSS_LEGENDRE_16, GAUSS_LEGENDRE_8))
+    node tuple of a rule to as many values, one call per rule; terms go through
+    math.fsum.  Calls in a row on one edge set reuse its laid-out nodes and weights."""
+    value, coarse = (math.fsum(map(mul, weights, func(nodes)))
+                     for nodes, weights in _layout(tuple(edges)))
     estimate = abs(value - coarse)
     if not estimate <= 1e-6 * abs(value):
         raise ConvergenceError("quadrature did not converge: 16- and 8-node rules differ by "

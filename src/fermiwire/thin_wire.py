@@ -11,7 +11,10 @@ regime label.  sigma is kept dimensionless as sigma_tilde = sigma
 (lambda/h)^2, which reproduces the displayed bound exactly.
 
 number_integral_quasi1d, the quadrature that checks the closed forms, runs
-in pure Python: quad_checked hands occupation's rule all of a rule's nodes at once.
+in pure Python: quad_checked hands occupation's rule all of a rule's nodes at
+once, laid out once per run of calls on one panel edge set: the MB integrals
+and every FD one at ln z <= 0 share _panel_edges, so verify's 14 such
+quadratures in a row reuse one layout.
 """
 
 import math

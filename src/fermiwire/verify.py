@@ -1,7 +1,9 @@
 """The identity/property suite behind `fermiwire verify`.
 
 Every check is a scale-free identity, so the suite means the same in both
-unit systems; check_rows builds its table and run_verify prints it.
+unit systems; check_rows builds its table and run_verify prints it.  The
+classical-limit rows hand occupation's rule their whole 501-point w grid, one
+call each for the MB reference, FD and BE.
 """
 
 import math
@@ -14,7 +16,7 @@ from .gas_statistics import (
     SOMMERFELD_COEFF,
     ThermalState,
     ZETA_THREE_HALVES,
-    occupation,
+    _occupations,
     solve_fugacity,
 )
 from .one_dim_chain import CLOSURE_RATIO, ChainParameters, closure_temperature
@@ -113,16 +115,16 @@ def check_rows(unit_system=UnitSystem.REDUCED):
         add("sommerfeld_ratio_lnz_%d" % int(lnz), ratio, _fmt(SOMMERFELD_COEFF), _fmt(tol),
             abs(ratio / SOMMERFELD_COEFF - 1.0) <= tol)
 
-    # classical convergence of both quantum statistics
-    grid_be = AxisSpec(0.0, 50.0, 501).values()
-    classical = [occupation(Statistics.MAXWELL_BOLTZMANN, 1e-4, 1.0, be) for be in grid_be]
+    # classical convergence of both quantum statistics: z = 1e-4, beta*eps in [0, 50]
+    log_z = math.log(1e-4)
+    ws = [be - log_z for be in AxisSpec(0.0, 50.0, 501).values()]
+    classical = _occupations(Statistics.MAXWELL_BOLTZMANN, ws)
     for name, stat, tol in (
         ("boltzmann_convergence_fd", Statistics.FERMI_DIRAC, "1e-4"),
         ("boltzmann_convergence_be", Statistics.BOSE_EINSTEIN, "2e-4"),
     ):
-        near_zero(name, [
-            abs(occupation(stat, 1e-4, 1.0, be) / mb - 1.0) for be, mb in zip(grid_be, classical)
-        ], tol)
+        near_zero(name, [abs(n / mb - 1.0) for n, mb in zip(_occupations(stat, ws), classical)],
+                  tol)
 
     # 1D closure
     closure = closure_temperature(ChainParameters(N=1.0, L=1.0, m=m), unit_system)

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from fermiwire import (ConvergenceError, DomainError, GasParameters, RegimeThresholds, Statistics,
-                       WireGeometry, classify_regime, classify_wire, cli, constants_for, errors,
-                       gas_statistics, quantum_integral, solve_thermal_state, specfun,
-                       thermal_wavelength, verify)
+                       UnitSystem, WireGeometry, classify_regime, classify_wire, cli,
+                       constants_for, errors, gas_statistics, quantum_integral,
+                       solve_thermal_state, specfun, thermal_wavelength, verify)
 from fermiwire.cli import AxisSpec, ScanConfig, main, parse_axis
 from fermiwire.errors import ConfigError
 from oracles import render_csv
@@ -1044,18 +1044,31 @@ class TestVerify:
         assert summary == "19 passed, 1 failed, 1 info"
 
     def test_classical_occupation_evaluated_once(self, capsys, monkeypatch):
-        # 501 grid points: FD, BE and the shared Maxwell-Boltzmann reference
+        # the shared Maxwell-Boltzmann reference is evaluated once, then FD
+        # and BE, each one rule call over the 501 grid points
         calls = []
-        occupation = verify.occupation
+        occupations = verify._occupations
 
-        def counted(*args):
-            calls.append(args)
-            return occupation(*args)
+        def counted(stat, ws):
+            calls.append((stat, len(ws)))
+            return occupations(stat, ws)
 
-        monkeypatch.setattr(verify, "occupation", counted)
+        monkeypatch.setattr(verify, "_occupations", counted)
         assert verify.run_verify() == 0
         capsys.readouterr()
-        assert len(calls) == 1503
+        assert calls == [(Statistics.MAXWELL_BOLTZMANN, 501), (Statistics.FERMI_DIRAC, 501),
+                         (Statistics.BOSE_EINSTEIN, 501)]
+
+    @pytest.mark.parametrize("units", ["reduced", "si"])
+    def test_repeated_runs_print_the_same_bytes(self, capsys, units):
+        # the first run starts from an empty quadrature layout cache, the
+        # second from the layout the first one left
+        specfun._layout.cache_clear()
+        outputs = []
+        for _ in range(2):
+            assert verify.run_verify(UnitSystem(units)) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("units", ["reduced", "si"])
     def test_closure_residual_is_relative(self, capsys, units):

@@ -112,6 +112,21 @@ class TestOccupation:
         assert got == [occupation(stat, 1.0, 1.0, w) for w in ws]
         assert got == [occupation_at(stat.value, w) for w in ws]
 
+    def test_overflow_begins_past_w_max(self):
+        # _W_MAX is the last w whose e^w and e^w - 1 are finite; in an
+        # ascending list that crosses it mid-list, each w reads the
+        # level-by-level rule bit for bit
+        w_max = gas_statistics._W_MAX
+        past = math.nextafter(w_max, math.inf)
+        for f in (math.exp, math.expm1):
+            assert f(w_max) < math.inf
+            with pytest.raises(OverflowError):
+                f(past)
+        ws = [700.0, 709.78, math.nextafter(w_max, 0.0), w_max, past, 709.79, 745.2, 800.0, 1e4]
+        for stat in (FD, BE, MB):
+            got = gas_statistics._occupations(stat, ws)
+            assert [g.hex() for g in got] == [occupation_at(stat.value, w).hex() for w in ws]
+
     def test_bose_list_with_a_pole_raises(self):
         for ws in ([3.0, -0.5, 1.0], [1.0, 0.0]):
             with pytest.raises(SingularityError, match="= %g <= 0" % min(ws)):

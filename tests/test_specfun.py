@@ -397,6 +397,52 @@ def test_quad_checked_calls_func_once_per_rule():
     assert rel(value, 2.0) < 1e-15
 
 
+def _quad_reference(func, edges):
+    # quad_checked's arithmetic written out with no layout cache: each node
+    # c + half*x and weight half*w, panel by panel, the terms through math.fsum
+    panels = [(0.5 * (b + a), 0.5 * (b - a)) for a, b in zip(edges, edges[1:])]
+    value, coarse = (
+        math.fsum(w * f for w, f in zip(
+            [half * w for _, half in panels for w in weights],
+            func([c + half * x for c, half in panels for x in nodes])))
+        for nodes, weights in (_kernel_tables.GAUSS_LEGENDRE_16, _kernel_tables.GAUSS_LEGENDRE_8))
+    return value, abs(value - coarse)
+
+
+class TestQuadLayout:
+    EDGES_A = [0.0, 0.5, 1.0, 2.0]
+    EDGES_B = [0.0, 0.3, 1.1, 2.5, 4.0, 6.5]
+
+    @staticmethod
+    def func(us):
+        return [u * u * math.exp(-u * u) for u in us]
+
+    def test_same_bits_cold_warm_list_tuple_interleaved(self):
+        want = {tuple(e): _quad_reference(self.func, e) for e in (self.EDGES_A, self.EDGES_B)}
+        specfun._layout.cache_clear()
+        got = [quad_checked(self.func, self.EDGES_A),  # cold
+               quad_checked(self.func, self.EDGES_A),  # warm
+               quad_checked(self.func, tuple(self.EDGES_A)),
+               quad_checked(self.func, self.EDGES_B),
+               quad_checked(self.func, self.EDGES_A)]
+        assert got[:3] == [want[tuple(self.EDGES_A)]] * 3
+        assert got[3:] == [want[tuple(self.EDGES_B)], want[tuple(self.EDGES_A)]]
+        assert specfun._layout.cache_info().hits >= 2
+
+    def test_func_gets_an_immutable_sequence(self):
+        seen = []
+
+        def func(us):
+            seen.append(us)
+            with pytest.raises(TypeError):
+                us[0] = 1.0
+            return [1.0] * len(us)
+
+        quad_checked(func, self.EDGES_B)
+        quad_checked(func, self.EDGES_B)
+        assert [type(us) for us in seen] == [tuple] * 4
+
+
 def test_kernel_tables_regenerate():
     """Every entry of _kernel_tables.py within 1e-15 of a fresh mpmath run."""
     pytest.importorskip("mpmath")

@@ -23,7 +23,9 @@ from fermiwire import (
     sigma_critical,
     solve_thermal_state,
 )
+from fermiwire import specfun
 from fermiwire._kernel_tables import GAUSS_LEGENDRE_16
+from fermiwire.cli import AxisSpec
 from fermiwire.thin_wire import _panel_edges
 from oracles import ETA_HALF, fd_series, occupation_at
 
@@ -116,6 +118,15 @@ class TestNumberIntegral:
         got = number_integral_quasi1d(BE, state, WireGeometry(1.0))
         want = quantum_integral(BE, QuantumIntegralOrder.ONE_HALF, log_z=-2.3e-308)
         assert abs(got / want - 1.0) < 1e-9
+
+    def test_layout_cache_stays_small(self):
+        # 200 distinct BE panel edge sets leave at most the cache's few layouts
+        specfun._layout.cache_clear()
+        for alpha in AxisSpec(1e-3, 30.0, 200, "log").values():
+            number_integral_quasi1d(BE, ThermalState(-alpha, 1.0, 1.0), WireGeometry(1.0))
+        info = specfun._layout.cache_info()
+        assert info.misses == 200
+        assert info.currsize <= info.maxsize <= 4
 
     @pytest.mark.parametrize("stat,log_z", [
         *((FD, y) for y in (-700.0, -30.0, -1.0, -1e-9, 0.0, 1e-9, 3.0, 39.5, 65.0, 1234.5, 1e4)),
