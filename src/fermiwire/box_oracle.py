@@ -19,7 +19,7 @@ from the axis energies on each read; nothing else here uses numpy.
 
 import math
 from collections import namedtuple
-from operator import mul
+from operator import index, mul
 
 from .constants import UnitSystem, constants_for
 from .errors import CondensationError, DomainError, ResourceLimitError, _normal, _positive
@@ -86,6 +86,13 @@ def _axis_cutoff(length, m, beta, h):
     return max(1, math.ceil(c))
 
 
+def _cutoff_index(c):
+    try:
+        return index(c)
+    except TypeError:
+        raise DomainError("cutoff must be an integer, got %r" % (c,)) from None
+
+
 def enumerate_levels(
     L_long,
     a_transverse,
@@ -99,7 +106,10 @@ def enumerate_levels(
 
     cutoff may be a single integer (applied to every axis), a 3-tuple, or
     None, in which case the per-axis default keeps everything below
-    beta*eps = 45 and beta must be supplied.
+    beta*eps = 45 and beta must be supplied.  An integer is what
+    operator.index takes (int, bool, a numpy integer); anything else, a
+    float or a str, is a DomainError naming it.  A cutoff below 1 is a
+    DomainError too.
 
     Raises DomainError when an axis's top level (h c_i/L_i)^2/2m is not a
     normal double, and ResourceLimitError when the level count would exceed
@@ -116,9 +126,9 @@ def enumerate_levels(
             raise DomainError("default cutoff rule needs beta")
         cutoffs = tuple([_axis_cutoff(L, m, beta, h) for L in lengths])
     elif isinstance(cutoff, (tuple, list)):
-        cutoffs = tuple([int(c) for c in cutoff])
+        cutoffs = tuple([_cutoff_index(c) for c in cutoff])
     else:
-        cutoffs = (int(cutoff),) * 3
+        cutoffs = (_cutoff_index(cutoff),) * 3
     if len(cutoffs) != 3 or any(c < 1 for c in cutoffs):
         raise DomainError("cutoff must be a positive integer or 3 of them")
     for L, c in zip(lengths, cutoffs):
@@ -169,8 +179,11 @@ def truncation_bound(spec, z, beta):
     Fermi-Dirac occupations are smaller still.  For Bose-Einstein it
     underestimates by at most 1/(1 - z e^(-beta eps_cut)), which is ~1
     whenever the cutoff is sane.  DomainError when an eps_1 or an s, both
-    computed, is not a positive normal double.
+    computed, is not a positive normal double, and when z or beta is not
+    positive and finite.
     """
+    _positive("z", z)
+    _positive("beta", beta)
     thetas, tails = [], []
     for s, c in zip(_axis_scales(spec, beta), spec.cutoff):
         terms = [math.exp(-s * n * n) for n in range(c + 1)]  # n and -n share a term

@@ -9,6 +9,8 @@ import math
 from collections import namedtuple
 from enum import Enum
 
+from .errors import DomainError
+
 __all__ = ["UnitSystem", "PhysicalConstants", "constants_for"]
 
 
@@ -42,5 +44,9 @@ _CONSTANTS = {
 
 
 def constants_for(unit_system):
-    """Constants table for a UnitSystem."""
-    return _CONSTANTS[unit_system]
+    """Constants table for a UnitSystem; DomainError for anything else, such as "si"."""
+    try:
+        return _CONSTANTS[unit_system]
+    except (KeyError, TypeError):  # TypeError: an unhashable key
+        raise DomainError("unit_system must be a UnitSystem member, got %r"
+                          % (unit_system,)) from None

@@ -9,8 +9,8 @@ root of the repository, with warnings raised as errors (as the test suite
 raises RuntimeWarning).  Per argv the corpus holds the exit code and, for
 stdout and for stderr, the byte count, the SHA-256 and, below WHOLE_BYTES,
 the text itself, so that a failure can show the line that moved.  It also
-records the Python version, the platform, numpy's version and the revision
-it was built from.
+records the Python version, the platform and the revision it was built
+from.
 
 fermiwire is imported from the working tree's src/, or with --from REV from
 that revision's src/, unpacked from git archive into a temporary directory;
@@ -32,7 +32,6 @@ import sys
 import tarfile
 import tempfile
 import warnings
-from importlib import metadata
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -95,13 +94,8 @@ def build(src, source):
         raise SystemExit("fermiwire was imported from %s, not from %s"
                          % (sys.modules["fermiwire"].__file__, src))
     os.chdir(ROOT)
-    try:
-        numpy = metadata.version("numpy")
-    except metadata.PackageNotFoundError:
-        numpy = None
     return {"python": platform.python_version(), "platform": platform.platform(),
-            "numpy": numpy, "source": source,
-            "commands": [record(main, argv) for argv in read_commands()]}
+            "source": source, "commands": [record(main, argv) for argv in read_commands()]}
 
 
 def main(argv=None):

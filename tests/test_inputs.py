@@ -6,6 +6,7 @@ import itertools
 import math
 import sys
 
+import numpy as np
 import pytest
 
 from fermiwire import (
@@ -15,7 +16,9 @@ from fermiwire import (
     PhononMedium,
     Statistics,
     ThermalState,
+    UnitSystem,
     WireGeometry,
+    closure_temperature,
     direct_number_sum,
     energy_density_1d,
     enumerate_levels,
@@ -24,6 +27,7 @@ from fermiwire import (
     quantum_integral,
     solve_log_fugacity,
     thermal_wavelength,
+    truncation_bound,
 )
 from fermiwire.cli import main
 from fermiwire.errors import _normal
@@ -59,6 +63,8 @@ POSITIVE_FIELDS = {
     "enumerate_levels.beta": lambda v: enumerate_levels(1.0, 1.0, 1.0, cutoff=1, beta=v),
     "direct_number_sum.z": lambda v: direct_number_sum(SPECTRUM, FD, v, 1.0),
     "direct_number_sum.beta": lambda v: direct_number_sum(SPECTRUM, FD, 0.5, v),
+    "truncation_bound.z": lambda v: truncation_bound(SPECTRUM, v, 1.0),
+    "truncation_bound.beta": lambda v: truncation_bound(SPECTRUM, 0.5, v),
 }
 
 
@@ -122,6 +128,74 @@ def test_occupation_rejects_non_finite_beta_and_eps(field, value):
 def test_statistics_must_be_a_member(call):
     with pytest.raises(DomainError, match="^stat must be a Statistics member, got 'fd'$"):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: thermal_wavelength(1.0, 1.0, "si"),
+    lambda: closure_temperature(ChainParameters(N=1.0, L=1.0, m=1.0), "si"),
+    lambda: GasParameters(1.0, 1.0, 1.0, "si").beta,
+    lambda: enumerate_levels(1.0, 1.0, 1.0, cutoff=1, unit_system="si"),
+], ids=["thermal_wavelength", "closure_temperature", "GasParameters.beta", "enumerate_levels"])
+def test_unit_system_must_be_a_member(call):
+    # each raised a bare KeyError: 'si'
+    with pytest.raises(DomainError, match="^unit_system must be a UnitSystem member, got 'si'$"):
+        call()
+
+
+def test_unit_system_may_be_unhashable():
+    # a list raised TypeError from the table lookup
+    with pytest.raises(DomainError, match=r"^unit_system must be a UnitSystem member, got \[\]$"):
+        thermal_wavelength(1.0, 1.0, [])
+    assert thermal_wavelength(1.0, 1.0, UnitSystem.SI) > 0.0
+
+
+@pytest.mark.parametrize("value", ["x", "1.5", math.inf, math.nan],
+                         ids=["str", "numeric str", "inf", "nan"])
+@pytest.mark.parametrize("call, message", [
+    (lambda v: quantum_integral(FD, 1.5, log_z=v), "ln z must be finite, got %r"),
+    (lambda v: ThermalState(log_z=v, lam=1.0, degeneracy=1.0), "log_z must be finite, got %r"),
+], ids=["quantum_integral", "ThermalState"])
+def test_log_z_must_be_a_finite_number(call, message, value):
+    # quantum_integral raised a bare ValueError for "x" and read "1.5" as 1.5;
+    # ThermalState raised TypeError for both
+    with pytest.raises(DomainError) as info:
+        call(value)
+    assert str(info.value) == message % (value,)
+
+
+def test_log_z_takes_ints_and_numpy_floats():
+    value = quantum_integral(FD, 1.5, log_z=1.0)
+    assert quantum_integral(FD, 1.5, log_z=1) == value
+    assert quantum_integral(FD, 1.5, log_z=np.float64(1.0)) == value
+    assert ThermalState(log_z=1, lam=1.0, degeneracy=1.0).z == math.e
+
+
+@pytest.mark.parametrize("cutoff, value", [
+    (2.5, 2.5), ((2, 2.9, 3), 2.9), (math.inf, math.inf), (math.nan, math.nan), ("3", "3"),
+    ((3, 3, "3"), "3"), (2.0, 2.0),
+], ids=["2.5", "(2, 2.9, 3)", "inf", "nan", "str", "str in a tuple", "2.0"])
+def test_cutoff_must_be_an_integer(cutoff, value):
+    # 2.5 built cutoff 2 and (2, 2.9, 3) built (2, 2, 3); inf raised OverflowError,
+    # nan ValueError, and "3" was read as 3
+    with pytest.raises(DomainError) as info:
+        enumerate_levels(1.0, 1.0, 1.0, cutoff=cutoff)
+    assert str(info.value) == "cutoff must be an integer, got %r" % (value,)
+
+
+@pytest.mark.parametrize("cutoff, cutoffs", [
+    (2, (2, 2, 2)), (True, (1, 1, 1)), (np.int64(2), (2, 2, 2)),
+    ((3, np.int32(1), True), (3, 1, 1)), ([1, 2, 3], (1, 2, 3)),
+], ids=["int", "bool", "numpy int", "mixed tuple", "list"])
+def test_cutoff_takes_integers(cutoff, cutoffs):
+    spec = enumerate_levels(1.0, 1.0, 1.0, cutoff=cutoff)
+    assert spec.cutoff == cutoffs and all(type(c) is int for c in spec.cutoff)
+
+
+@pytest.mark.parametrize("cutoff", [0, -1, False, (2, 0, 3), (1, 2)],
+                         ids=["0", "-1", "False", "(2, 0, 3)", "two of them"])
+def test_cutoff_below_one_keeps_its_message(cutoff):
+    with pytest.raises(DomainError, match="^cutoff must be a positive integer or 3 of them$"):
+        enumerate_levels(1.0, 1.0, 1.0, cutoff=cutoff)
 
 
 @pytest.mark.parametrize("stat", ["fd", "mb"])
