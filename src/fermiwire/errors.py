@@ -1,6 +1,7 @@
-"""Exception types shared across the package, its two range rules (_positive for inputs,
-exact even when subnormal, and _normal for computed numbers, lossy when subnormal) and
-_Checked, the base whose records run their checks on every construction."""
+"""Exception types shared across the package, its three range rules (_positive for inputs,
+exact even when subnormal, _finite for any real input, and _normal for computed numbers,
+lossy when subnormal) and _Checked, the base whose records run their checks on every
+construction."""
 
 import math
 import sys
@@ -48,6 +49,20 @@ def _positive(name, value):
     if isinstance(value, (int, float)) and 0.0 < value < math.inf:
         return value
     raise DomainError("%s must be a positive finite number, got %r" % (name, value))
+
+
+def _finite(name, value):
+    """float(value) if value is a real number that converts to a finite float (numpy scalars,
+    Fraction and Decimal included, text not); DomainError naming name otherwise."""
+    if not isinstance(value, (str, bytes, bytearray)):
+        try:
+            x = float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if -math.inf < x < math.inf:
+                return x
+    raise DomainError("%s must be finite, got %r" % (name, value))
 
 
 def _normal(name, value, *args):

@@ -17,7 +17,7 @@ from collections import namedtuple
 from ._kernel_tables import BE_INVERSE_ROWS, FD_INVERSE_LOG_TOP, FD_INVERSE_ROWS, FD_INVERSE_U_TOP
 from .constants import UnitSystem, constants_for
 from .errors import (CondensationError, ConvergenceError, DomainError, SingularityError, _Checked,
-                     _normal, _positive)
+                     _finite, _normal, _positive)
 from .specfun import (
     QuantumIntegralOrder,
     Statistics,
@@ -75,8 +75,7 @@ class ThermalState(_Checked, namedtuple("ThermalState", "log_z lam degeneracy"))
     __slots__ = ()
 
     def _check(self):
-        if not (isinstance(self.log_z, (int, float)) and -math.inf < self.log_z < math.inf):
-            raise DomainError("log_z must be finite, got %r" % (self.log_z,))
+        _finite("log_z", self.log_z)
         for name in ("lam", "degeneracy"):
             _positive(name, getattr(self, name))
 
@@ -103,22 +102,16 @@ def occupation(stat, z, beta, eps):
 def _occupations(stat, ws):
     """[occupation at w for w in ws], each w = beta*eps - ln z formed by the
     caller: the one rule behind occupation, the box sums and the wire
-    quadrature.  A list where e^w overflows is re-run, w <= _W_MAX choosing
-    FD's e^-w or BE's 0; as the only pass, that comparison slows verify 2 %."""
+    quadrature.  One comparison with _W_MAX per w finds where e^w overflows:
+    there the FD value is e^-w and the BE value 0."""
     if stat is Statistics.MAXWELL_BOLTZMANN:
         return [math.exp(-w) for w in ws]
     if stat is Statistics.FERMI_DIRAC:
-        try:
-            return [1.0 / (1.0 + math.exp(w)) for w in ws]
-        except OverflowError:
-            return [1.0 / (1.0 + math.exp(w)) if w <= _W_MAX else math.exp(-w) for w in ws]
+        return [1.0 / (1.0 + math.exp(w)) if w <= _W_MAX else math.exp(-w) for w in ws]
     if stat is Statistics.BOSE_EINSTEIN:
         if min(ws) <= 0.0:
             raise SingularityError("Bose occupation pole: beta*eps - ln z = %g <= 0" % min(ws))
-        try:
-            return [1.0 / math.expm1(w) for w in ws]
-        except OverflowError:
-            return [1.0 / math.expm1(w) if w <= _W_MAX else 0.0 for w in ws]
+        return [1.0 / math.expm1(w) if w <= _W_MAX else 0.0 for w in ws]
     raise DomainError("stat must be a Statistics member, got %r" % (stat,))
 
 

@@ -23,7 +23,7 @@ from operator import mul
 from ._kernel_tables import (FD_CENTRES, FD_EDGES, FD_ROWS, GAUSS_LEGENDRE_8, GAUSS_LEGENDRE_16,
                              TWO_ETA_EVEN, ZETA_HALF_INTEGERS as _ZETA_HALF_INTEGERS)
 from .constants import UnitSystem, constants_for
-from .errors import ConvergenceError, DomainError, _positive
+from .errors import ConvergenceError, DomainError, _finite, _positive
 
 __all__ = ["Statistics", "QuantumIntegralOrder", "quantum_integral", "thermal_wavelength"]
 
@@ -196,7 +196,7 @@ def quantum_integral(stat, order, z=None, *, log_z=None):
     in [-28, 1e4] (FD) and [-28, 0] (BE).  math.inf stands for g_{1/2}(1), the
     MB identity once z overflows and an FD value past double range (ln z above
     ~3.9e205 for F_{3/2}, ~1.6e123 for F_{5/2}).  DomainError: z <= 0, z or
-    log_z not a finite int or float, both or neither given, an unknown order
+    log_z not a finite real number, both or neither given, an unknown order
     or stat, BE z > 1.
     """
     try:
@@ -208,10 +208,7 @@ def quantum_integral(stat, order, z=None, *, log_z=None):
         raise DomainError("stat must be a Statistics member, got %r" % (stat,))
     if (z is None) == (log_z is None):
         raise DomainError("pass exactly one of z or log_z")
-    x = math.log(_positive("z", z)) if log_z is None else log_z
-    if not (isinstance(x, (int, float)) and -math.inf < x < math.inf):
-        raise DomainError("ln z must be finite, got %r" % (x,))
-    x = float(x)
+    x = math.log(_positive("z", z)) if log_z is None else _finite("ln z", log_z)
     z = exp_or_inf(x) if z is None else z
     if stat is Statistics.MAXWELL_BOLTZMANN:
         return z

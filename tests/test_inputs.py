@@ -5,6 +5,8 @@ import io
 import itertools
 import math
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -149,25 +151,28 @@ def test_unit_system_may_be_unhashable():
     assert thermal_wavelength(1.0, 1.0, UnitSystem.SI) > 0.0
 
 
-@pytest.mark.parametrize("value", ["x", "1.5", math.inf, math.nan],
-                         ids=["str", "numeric str", "inf", "nan"])
+@pytest.mark.parametrize("value", ["x", "1.5", b"1.5", math.inf, math.nan, 1j, 10 ** 400],
+                         ids=["str", "numeric str", "bytes", "inf", "nan", "complex", "10**400"])
 @pytest.mark.parametrize("call, message", [
     (lambda v: quantum_integral(FD, 1.5, log_z=v), "ln z must be finite, got %r"),
     (lambda v: ThermalState(log_z=v, lam=1.0, degeneracy=1.0), "log_z must be finite, got %r"),
 ], ids=["quantum_integral", "ThermalState"])
 def test_log_z_must_be_a_finite_number(call, message, value):
-    # quantum_integral raised a bare ValueError for "x" and read "1.5" as 1.5;
-    # ThermalState raised TypeError for both
+    # quantum_integral raised a bare ValueError for "x", read "1.5" and b"1.5" as 1.5 and raised
+    # TypeError for 1j and OverflowError for 10**400; ThermalState raised TypeError for
+    # text and 1j and OverflowError for 10**400
     with pytest.raises(DomainError) as info:
         call(value)
     assert str(info.value) == message % (value,)
 
 
-def test_log_z_takes_ints_and_numpy_floats():
-    value = quantum_integral(FD, 1.5, log_z=1.0)
-    assert quantum_integral(FD, 1.5, log_z=1) == value
-    assert quantum_integral(FD, 1.5, log_z=np.float64(1.0)) == value
-    assert ThermalState(log_z=1, lam=1.0, degeneracy=1.0).z == math.e
+@pytest.mark.parametrize("log_z", [1, True, np.int64(1), np.float64(1.0), np.float32(1.0),
+                                   Fraction(1), Decimal(1)],
+                         ids=["int", "bool", "numpy int", "numpy float64", "numpy float32",
+                              "Fraction", "Decimal"])
+def test_log_z_takes_any_finite_real(log_z):
+    assert quantum_integral(FD, 1.5, log_z=log_z) == quantum_integral(FD, 1.5, log_z=1.0)
+    assert ThermalState(log_z=log_z, lam=1.0, degeneracy=1.0).z == math.e
 
 
 @pytest.mark.parametrize("cutoff, value", [
