@@ -115,10 +115,10 @@ def enumerate_levels(
     normal double, and ResourceLimitError when the level count would exceed
     MAX_LEVELS or a default cutoff overflows a double.
     """
-    for name, value in (("L_long", L_long), ("a_transverse", a_transverse), ("m", m)):
-        _positive(name, value)
+    L_long, a_transverse, m = (_positive("L_long", L_long),
+                               _positive("a_transverse", a_transverse), _positive("m", m))
     if beta is not None:
-        _positive("beta", beta)
+        beta = _positive("beta", beta)
     h = constants_for(unit_system).h
     lengths = (L_long, a_transverse, a_transverse)
     if cutoff is None:
@@ -182,8 +182,7 @@ def truncation_bound(spec, z, beta):
     computed, is not a positive normal double, and when z or beta is not
     positive and finite.
     """
-    _positive("z", z)
-    _positive("beta", beta)
+    z, beta = _positive("z", z), _positive("beta", beta)
     thetas, tails = [], []
     for s, c in zip(_axis_scales(spec, beta), spec.cutoff):
         terms = [math.exp(-s * n * n) for n in range(c + 1)]  # n and -n share a term
@@ -209,8 +208,7 @@ def direct_number_sum(spec, stat, z, beta):
     and no box holds more than MAX_LEVELS levels.  truncation_bound
     estimates what the cutoffs leave out.
     """
-    _positive("z", z)
-    _positive("beta", beta)
+    z, beta = _positive("z", z), _positive("beta", beta)
     if stat is Statistics.BOSE_EINSTEIN and not z < 1.0:
         raise CondensationError(
             "Bose box sum needs z < 1 (ground level at eps = 0), got %r" % (z,)
@@ -244,6 +242,7 @@ def compare_continuum(spec, stat, z, beta):
     no transverse excitation.  DomainError when an eps_1, s_i, N_discrete,
     V/lambda^3 or (V/lambda^3) F_{1/2}(z) is not a positive normal double.
     """
+    z, beta = _positive("z", z), _positive("beta", beta)
     n_disc = _normal("N_discrete", direct_number_sum(spec, stat, z, beta))
     s_x, s_y, _ = _axis_scales(spec, beta)
     l_lam = math.sqrt(math.pi / s_x)

@@ -14,11 +14,12 @@ import math
 import sys
 from collections import namedtuple
 from functools import lru_cache
+from operator import index
 
 from .box_oracle import ContinuumComparison, compare_continuum, enumerate_levels
 from .constants import UnitSystem, constants_for
 from .errors import (ConfigError, ConvergenceError, DomainError, ResourceLimitError, _Checked,
-                     _normal, _positive)
+                     _normal, _positive, _real)
 from .gas_statistics import _solve_pair, occupation
 from .phonon_map import (
     PhononMedium,
@@ -27,7 +28,7 @@ from .phonon_map import (
     debye_wavelength,
 )
 from .specfun import Statistics, _linspace
-from .thin_wire import RegimeThresholds, WireGeometry, _classify_sigmas
+from .thin_wire import RegimeThresholds, WireGeometry, _regimes
 from .verify import run_verify
 
 SCAN_COLUMNS = [
@@ -73,21 +74,29 @@ ORACLE_COLUMNS = [
 
 class AxisSpec(_Checked, namedtuple("AxisSpec", "minimum maximum points spacing",
                                     defaults=("linear",))):
-    """One scan axis: min:max:points with linear or log spacing."""
+    """One scan axis: min:max:points with linear or log spacing; min and max are
+    any real numbers, points an integer as operator.index takes it."""
 
     __slots__ = ()
 
     def _check(self):
-        if self.points < 1:
-            raise ConfigError("axis needs points >= 1, got %d" % self.points)
-        if self.minimum > self.maximum:
-            raise ConfigError(
-                "axis needs min <= max, got %g > %g" % (self.minimum, self.maximum)
-            )
+        try:
+            points = index(self.points)
+        except TypeError:
+            raise ConfigError("axis points must be an integer, got %r" % (self.points,)) from None
+        if points < 1:
+            raise ConfigError("axis needs points >= 1, got %d" % points)
+        minimum, maximum = _real(self.minimum), _real(self.maximum)
+        if minimum is None or maximum is None:
+            raise ConfigError("axis min and max must be numbers, got %r and %r"
+                              % (self.minimum, self.maximum))
+        if minimum > maximum:
+            raise ConfigError("axis needs min <= max, got %g > %g" % (minimum, maximum))
         if self.spacing not in ("linear", "log"):
             raise ConfigError("spacing must be linear or log, got %r" % (self.spacing,))
-        if self.spacing == "log" and not self.minimum > 0.0:
+        if self.spacing == "log" and not minimum > 0.0:
             raise ConfigError("log spacing needs min > 0")
+        return minimum, maximum, points, self.spacing
 
     def values(self):
         """The grid: np.linspace's, bit for bit (specfun._linspace); log axes
@@ -236,15 +245,16 @@ def run_scan(config):
 
     Rows follow the grid in lexicographic (T, nu, sigma) order.  The fugacity
     depends on (T, nu) alone and both count bounds are linear in sigma, so
-    each pair is solved once (which also gives F_{1/2}(z)) and its sigma rows
-    are classified together, with no record built for it.  m, each T, each nu
-    and each sigma's wire are checked once (the error that rejects one goes
-    to all its rows).  A CSV row is written as the text _fmt gives:
-    axis values are formatted once, z, lambda and the degeneracy (floats) once
-    per pair, so each row formats only its two counts.
+    each pair is solved once (which also gives F_{1/2}(z)), with no record
+    built for it, and its sigma rows take one of the two labels _regimes gives
+    it.  m, each T, each nu and each sigma's wire are checked once (the error
+    that rejects one goes to all its rows).  A CSV row is written as the text
+    _fmt gives: axis values are formatted once, z, lambda and the degeneracy
+    (floats) once per pair, so each row formats only its two counts.
     """
     unit_system, stat = config.unit_system, config.statistics
     m = _positive("m", constants_for(unit_system).mass_ref)
+    thresholds = RegimeThresholds() if config.thresholds is None else config.thresholds
     text = config.out_format == "csv"
 
     def error_row(T, nu, sigma, exc):
@@ -263,7 +273,7 @@ def run_scan(config):
 
     nus = list(checked(config.nu_axis, lambda nu: _positive("nu", nu)))
     sigmas = list(checked(config.sigma_axis, WireGeometry))
-    valid = [sigma for sigma, _, error in sigmas if error is None]
+    valid = sum(error is None for _, _, error in sigmas)
     rows, solved = [], 0
     for T, T_cell, T_error in checked(config.t_axis, lambda T: _positive("T", T)):
         for nu, nu_cell, nu_error in nus:
@@ -276,21 +286,23 @@ def run_scan(config):
             if error:
                 rows.extend(error_row(T, nu, sigma, error) for sigma, _, _ in sigmas)
                 continue
-            solved += len(valid)
-            counts = iter(_classify_sigmas(z, degeneracy, f_half, valid, config.thresholds))
-            pair = (z, lam, degeneracy)
-            tail = ",%.17g,%.17g,%.17g," % pair
+            solved += valid
+            # Regime.value, without the enum property's cost
+            below, above = (regime._value_ for regime in _regimes(z, degeneracy, thresholds))
+            z_ratio, f_ratio = z / degeneracy, f_half / degeneracy
+            tail = ",%.17g,%.17g,%.17g," % (z, lam, degeneracy)
             for sigma, sigma_cell, sigma_error in sigmas:
                 if sigma_error:
                     rows.append(error_row(T, nu, sigma, sigma_error))
                     continue
-                rhs_approx, rhs_exact, regime = next(counts)
-                label = regime._value_  # Regime.value, without the enum property's cost
+                rhs_approx = sigma * z_ratio
+                label = above if rhs_approx >= 1.0 else below
                 if text:
                     rows.append("%s,%s,%s%s%.17g,%.17g,%s," % (
-                        T_cell, nu_cell, sigma_cell, tail, rhs_approx, rhs_exact, label))
+                        T_cell, nu_cell, sigma_cell, tail, rhs_approx, sigma * f_ratio, label))
                 else:
-                    rows.append([T, nu, sigma, *pair, rhs_approx, rhs_exact, label, ""])
+                    rows.append([T, nu, sigma, z, lam, degeneracy, rhs_approx, sigma * f_ratio,
+                                 label, ""])
     _write_output("\n".join([",".join(SCAN_COLUMNS), *rows]) + "\n" if text
                   else _render_table(SCAN_COLUMNS, rows, "json"), config.out_path)
     return 0 if solved else 1

@@ -1,7 +1,7 @@
-"""Exception types shared across the package, its three range rules (_positive for inputs,
-exact even when subnormal, _finite for any real input, and _normal for computed numbers,
-lossy when subnormal) and _Checked, the base whose records run their checks on every
-construction."""
+"""Exception types shared across the package, its number rules (_real, the one conversion
+of an input to a number, under _positive and _finite, which are exact even when subnormal;
+_normal for computed numbers, lossy when subnormal) and _Checked, the base whose records
+run their checks on every construction."""
 
 import math
 import sys
@@ -44,24 +44,34 @@ class ConfigError(ValueError):
     """Invalid CLI or scan configuration."""
 
 
+def _real(value):
+    """value itself if an int or float, float(value) for any other real (numpy scalars,
+    Fraction, Decimal); None for text and for what float() refuses (None, complex, an int
+    past double range)."""
+    if isinstance(value, (str, bytes, bytearray)):
+        return None
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return value if isinstance(value, (int, float)) else x
+
+
 def _positive(name, value):
-    """value if it is an int or float with 0 < value < inf; DomainError naming name otherwise."""
-    if isinstance(value, (int, float)) and 0.0 < value < math.inf:
-        return value
+    """_real(value) if it is a number with 0 < value < inf; DomainError naming name otherwise."""
+    x = _real(value)
+    if x is not None and 0.0 < x < math.inf:
+        return x
     raise DomainError("%s must be a positive finite number, got %r" % (name, value))
 
 
 def _finite(name, value):
-    """float(value) if value is a real number that converts to a finite float (numpy scalars,
-    Fraction and Decimal included, text not); DomainError naming name otherwise."""
-    if not isinstance(value, (str, bytes, bytearray)):
-        try:
-            x = float(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-        else:
-            if -math.inf < x < math.inf:
-                return x
+    """float(value) if value is a number whose float is finite; DomainError naming name
+    otherwise.  An int comes back as a float too: the kernel squares ln z, and an int
+    square past double range would raise OverflowError where a float one reads inf."""
+    x = _real(value)
+    if x is not None and -math.inf < x < math.inf:
+        return float(x)
     raise DomainError("%s must be finite, got %r" % (name, value))
 
 
@@ -74,14 +84,14 @@ def _normal(name, value, *args):
 
 class _Checked:
     """Base listed before the namedtuple of a record with checks: every construction,
-    _make and so _replace included, builds the tuple and then runs the record's _check."""
+    _make and so _replace included, builds the tuple, runs the record's _check on it and
+    stores the fields _check returns, each number as its rule returned it."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        self._check()
-        return self
+        fields = super().__new__(cls, *args, **kwargs)._check()
+        return super().__new__(cls, *fields)
 
     @classmethod
     def _make(cls, iterable):

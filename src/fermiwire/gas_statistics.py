@@ -17,7 +17,7 @@ from collections import namedtuple
 from ._kernel_tables import BE_INVERSE_ROWS, FD_INVERSE_LOG_TOP, FD_INVERSE_ROWS, FD_INVERSE_U_TOP
 from .constants import UnitSystem, constants_for
 from .errors import (CondensationError, ConvergenceError, DomainError, SingularityError, _Checked,
-                     _finite, _normal, _positive)
+                     _finite, _normal, _positive, _real)
 from .specfun import (
     QuantumIntegralOrder,
     Statistics,
@@ -59,8 +59,8 @@ class GasParameters(_Checked, namedtuple("GasParameters", "m T nu unit_system",
     __slots__ = ()
 
     def _check(self):
-        for name in ("m", "T", "nu"):
-            _positive(name, getattr(self, name))
+        return (_positive("m", self.m), _positive("T", self.T), _positive("nu", self.nu),
+                self.unit_system)
 
     @property
     def beta(self):
@@ -75,9 +75,8 @@ class ThermalState(_Checked, namedtuple("ThermalState", "log_z lam degeneracy"))
     __slots__ = ()
 
     def _check(self):
-        _finite("log_z", self.log_z)
-        for name in ("lam", "degeneracy"):
-            _positive(name, getattr(self, name))
+        return (_finite("log_z", self.log_z), _positive("lam", self.lam),
+                _positive("degeneracy", self.degeneracy))
 
     @property
     def z(self):
@@ -92,11 +91,18 @@ def occupation(stat, z, beta, eps):
     eps >= 0, checked in that order.  The FD value lies in [0, 1); once e^w
     overflows a double it is e^-w, and the BE value 0.  SingularityError: BE
     with z e^(-beta eps) >= 1, where the occupation diverges (or is negative)."""
-    _positive("z", z)
-    for name, value in (("beta", beta), ("eps", eps)):
-        if not 0.0 <= value < math.inf:
-            raise DomainError("%s must be a non-negative finite number, got %r" % (name, value))
+    z = _positive("z", z)
+    beta, eps = _non_negative("beta", beta), _non_negative("eps", eps)
     return _occupations(stat, (beta * eps - math.log(z),))[0]
+
+
+def _non_negative(name, value):
+    """float(value) if value is a number with 0 <= value < inf; DomainError naming name
+    otherwise.  A float, as beta*eps of two ints past double range would raise."""
+    x = _real(value)
+    if x is not None and 0.0 <= x < math.inf:
+        return float(x)
+    raise DomainError("%s must be a non-negative finite number, got %r" % (name, value))
 
 
 def _occupations(stat, ws):

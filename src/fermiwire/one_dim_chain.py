@@ -33,9 +33,9 @@ class ChainParameters(_Checked, namedtuple("ChainParameters", "N L m")):
     __slots__ = ()
 
     def _check(self):
-        for name in ("N", "L", "m"):
-            _positive(name, getattr(self, name))
-        _normal("d = L/N", self.d)
+        N, L, m = _positive("N", self.N), _positive("L", self.L), _positive("m", self.m)
+        _normal("d = L/N", L / N)
+        return N, L, m
 
     @property
     def d(self):

@@ -30,33 +30,33 @@ class PhononMedium(_Checked, namedtuple("PhononMedium", "c nu")):
     __slots__ = ()
 
     def _check(self):
-        for name in ("c", "nu"):
-            _positive(name, getattr(self, name))
-        _normal("Debye frequency at c = %r, nu = %r", debye_omega_max(self), self.c, self.nu)
+        c, nu = _positive("c", self.c), _positive("nu", self.nu)
+        _normal("Debye frequency at c = %r, nu = %r", c * _debye_wavenumber(nu), c, nu)
+        return c, nu
 
 
 CorrespondenceReport = namedtuple(
     "CorrespondenceReport", "eps_m eps_F p_m p_F rel_diff_energy rel_diff_momentum")
 
 
-def _debye_wavenumber(medium):
+def _debye_wavenumber(nu):
     # k_m = (6 pi^2 / nu)^(1/3), the cutoff wavenumber
-    return (6.0 * math.pi ** 2 / medium.nu) ** (1.0 / 3.0)
+    return (6.0 * math.pi ** 2 / nu) ** (1.0 / 3.0)
 
 
 def debye_omega_max(medium):
     """omega_m = c k_m = c (6 pi^2 / nu)^(1/3)."""
-    return medium.c * _debye_wavenumber(medium)
+    return medium.c * _debye_wavenumber(medium.nu)
 
 
 def debye_wavelength(medium):
     """lambda_m = 2 pi / k_m, the wavelength at the Debye cutoff; c-free."""
-    return 2.0 * math.pi / _debye_wavenumber(medium)
+    return 2.0 * math.pi / _debye_wavenumber(medium.nu)
 
 
 def debye_momentum(medium, unit_system=UnitSystem.REDUCED):
     """p_m = hbar k_m = hbar omega_m / c, formed without c."""
-    return constants_for(unit_system).hbar * _debye_wavenumber(medium)
+    return constants_for(unit_system).hbar * _debye_wavenumber(medium.nu)
 
 
 def phonon_max_energy(medium, m, unit_system=UnitSystem.REDUCED):

@@ -23,7 +23,7 @@ from operator import mul
 from ._kernel_tables import (FD_CENTRES, FD_EDGES, FD_ROWS, GAUSS_LEGENDRE_8, GAUSS_LEGENDRE_16,
                              TWO_ETA_EVEN, ZETA_HALF_INTEGERS as _ZETA_HALF_INTEGERS)
 from .constants import UnitSystem, constants_for
-from .errors import ConvergenceError, DomainError, _finite, _positive
+from .errors import ConvergenceError, DomainError, _finite, _positive, _real
 
 __all__ = ["Statistics", "QuantumIntegralOrder", "quantum_integral", "thermal_wavelength"]
 
@@ -201,15 +201,19 @@ def quantum_integral(stat, order, z=None, *, log_z=None):
     """
     try:
         nu = QuantumIntegralOrder(order if isinstance(order, QuantumIntegralOrder)
-                                  else float(order)).value
+                                  else _real(order)).value
     except ValueError:
         raise DomainError("order must be one of 1/2, 3/2, 5/2; got %r" % (order,)) from None
     if not isinstance(stat, Statistics):
         raise DomainError("stat must be a Statistics member, got %r" % (stat,))
     if (z is None) == (log_z is None):
         raise DomainError("pass exactly one of z or log_z")
-    x = math.log(_positive("z", z)) if log_z is None else _finite("ln z", log_z)
-    z = exp_or_inf(x) if z is None else z
+    if log_z is None:
+        z = _positive("z", z)
+        x = math.log(z)
+    else:
+        x = _finite("ln z", log_z)
+        z = exp_or_inf(x)
     if stat is Statistics.MAXWELL_BOLTZMANN:
         return z
     if stat is Statistics.BOSE_EINSTEIN and x > 0.0:

@@ -8,7 +8,8 @@ the fermionic particle count per particle reads
 and self-consistency demands R > 1.  With a vanishing cross-section the
 inequality fails, which is the contradiction the classifier turns into a
 regime label.  sigma is kept dimensionless as sigma_tilde = sigma
-(lambda/h)^2, which reproduces the displayed bound exactly.
+(lambda/h)^2, which reproduces the displayed bound exactly.  The label reads
+sigma_tilde only through R >= 1, so _regimes decides a state for every sigma_tilde.
 
 number_integral_quasi1d, the quadrature that checks the closed forms, runs
 in pure Python: quad_checked hands occupation's rule all of a rule's nodes at
@@ -21,7 +22,7 @@ import math
 from collections import namedtuple
 from enum import Enum
 
-from .errors import DomainError, _Checked, _positive
+from .errors import DomainError, _Checked, _positive, _real
 from .gas_statistics import ThermalState, _occupations, _solve_pair
 from .specfun import (
     QuantumIntegralOrder,
@@ -50,7 +51,7 @@ class WireGeometry(_Checked, namedtuple("WireGeometry", "sigma_tilde")):
     __slots__ = ()
 
     def _check(self):
-        _positive("sigma_tilde", self.sigma_tilde)
+        return (_positive("sigma_tilde", self.sigma_tilde),)
 
 
 class Regime(Enum):
@@ -67,10 +68,13 @@ class RegimeThresholds(_Checked, namedtuple("RegimeThresholds", "z_degenerate de
     __slots__ = ()
 
     def _check(self):
-        if not (self.z_degenerate > 1.0 > self.deg_classical > 0.0):
+        z_degenerate, deg_classical = _real(self.z_degenerate), _real(self.deg_classical)
+        if (z_degenerate is None or deg_classical is None
+                or not z_degenerate > 1.0 > deg_classical > 0.0):
             raise DomainError(
                 "thresholds must satisfy z_degenerate > 1 > deg_classical > 0"
             )
+        return z_degenerate, deg_classical
 
 
 RegimeReport = namedtuple("RegimeReport", "rhs_approx rhs_exact inequality_holds regime")
@@ -139,21 +143,21 @@ def classify_regime(params, wire, thresholds=None, stat=Statistics.FERMI_DIRAC):
 
 def classify_wire(state, f_half, wire, thresholds=None):
     """Regime of a solved state at one cross-section, given f_half = F_{1/2}(z):
-    the one-sigma case of _classify_sigmas."""
-    [(rhs_approx, rhs_exact, regime)] = _classify_sigmas(
-        state.z, state.degeneracy, f_half, [wire.sigma_tilde], thresholds)
-    return RegimeReport(rhs_approx, rhs_exact, rhs_approx > 1.0, regime)
+    rhs_approx from rhs_eq3, rhs_exact = sigma_tilde (F_{1/2}(z)/degeneracy),
+    each ratio formed first, and the regime _regimes gives at rhs_approx."""
+    rhs_approx = rhs_eq3(state, wire)
+    below, above = _regimes(state.z, state.degeneracy,
+                            RegimeThresholds() if thresholds is None else thresholds)
+    return RegimeReport(rhs_approx, wire.sigma_tilde * (f_half / state.degeneracy),
+                        rhs_approx > 1.0, above if rhs_approx >= 1.0 else below)
 
 
-def _classify_sigmas(z, degeneracy, f_half, sigmas, thresholds=None):
-    """(rhs_approx, rhs_exact, regime) of a solved state's z, degeneracy and
-    f_half = F_{1/2}(z) at each sigma_tilde of sigmas.
-
-    Both counts are linear in sigma_tilde: rhs_approx = sigma_tilde (z/degeneracy)
-    and rhs_exact = sigma_tilde (F_{1/2}(z)/degeneracy), each ratio formed once,
-    so a count underflows or overflows only where its value does.  The decision cascade,
-    honouring the boundary-tie priority DegenerateSubFermi >
-    BoltzmannConverged > BosonizedClassical > Bosonized, reads sigma_tilde in step 2 alone:
+def _regimes(z, degeneracy, thresholds):
+    """(regime at rhs_approx < 1, regime at rhs_approx >= 1) of a solved state's
+    z and degeneracy.  The decision cascade, honouring the boundary-tie priority
+    DegenerateSubFermi > BoltzmannConverged > BosonizedClassical > Bosonized,
+    reads sigma_tilde only through rhs_approx >= 1 in step 2, so one call
+    decides every cross-section of the state:
 
       1. z >= z_degenerate               -> DEGENERATE_SUB_FERMI
       2. degeneracy <= deg_classical and
@@ -161,18 +165,11 @@ def _classify_sigmas(z, degeneracy, f_half, sigmas, thresholds=None):
       3. degeneracy <= deg_classical     -> BOSONIZED_CLASSICAL
       4. otherwise                       -> BOSONIZED
     """
-    if thresholds is None:
-        thresholds = RegimeThresholds()
-    # regimes: at rhs_approx < 1, at >= 1
     if z >= thresholds.z_degenerate:
-        regimes = (Regime.DEGENERATE_SUB_FERMI,) * 2
-    elif degeneracy <= thresholds.deg_classical:
-        regimes = (Regime.BOSONIZED_CLASSICAL, Regime.BOLTZMANN_CONVERGED)
-    else:
-        regimes = (Regime.BOSONIZED,) * 2
-    z_ratio, f_ratio = z / degeneracy, f_half / degeneracy
-    return [(rhs_approx, sigma * f_ratio, regimes[rhs_approx >= 1.0])
-            for sigma in sigmas for rhs_approx in (sigma * z_ratio,)]
+        return Regime.DEGENERATE_SUB_FERMI, Regime.DEGENERATE_SUB_FERMI
+    if degeneracy <= thresholds.deg_classical:
+        return Regime.BOSONIZED_CLASSICAL, Regime.BOLTZMANN_CONVERGED
+    return Regime.BOSONIZED, Regime.BOSONIZED
 
 
 def sigma_critical(state, stat=None):

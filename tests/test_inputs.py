@@ -16,14 +16,17 @@ from fermiwire import (
     DomainError,
     GasParameters,
     PhononMedium,
+    RegimeThresholds,
     Statistics,
     ThermalState,
     UnitSystem,
     WireGeometry,
     closure_temperature,
+    compare_continuum,
     direct_number_sum,
     energy_density_1d,
     enumerate_levels,
+    number_integral_quasi1d,
     occupation,
     phonon_max_energy,
     quantum_integral,
@@ -31,8 +34,8 @@ from fermiwire import (
     thermal_wavelength,
     truncation_bound,
 )
-from fermiwire.cli import main
-from fermiwire.errors import _normal
+from fermiwire.cli import AxisSpec, main
+from fermiwire.errors import ConfigError, _normal
 
 FD = Statistics.FERMI_DIRAC
 
@@ -67,19 +70,135 @@ POSITIVE_FIELDS = {
     "direct_number_sum.beta": lambda v: direct_number_sum(SPECTRUM, FD, 0.5, v),
     "truncation_bound.z": lambda v: truncation_bound(SPECTRUM, v, 1.0),
     "truncation_bound.beta": lambda v: truncation_bound(SPECTRUM, 0.5, v),
+    "compare_continuum.z": lambda v: compare_continuum(SPECTRUM, FD, v, 1.0),
+    "compare_continuum.beta": lambda v: compare_continuum(SPECTRUM, FD, 0.5, v),
 }
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, -math.inf, math.nan, "1"],
-                         ids=["zero", "negative", "inf", "-inf", "nan", "str"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, -math.inf, math.nan, "1", 10 ** 400],
+                         ids=["zero", "negative", "inf", "-inf", "nan", "str", "10**400"])
 @pytest.mark.parametrize("site", POSITIVE_FIELDS)
 def test_positive_finite_rule(site, value):
     # inf once passed several of these: an occupation of 1, a wavelength of 0,
-    # an energy density of inf, a nan box sum; a str raised TypeError
+    # an energy density of inf, a nan box sum; a str raised TypeError, and
+    # 10**400, which 0 < v < inf passes, a bare OverflowError at most sites
     with pytest.raises(DomainError) as info:
         POSITIVE_FIELDS[site](value)
     field = site.split(".")[1]
     assert str(info.value) == "%s must be a positive finite number, got %r" % (field, value)
+
+
+# Reals that are neither int nor float; each must act as float(value).
+OTHER_REALS = [np.float32(0.7), np.int64(1), Fraction(7, 10), Decimal("0.7")]
+OTHER_REAL_IDS = ["numpy float32", "numpy int64", "Fraction", "Decimal"]
+
+
+def same(a, b):
+    """a and b hold the same types and the same bits, through lists, tuples and records."""
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same, a, b))
+    return type(a) is type(b) and (a.hex() == b.hex() if type(a) is float else a == b)
+
+
+@pytest.mark.parametrize("value", OTHER_REALS, ids=OTHER_REAL_IDS)
+@pytest.mark.parametrize("site", POSITIVE_FIELDS)
+def test_positive_rule_takes_a_real_as_its_float(site, value):
+    # each was refused as not positive; a record that took a float32 would
+    # have stored it, and float32 arithmetic keeps 24 bits
+    assert same(POSITIVE_FIELDS[site](value), POSITIVE_FIELDS[site](float(value)))
+
+
+@pytest.mark.parametrize("value", OTHER_REALS, ids=OTHER_REAL_IDS)
+def test_log_z_enters_as_its_float(value):
+    # ThermalState stored the value itself: a float32 ln z of 0.5 moved the
+    # wire integral by 2.6e-9 of itself, and a Decimal one raised TypeError there
+    state, reference = ThermalState(value, 1.0, 1.0), ThermalState(float(value), 1.0, 1.0)
+    wire = WireGeometry(1.0)
+    assert same(state, reference)
+    assert same(number_integral_quasi1d(FD, state, wire),
+                number_integral_quasi1d(FD, reference, wire))
+    assert same(quantum_integral(FD, 0.5, log_z=value),
+                quantum_integral(FD, 0.5, log_z=float(value)))
+
+
+NOT_REALS = ["1", None, 1j]
+NOT_REAL_IDS = ["str", "None", "complex"]
+
+
+@pytest.mark.parametrize("value", NOT_REALS, ids=NOT_REAL_IDS)
+@pytest.mark.parametrize("field", ["z_degenerate", "deg_classical"])
+def test_thresholds_must_be_numbers(field, value):
+    # each raised a bare TypeError from the comparison
+    with pytest.raises(DomainError,
+                       match="^thresholds must satisfy z_degenerate > 1 > deg_classical > 0$"):
+        RegimeThresholds(**{field: value})
+
+
+def test_thresholds_take_reals_as_their_float():
+    thresholds = RegimeThresholds(np.float32(200.0), Fraction(1, 100))
+    assert same(thresholds, RegimeThresholds(200.0, 0.01))
+    assert RegimeThresholds(math.inf, 0.01).z_degenerate == math.inf
+    for z_degenerate in (1.0, math.nan):
+        with pytest.raises(DomainError):
+            RegimeThresholds(z_degenerate, 0.01)
+
+
+@pytest.mark.parametrize("points", [2.5, "3", None, 1j, 3.0],
+                         ids=["2.5", "str", "None", "complex", "3.0"])
+def test_axis_points_must_be_an_integer(points):
+    # 2.5 and 3.0 built an axis whose values() raised TypeError; "3" raised TypeError
+    with pytest.raises(ConfigError) as info:
+        AxisSpec(0.0, 1.0, points)
+    assert str(info.value) == "axis points must be an integer, got %r" % (points,)
+
+
+@pytest.mark.parametrize("value", NOT_REALS, ids=NOT_REAL_IDS)
+@pytest.mark.parametrize("field", ["minimum", "maximum"])
+def test_axis_ends_must_be_numbers(field, value):
+    # a str raised TypeError from min > max
+    ends = {"minimum": 0.0, "maximum": 1.0, field: value}
+    with pytest.raises(ConfigError) as info:
+        AxisSpec(points=3, **ends)
+    assert str(info.value) == "axis min and max must be numbers, got %r and %r" % (
+        ends["minimum"], ends["maximum"])
+
+
+def test_axis_takes_reals_as_their_float_and_ints_as_they_are():
+    axis = AxisSpec(np.float32(-0.5), Fraction(3, 2), np.int64(3))
+    assert same(axis, AxisSpec(float(np.float32(-0.5)), 1.5, 3))
+    assert axis.values() == [float(np.float32(-0.5)), 0.5, 1.5]
+    ints = AxisSpec(-3, -1, True)
+    assert same(ints, AxisSpec(-3, -1, 1)) and same(ints.values(), [-3])
+
+
+@pytest.mark.parametrize("value", NOT_REALS, ids=NOT_REAL_IDS)
+@pytest.mark.parametrize("field", ["beta", "eps"])
+def test_occupation_beta_and_eps_must_be_numbers(field, value):
+    # a str raised a bare TypeError from the range test
+    args = {"beta": 1.0, "eps": 0.0, field: value}
+    with pytest.raises(DomainError) as info:
+        occupation(FD, 1.0, **args)
+    assert str(info.value) == "%s must be a non-negative finite number, got %r" % (field, value)
+
+
+@pytest.mark.parametrize("value", [np.float32(0.5), np.int64(2), Fraction(1, 2), Decimal("0.5")],
+                         ids=OTHER_REAL_IDS)
+@pytest.mark.parametrize("field", ["beta", "eps"])
+def test_occupation_takes_reals_as_their_float(field, value):
+    args = {"beta": 1.0, "eps": 1.0}
+    expected = occupation(FD, 1.0, **{**args, field: float(value)})
+    assert same(occupation(FD, 1.0, **{**args, field: value}), expected)
+
+
+@pytest.mark.parametrize("order", ["1.5", b"1.5", None, 1.5j],
+                         ids=["str", "bytes", "None", "complex"])
+def test_order_must_be_a_number(order):
+    # "1.5" was read as 1.5, where a text log_z is refused; None and 1.5j raised TypeError
+    with pytest.raises(DomainError) as info:
+        quantum_integral(FD, order, 0.5)
+    assert str(info.value) == "order must be one of 1/2, 3/2, 5/2; got %r" % (order,)
+    for real in (np.float32(1.5), Fraction(3, 2), Decimal("1.5")):
+        assert same(quantum_integral(FD, real, 0.5), quantum_integral(FD, 1.5, 0.5))
 
 
 @pytest.mark.parametrize("value", [sys.float_info.min, 1.0, sys.float_info.max],

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,8 @@ import pytest
 
 import fermiwire
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "fermiwire"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "fermiwire"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -381,3 +383,42 @@ def test_package_api():
     assert fermiwire.__all__ == PACKAGE_API
     for name in PACKAGE_API:
         getattr(fermiwire, name)
+
+
+def third_party_imports(source, local):
+    """Top-level names of the modules source imports anywhere (function bodies
+    included) that are neither in the standard library nor in local."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - local
+
+
+def declared_test_extra(pyproject):
+    """Lower-case names of the requirements in pyproject.toml's test extra, read
+    without tomllib, which Python 3.10 lacks."""
+    section = pyproject.split("[project.optional-dependencies]", 1)[1]
+    listed = re.search(r"^test = \[(.*?)\]", section, re.M | re.S).group(1)
+    return {re.match(r"[A-Za-z0-9_.-]+", item).group().lower()
+            for item in re.findall(r'"([^"]+)"', listed)}
+
+
+def test_detector_flags_third_party_imports():
+    source = ("import numpy as np\nfrom mpmath import mp\nimport os.path\nfrom . import x\n"
+              "import oracles\ndef f():\n    import scipy.special\n")
+    assert third_party_imports(source, {"oracles"}) == {"numpy", "mpmath", "scipy"}
+    assert declared_test_extra('[project.optional-dependencies]\ntest = [\n    "pytest>=7",\n'
+                               '    "NumPy >= 1.24",\n]\n') == {"pytest", "numpy"}
+
+
+def test_tests_import_only_what_the_test_extra_declares():
+    # an install of ".[test]" must run the suite; numpy came in only as a
+    # runtime dependency, which it is to stop being (ROADMAP item 14)
+    local = {"fermiwire"} | {p.stem for d in ("tests", "bench") for p in (ROOT / d).glob("*.py")}
+    imported = set().union(*(third_party_imports(path.read_text(), local)
+                             for path in sorted((ROOT / "tests").glob("*.py"))))
+    assert imported and sorted(imported - declared_test_extra(
+        (ROOT / "pyproject.toml").read_text())) == []
