@@ -24,7 +24,7 @@ from operator import index, mul
 from .constants import UnitSystem, constants_for
 from .errors import CondensationError, DomainError, ResourceLimitError, _normal, _positive
 from .gas_statistics import _occupations
-from .specfun import QuantumIntegralOrder, Statistics, quantum_integral
+from .specfun import Statistics, _pair
 
 __all__ = [
     "BoxSpectrum",
@@ -237,7 +237,8 @@ def compare_continuum(spec, stat, z, beta):
     the quasi-1D variant takes the freeze-out cross-section sigma_tilde =
     (lambda/a)^2, under which it is the pure 1D count (L/lambda) F_{1/2}(z).
     Both come from the box's s_i of truncation_bound: L/lambda = sqrt(pi/s_x)
-    and V/lambda^3 = (L/lambda) pi/s_y.  Relative errors are against
+    and V/lambda^3 = (L/lambda) pi/s_y; F_{3/2}(z) and F_{1/2}(z) from one
+    kernel walk, the value and its slope (MB: z and z).  Relative errors are against
     N_discrete; ground_mode_fraction is the occupation share of levels with
     no transverse excitation.  DomainError when an eps_1, s_i, N_discrete,
     V/lambda^3 or (V/lambda^3) F_{1/2}(z) is not a positive normal double.
@@ -247,11 +248,12 @@ def compare_continuum(spec, stat, z, beta):
     s_x, s_y, _ = _axis_scales(spec, beta)
     l_lam = math.sqrt(math.pi / s_x)
     v_lam3 = _normal("V/lambda^3", l_lam * (math.pi / s_y))
-    n_3d = v_lam3 * quantum_integral(stat, QuantumIntegralOrder.THREE_HALVES, z)
-    f12 = quantum_integral(stat, QuantumIntegralOrder.ONE_HALF, z)
+    log_z = math.log(z)
+    f32, f12 = (z, z) if stat is Statistics.MAXWELL_BOLTZMANN else _pair(stat, 1.5, log_z, z)
+    n_3d = v_lam3 * f32
     n_q1d = l_lam * f12
 
-    ground = _axis_sum(stat, math.log(z), beta, spec.axis_levels[0])
+    ground = _axis_sum(stat, log_z, beta, spec.axis_levels[0])
     return ContinuumComparison(
         N_discrete=n_disc,
         N_continuum_3d=n_3d,

@@ -19,7 +19,7 @@ from operator import index
 from .box_oracle import ContinuumComparison, compare_continuum, enumerate_levels
 from .constants import UnitSystem, constants_for
 from .errors import (ConfigError, ConvergenceError, DomainError, ResourceLimitError, _Checked,
-                     _normal, _positive, _real)
+                     _NORMAL_MIN, _normal, _positive, _real)
 from .gas_statistics import _solve_pair, occupation
 from .phonon_map import (
     PhononMedium,
@@ -28,7 +28,7 @@ from .phonon_map import (
     debye_wavelength,
 )
 from .specfun import Statistics, _linspace
-from .thin_wire import RegimeThresholds, WireGeometry, _regimes
+from .thin_wire import RegimeThresholds, WireGeometry, _lost_count, _regimes
 from .verify import run_verify
 
 SCAN_COLUMNS = [
@@ -250,7 +250,8 @@ def run_scan(config):
     it.  m, each T, each nu and each sigma's wire are checked once (the error
     that rejects one goes to all its rows).  A CSV row is written as the text
     _fmt gives: axis values are formatted once, z, lambda and the degeneracy
-    (floats) once per pair, so each row formats only its two counts.
+    (floats) once per pair, so each row formats only its two counts.  A row
+    whose count is 0 or subnormal is an ERROR row, with classify_wire's error.
     """
     unit_system, stat = config.unit_system, config.statistics
     m = _positive("m", constants_for(unit_system).mass_ref)
@@ -295,13 +296,17 @@ def run_scan(config):
                 if sigma_error:
                     rows.append(error_row(T, nu, sigma, sigma_error))
                     continue
-                rhs_approx = sigma * z_ratio
+                rhs_approx, rhs_exact = sigma * z_ratio, sigma * f_ratio
+                if rhs_approx < _NORMAL_MIN or rhs_exact < _NORMAL_MIN:
+                    solved -= 1
+                    rows.append(error_row(T, nu, sigma, _lost_count(rhs_approx, rhs_exact)))
+                    continue
                 label = above if rhs_approx >= 1.0 else below
                 if text:
                     rows.append("%s,%s,%s%s%.17g,%.17g,%s," % (
-                        T_cell, nu_cell, sigma_cell, tail, rhs_approx, sigma * f_ratio, label))
+                        T_cell, nu_cell, sigma_cell, tail, rhs_approx, rhs_exact, label))
                 else:
-                    rows.append([T, nu, sigma, z, lam, degeneracy, rhs_approx, sigma * f_ratio,
+                    rows.append([T, nu, sigma, z, lam, degeneracy, rhs_approx, rhs_exact,
                                  label, ""])
     _write_output("\n".join([",".join(SCAN_COLUMNS), *rows]) + "\n" if text
                   else _render_table(SCAN_COLUMNS, rows, "json"), config.out_path)

@@ -1,7 +1,7 @@
 """Exception types shared across the package, its number rules (_real, the one conversion
 of an input to a number, under _positive and _finite, which are exact even when subnormal;
-_normal for computed numbers, lossy when subnormal) and _Checked, the base whose records
-run their checks on every construction."""
+_normal for computed numbers, lossy when subnormal, and its bound _NORMAL_MIN) and
+_Checked, the base whose records run their checks on every construction."""
 
 import math
 import sys
@@ -75,9 +75,13 @@ def _finite(name, value):
     raise DomainError("%s must be finite, got %r" % (name, value))
 
 
+# The least positive normal double: a computed number below it has kept fewer than 53 bits.
+_NORMAL_MIN = sys.float_info.min
+
+
 def _normal(name, value, *args):
     """value if a positive normal double, else DomainError on name % args, formatted only then."""
-    if sys.float_info.min <= value < math.inf:
+    if _NORMAL_MIN <= value < math.inf:
         return value
     raise DomainError("%s must be a positive normal double, got %r" % (name % args, value))
 

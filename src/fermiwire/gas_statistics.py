@@ -25,6 +25,7 @@ from .specfun import (
     _thermal_wavelength,
     density_and_slope,
     exp_or_inf,
+    ldexp_or_inf,
     quantum_integral,
 )
 
@@ -261,18 +262,32 @@ def _solve_pair(m, T, nu, unit_system, stat):
     return log_z, exp_or_inf(log_z), lam, degeneracy, f_half
 
 
+def _fermi_wavenumber(nu):
+    """k = (6 pi^2/nu)^(1/3), the Fermi and the Debye wavenumber: the cube root is taken
+    of 6 pi^2 over nu's mantissa times 2^r, where nu's exponent is 3q + r, and scales
+    back by 2^-q.  A normal double for every positive double nu."""
+    f, e = math.frexp(nu)
+    q, r = divmod(e, 3)
+    return ldexp_or_inf((6.0 * math.pi ** 2 / math.ldexp(f, r)) ** (1.0 / 3.0), -q)
+
+
+def _kinetic(p, m, k_B=1.0):
+    """p^2/(2m), over k_B too where one is given, formed at the mantissas of p and m;
+    math.inf past double range, a subnormal or 0 below the normal doubles."""
+    (p, e_p), (m, e_m) = math.frexp(p), math.frexp(m)
+    return ldexp_or_inf(p * p / (2.0 * m) / k_B, 2 * e_p - e_m)
+
+
 def fermi_momentum(params):
     """Fermi momentum p_F = hbar (6 pi^2 / nu)^(1/3) (spinless counting)."""
-    consts = constants_for(params.unit_system)
-    return consts.hbar * (6.0 * math.pi ** 2 / params.nu) ** (1.0 / 3.0)
+    return constants_for(params.unit_system).hbar * _fermi_wavenumber(params.nu)
 
 
 def fermi_energy(params):
     """Fermi energy eps_F = p_F^2 / (2m), computed from fermi_momentum."""
-    p_f = fermi_momentum(params)
-    return p_f * p_f / (2.0 * params.m)
+    return _kinetic(fermi_momentum(params), params.m)
 
 
 def fermi_temperature(params):
-    """Fermi temperature T_F = eps_F / k_B."""
-    return fermi_energy(params) / constants_for(params.unit_system).k_B
+    """Fermi temperature T_F = eps_F / k_B = p_F^2 / (2m k_B)."""
+    return _kinetic(fermi_momentum(params), params.m, constants_for(params.unit_system).k_B)

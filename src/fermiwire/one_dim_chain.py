@@ -12,7 +12,8 @@ import math
 from collections import namedtuple
 
 from .constants import UnitSystem, constants_for
-from .errors import DomainError, _Checked, _normal, _positive
+from .errors import _Checked, _normal, _positive
+from .specfun import ldexp_or_inf
 
 __all__ = [
     "ChainParameters",
@@ -46,9 +47,10 @@ ClosureResult = namedtuple("ClosureResult", "T ratio residual")
 
 
 def fermi_velocity(chain, unit_system=UnitSystem.REDUCED):
-    """v_F = hbar pi / (m d); inf where that overflows, m d underflowing to 0 too."""
-    md = chain.m * chain.d
-    return constants_for(unit_system).hbar * math.pi / md if md else math.inf
+    """v_F = hbar pi / (m d), formed at the mantissas of m and d; math.inf past
+    double range, a subnormal or 0 below the normal doubles."""
+    (m, e_m), (d, e_d) = math.frexp(chain.m), math.frexp(chain.d)
+    return ldexp_or_inf(constants_for(unit_system).hbar * math.pi / (m * d), -e_m - e_d)
 
 
 def energy_density_1d(T, v_F, unit_system=UnitSystem.REDUCED):
@@ -67,17 +69,15 @@ def closure_temperature(chain, unit_system=UnitSystem.REDUCED):
     All of it is formed at the mantissas of m and d, every intermediate normal
     in both unit systems; T and the residual scale back by 2^(-e_m - 2 e_d),
     which changes no rounding.  DomainError naming the chain where T is not
-    normal, from its exponent rather than _normal, as ldexp raises on overflow.
+    normal.
     """
     consts = constants_for(unit_system)
     (m, e_m), (d, e_d) = math.frexp(chain.m), math.frexp(chain.d)
     scale = -e_m - 2 * e_d
     kT = 6.0 * consts.hbar ** 2 / (m * d * d)
     T = kT / consts.k_B
-    # T 2^scale = f 2^e with f in [0.5, 1) is normal for -1021 <= e <= 1024
-    if not -1022 < math.frexp(T)[1] + scale <= 1024:
-        raise DomainError("T = 6 hbar^2/(m d^2 k_B) is not a normal double at %r" % (chain,))
+    T_chain = _normal("T = 6 hbar^2/(m d^2 k_B) at %r", ldexp_or_inf(T, scale), chain)
     v_F = fermi_velocity(ChainParameters(1.0, d, m), unit_system)
     residual = abs(kT - energy_density_1d(T, v_F, unit_system) * d)
     kT_F = (consts.hbar ** 2 / (2.0 * m)) * (6.0 * math.pi ** 2) ** (2.0 / 3.0) / (d * d)
-    return ClosureResult(math.ldexp(T, scale), kT / kT_F, math.ldexp(residual, scale))
+    return ClosureResult(T_chain, kT / kT_F, ldexp_or_inf(residual, scale))

@@ -11,7 +11,8 @@ from collections import namedtuple
 
 from .constants import UnitSystem, constants_for
 from .errors import _Checked, _normal, _positive
-from .gas_statistics import GasParameters, fermi_energy, fermi_momentum
+from .gas_statistics import (GasParameters, _fermi_wavenumber, _kinetic, fermi_energy,
+                             fermi_momentum)
 
 __all__ = [
     "PhononMedium",
@@ -31,7 +32,7 @@ class PhononMedium(_Checked, namedtuple("PhononMedium", "c nu")):
 
     def _check(self):
         c, nu = _positive("c", self.c), _positive("nu", self.nu)
-        _normal("Debye frequency at c = %r, nu = %r", c * _debye_wavenumber(nu), c, nu)
+        _normal("Debye frequency at c = %r, nu = %r", c * _fermi_wavenumber(nu), c, nu)
         return c, nu
 
 
@@ -39,30 +40,24 @@ CorrespondenceReport = namedtuple(
     "CorrespondenceReport", "eps_m eps_F p_m p_F rel_diff_energy rel_diff_momentum")
 
 
-def _debye_wavenumber(nu):
-    # k_m = (6 pi^2 / nu)^(1/3), the cutoff wavenumber
-    return (6.0 * math.pi ** 2 / nu) ** (1.0 / 3.0)
-
-
 def debye_omega_max(medium):
     """omega_m = c k_m = c (6 pi^2 / nu)^(1/3)."""
-    return medium.c * _debye_wavenumber(medium.nu)
+    return medium.c * _fermi_wavenumber(medium.nu)
 
 
 def debye_wavelength(medium):
     """lambda_m = 2 pi / k_m, the wavelength at the Debye cutoff; c-free."""
-    return 2.0 * math.pi / _debye_wavenumber(medium.nu)
+    return 2.0 * math.pi / _fermi_wavenumber(medium.nu)
 
 
 def debye_momentum(medium, unit_system=UnitSystem.REDUCED):
     """p_m = hbar k_m = hbar omega_m / c, formed without c."""
-    return constants_for(unit_system).hbar * _debye_wavenumber(medium.nu)
+    return constants_for(unit_system).hbar * _fermi_wavenumber(medium.nu)
 
 
 def phonon_max_energy(medium, m, unit_system=UnitSystem.REDUCED):
     """eps_m = p_m^2 / (2m)."""
-    p_m = debye_momentum(medium, unit_system)
-    return p_m * p_m / (2.0 * _positive("m", m))
+    return _kinetic(debye_momentum(medium, unit_system), _positive("m", m))
 
 
 def correspondence_check(medium, m, unit_system=UnitSystem.REDUCED):

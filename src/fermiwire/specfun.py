@@ -70,6 +70,16 @@ def exp_or_inf(x):
         return math.inf
 
 
+def ldexp_or_inf(x, e):
+    """x 2^e, or math.inf once that overflows a double: the scale-back of every
+    dimensional formula, formed at its inputs' frexp mantissas, as a power of two
+    changes no rounding (below the normal doubles it rounds once more)."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
+
+
 def _linspace(a, b, points):
     """points >= 2 values a + i (b - a)/(points - 1), the last one b exactly:
     np.linspace(a, b, points) bit for bit."""
@@ -224,16 +234,15 @@ def quantum_integral(stat, order, z=None, *, log_z=None):
 def thermal_wavelength(m, T, unit_system=UnitSystem.REDUCED):
     """lambda = sqrt(2 pi hbar^2 / (m k T)) for m > 0 and T > 0, in the length
     unit of unit_system: REDUCED (hbar = k = 1) or SI (CODATA-2018); math.inf
-    once lambda is past double range."""
+    past double range, a subnormal or 0 below the normal doubles."""
     return _thermal_wavelength(_positive("m", m), _positive("T", T), unit_system)
 
 
 def _thermal_wavelength(m, T, unit_system):
-    """thermal_wavelength of an m and a T already checked, as GasParameters holds them."""
+    """thermal_wavelength of an m and a T already checked, as GasParameters holds them.
+    2 pi/(m k T) is formed at the mantissas of m and T, doubled (exactly) where their
+    exponents sum to an odd e, so its root scales back by 2^-((e + 1)//2)."""
     consts = constants_for(unit_system)
-    mkT = m * consts.k_B * T
-    ratio = 2.0 * math.pi / mkT if mkT else math.inf
-    if 0.0 < ratio < math.inf:
-        return consts.hbar * math.sqrt(ratio)
-    # m k T or 2 pi/(m k T) leaves double range: divide by each factor's root in turn
-    return consts.hbar * math.sqrt(2.0 * math.pi) / math.sqrt(m) / math.sqrt(consts.k_B) / math.sqrt(T)
+    (m, e_m), (T, e_T) = math.frexp(m), math.frexp(T)
+    ratio = math.ldexp(2.0 * math.pi / (m * consts.k_B * T), (e_m + e_T) & 1)
+    return ldexp_or_inf(consts.hbar * math.sqrt(ratio), -((e_m + e_T + 1) // 2))

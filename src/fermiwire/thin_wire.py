@@ -22,7 +22,7 @@ import math
 from collections import namedtuple
 from enum import Enum
 
-from .errors import DomainError, _Checked, _positive, _real
+from .errors import DomainError, _Checked, _NORMAL_MIN, _positive, _real
 from .gas_statistics import ThermalState, _occupations, _solve_pair
 from .specfun import (
     QuantumIntegralOrder,
@@ -144,12 +144,24 @@ def classify_regime(params, wire, thresholds=None, stat=Statistics.FERMI_DIRAC):
 def classify_wire(state, f_half, wire, thresholds=None):
     """Regime of a solved state at one cross-section, given f_half = F_{1/2}(z):
     rhs_approx from rhs_eq3, rhs_exact = sigma_tilde (F_{1/2}(z)/degeneracy),
-    each ratio formed first, and the regime _regimes gives at rhs_approx."""
+    each ratio formed first, and the regime _regimes gives at rhs_approx.
+    DomainError where a count is 0 or subnormal (see _lost_count)."""
     rhs_approx = rhs_eq3(state, wire)
+    rhs_exact = wire.sigma_tilde * (f_half / state.degeneracy)
+    if rhs_approx < _NORMAL_MIN or rhs_exact < _NORMAL_MIN:
+        raise _lost_count(rhs_approx, rhs_exact)
     below, above = _regimes(state.z, state.degeneracy,
                             RegimeThresholds() if thresholds is None else thresholds)
-    return RegimeReport(rhs_approx, wire.sigma_tilde * (f_half / state.degeneracy),
-                        rhs_approx > 1.0, above if rhs_approx >= 1.0 else below)
+    return RegimeReport(rhs_approx, rhs_exact, rhs_approx > 1.0,
+                        above if rhs_approx >= 1.0 else below)
+
+
+def _lost_count(rhs_approx, rhs_exact):
+    """The DomainError of a count pair of which one fell below the normal doubles,
+    where it has lost bits; a count past double range reads inf, as z does."""
+    name, value = (("rhs_approx", rhs_approx) if rhs_approx < _NORMAL_MIN
+                   else ("rhs_exact", rhs_exact))
+    return DomainError("%s must be a positive normal double or inf, got %r" % (name, value))
 
 
 def _regimes(z, degeneracy, thresholds):

@@ -492,6 +492,17 @@ class TestScan:
         # degeneracy 1e-3 < 0.002 and rhs >= 1: the Boltzmann branch
         assert out.strip().split("\n")[1].split(",")[8] == "BoltzmannConverged"
 
+    def test_subnormal_count_is_an_error_row(self, capsys):
+        # a normal sigma_tilde whose count is not: the row printed rhs_approx = 2.1e-308
+        code = main(["scan", "--stat", "be", "--T", "6.283185307179586:6.283185307179586:1",
+                     "--nu", "1:1:1", "--sigma", "3e-308:1e-307:2"])
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        assert code == 0
+        assert rows[1].split(",")[8] == "Bosonized"
+        assert rows[0] == ('6.2831853071795862,1,3.0000000000000002e-308,,,,,,ERROR,'
+                           '"rhs_approx must be a positive normal double or inf, got '
+                           '2.0958430774052e-308"')
+
 
 # Invocations that must exit 2 with no traceback; a config is written to
 # scan.json and passed with --config.
@@ -511,10 +522,11 @@ EXIT_TWO_CASES = [
     # a table input outside its domain
     (["tabulate", "phonon", "--nu", "0:1:2"], None),
     (["tabulate", "phonon", "--c", "inf"], None),
-    (["tabulate", "phonon", "--nu", "1e-320:1e-320:1"], None),  # Debye frequency overflows
-    # these raised ZeroDivisionError: omega_max underflows to 0, and 2m overflows
+    # omega_max overflows; at c = 1 it reads 1.8e107
+    (["tabulate", "phonon", "--nu", "1e-320:1e-320:1", "--c", "1e250"], None),
+    # these raised ZeroDivisionError; omega_max underflows to 0, and eps_m underflows
     (["tabulate", "phonon", "--nu", "1e300:1e300:1", "--c", "1e-300"], None),
-    (["tabulate", "phonon", "--m", "1e308"], None),
+    (["tabulate", "phonon", "--m", "1e308", "--nu", "1e300:1e300:1"], None),
     (["tabulate", "phonon", "--m", "1e-320"], None),  # eps_m = eps_F = inf: a nan row, exit 0
     # config files and an output path the scan cannot use
     (["scan"], {"T": {"min": 1, "max": 2}}),  # an axis object without points
@@ -807,10 +819,10 @@ def scan_reference_rows(config):
                     state = solve_thermal_state(params, config.statistics)
                     f_half = quantum_integral(config.statistics, 0.5, log_z=state.log_z)
                     wire = WireGeometry(sigma)
+                    report = classify_wire(state, f_half, wire, config.thresholds)
                 except (ConvergenceError, DomainError) as exc:
                     rows.append([T, nu, sigma, None, None, None, None, None, "ERROR", str(exc)])
                     continue
-                report = classify_wire(state, f_half, wire, config.thresholds)
                 assert classify_regime(params, wire, config.thresholds, config.statistics) == report
                 rows.append([T, nu, sigma, state.z, state.lam, state.degeneracy,
                              report.rhs_approx, report.rhs_exact, report.regime.value, ""])

@@ -366,6 +366,10 @@ EXTREME_INVOCATIONS = {
         ["scan", "--T", single_point(T), "--nu", single_point(nu), "--sigma", single_point(sigma),
          "--stat", STATS[stat % 3], "--units", UNITS[units % 2]]
         for T, nu, sigma, stat, units in extreme_rows(5)
+    ] + [
+        # a normal sigma_tilde whose counts are subnormal: rhs_approx read 2.1e-308
+        ["scan", "--T", "6.283185307179586:6.283185307179586:1", "--nu", "1:1:1",
+         "--sigma", "3e-308:3e-308:1", "--stat", "be"],
     ],
     "occupation": [
         ["tabulate", "occupation", "--stat", stat, "--z", EXTREMES[z], "--grid", single_point(be)]
@@ -385,11 +389,10 @@ EXTREME_INVOCATIONS = {
 
 
 # The computed columns of each table.  An input cell may be subnormal, as it
-# is exact; a computed one would have lost bits.  rhs_approx and rhs_exact are
-# left out: each is sigma_tilde times a ratio formed first, near 1 for the
-# three scans with sigma_tilde = 5e-324 that print a subnormal count.
+# is exact; a computed one would have lost bits, the two counts included: a
+# count that falls below the normal doubles makes its row an ERROR row.
 COMPUTED_COLUMNS = {
-    "scan": {"z", "lambda", "degeneracy"},
+    "scan": {"z", "lambda", "degeneracy", "rhs_approx", "rhs_exact"},
     "phonon": {"omega_max", "lambda_m", "p_m", "eps_m", "eps_F", "p_F"},
     "oracle": {"N_discrete"},
 }

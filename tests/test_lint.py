@@ -422,3 +422,43 @@ def test_tests_import_only_what_the_test_extra_declares():
                              for path in sorted((ROOT / "tests").glob("*.py"))))
     assert imported and sorted(imported - declared_test_extra(
         (ROOT / "pyproject.toml").read_text())) == []
+
+
+# Standard-library functions newer than the floor that requires-python names, with
+# the version that added each; a cube root is math.cbrt from 3.11 on only.
+PYTHON_FLOOR = "3.10"
+NEWER_THAN_FLOOR = {"math.cbrt": "3.11", "math.exp2": "3.11", "math.sumprod": "3.12",
+                    "math.fma": "3.13"}
+
+
+def newer_stdlib_uses(source):
+    """(line, module.name) of each NEWER_THAN_FLOOR function that source reads: as
+    an attribute of its module, under any alias, or imported by name."""
+    tree = ast.parse(source)
+    aliases = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            name = "%s.%s" % (aliases.get(node.value.id, node.value.id), node.attr)
+            if name in NEWER_THAN_FLOOR:
+                found.append((node.lineno, name))
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.extend((node.lineno, "%s.%s" % (node.module, alias.name)) for alias in node.names
+                         if "%s.%s" % (node.module, alias.name) in NEWER_THAN_FLOOR)
+    return sorted(found)
+
+
+def test_detector_flags_a_stdlib_function_past_the_floor():
+    source = ("import math\nimport math as m\nfrom math import fma, sqrt\n"
+              "x = math.cbrt(8.0) + m.sumprod([1], [2])\ny = math.sqrt(2.0)\n"
+              "def f(v):\n    return v.cbrt + math.exp2(1.0)\n")
+    assert newer_stdlib_uses(source) == [(3, "math.fma"), (4, "math.cbrt"), (4, "math.sumprod"),
+                                         (7, "math.exp2")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_source_keeps_to_the_python_floor(path):
+    # the suite may run on a newer Python than the oldest one the package claims
+    assert 'requires-python = ">=%s"' % PYTHON_FLOOR in (ROOT / "pyproject.toml").read_text()
+    assert newer_stdlib_uses(path.read_text()) == []

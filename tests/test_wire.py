@@ -313,6 +313,24 @@ class TestClassifier:
             report = classify_regime(params, WireGeometry(float(sigma)))
             assert report.regime is Regime.BOSONIZED
 
+    @pytest.mark.parametrize("sigma", [3e-308, 1e-320, 5e-324])
+    def test_subnormal_count_is_refused(self, sigma):
+        # at lambda = nu = 1 a Bose rhs_approx of 3e-308 z/degeneracy read 2.1e-308
+        params = GasParameters(m=1.0, T=2.0 * math.pi, nu=1.0)
+        with pytest.raises(DomainError, match="^rhs_approx must be a positive normal double or "
+                                              "inf, got "):
+            classify_regime(params, WireGeometry(sigma), stat=BE)
+
+    def test_each_count_is_checked(self):
+        # rhs_approx = 1e-300 is normal, rhs_exact = 1e-310 is not
+        with pytest.raises(DomainError, match=r"^rhs_exact .* got 1e-310$"):
+            classify_wire(make_state(1e10, 1.0), 1.0, WireGeometry(1e-310))
+        # the least normal count passes, and so does a count past double range
+        tiny = classify_wire(make_state(1.0, 1.0), 1.0, WireGeometry(2.2250738585072014e-308))
+        assert tiny.rhs_approx == tiny.rhs_exact == 2.2250738585072014e-308
+        huge = classify_wire(ThermalState(800.0, 1.0, 1.0), 1.0, WireGeometry(1.0))
+        assert huge.rhs_approx == math.inf and huge.rhs_exact == 1.0
+
     def test_threshold_validation(self):
         with pytest.raises(DomainError):
             RegimeThresholds(z_degenerate=0.5)  # must sit above 1
