@@ -24,7 +24,7 @@ from operator import index, mul
 from .constants import UnitSystem, constants_for
 from .errors import CondensationError, DomainError, ResourceLimitError, _normal, _positive
 from .gas_statistics import _occupations
-from .specfun import Statistics, _pair
+from .specfun import Statistics, _pair, _split, ldexp_or_inf
 
 __all__ = [
     "BoxSpectrum",
@@ -76,8 +76,9 @@ class BoxSpectrum(namedtuple("BoxSpectrum", "cutoff axis_levels")):
 
 
 def _axis_cutoff(length, m, beta, h):
-    # smallest c with beta * (h c / L)^2 / (2m) >= BETA_EPS_CUTOFF
-    c = length * math.sqrt(2.0 * m * BETA_EPS_CUTOFF / beta) / h
+    # smallest c with beta * (h c / L)^2 / (2m) >= BETA_EPS_CUTOFF, at the mantissas of L, m, beta
+    (l, e_l), (m, q_m), (beta, q_b) = _split(length), _split(m, 2), _split(beta, 2)
+    c = ldexp_or_inf(l * math.sqrt(2.0 * m * BETA_EPS_CUTOFF / beta) / h, e_l + q_m - q_b)
     if not math.isfinite(c):
         raise ResourceLimitError(
             "default cutoff overflows at L = %r: spectrum would hold more than %d levels"
@@ -131,9 +132,14 @@ def enumerate_levels(
         cutoffs = (_cutoff_index(cutoff),) * 3
     if len(cutoffs) != 3 or any(c < 1 for c in cutoffs):
         raise DomainError("cutoff must be a positive integer or 3 of them")
-    for L, c in zip(lengths, cutoffs):
+    # per axis (l, c, e): each level (h n/L)^2/2m is (h n/l)^2/2m at the mantissas of L and m,
+    # times 2^e; the top one splits c too, as h c/l may overflow where the level does not
+    m, e_m = _split(m)
+    axes = [(l, c, -2 * e_l - e_m) for (l, e_l), c in zip(map(_split, lengths), cutoffs)]
+    for L, (l, c, e) in zip(lengths, axes):
+        f, e_c = _split(c)
         _normal("level (h n/L)^2/2m at L = %r, n = %d",
-                (h * c / L) * (h * c / L) / (2.0 * m), L, c)
+                ldexp_or_inf((h * f / l) * (h * f / l) / (2.0 * m), e + 2 * e_c), L, c)
 
     count = math.prod(2 * c + 1 for c in cutoffs)
     if count > MAX_LEVELS:
@@ -143,8 +149,8 @@ def enumerate_levels(
 
     # tuples of lists: tuple(generator) resizes, parking spare tuples in CPython's free lists
     axis_levels = tuple([
-        tuple([(h * n / L) * (h * n / L) / (2.0 * m) for n in range(c + 1)])
-        for L, c in zip(lengths, cutoffs)
+        tuple([math.ldexp((h * n / l) * (h * n / l) / (2.0 * m), e) for n in range(c + 1)])
+        for l, c, e in axes
     ])
     return BoxSpectrum(cutoffs, axis_levels)
 

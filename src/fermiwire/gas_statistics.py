@@ -22,6 +22,7 @@ from .specfun import (
     QuantumIntegralOrder,
     Statistics,
     _pow_or_inf,
+    _split,
     _thermal_wavelength,
     density_and_slope,
     exp_or_inf,
@@ -263,18 +264,16 @@ def _solve_pair(m, T, nu, unit_system, stat):
 
 
 def _fermi_wavenumber(nu):
-    """k = (6 pi^2/nu)^(1/3), the Fermi and the Debye wavenumber: the cube root is taken
-    of 6 pi^2 over nu's mantissa times 2^r, where nu's exponent is 3q + r, and scales
-    back by 2^-q.  A normal double for every positive double nu."""
-    f, e = math.frexp(nu)
-    q, r = divmod(e, 3)
-    return ldexp_or_inf((6.0 * math.pi ** 2 / math.ldexp(f, r)) ** (1.0 / 3.0), -q)
+    """k = (6 pi^2/nu)^(1/3), the Fermi and the Debye wavenumber, at nu's mantissa split
+    at d = 3: a normal double for every positive double nu."""
+    f, q = _split(nu, 3)
+    return ldexp_or_inf((6.0 * math.pi ** 2 / f) ** (1.0 / 3.0), -q)
 
 
 def _kinetic(p, m, k_B=1.0):
     """p^2/(2m), over k_B too where one is given, formed at the mantissas of p and m;
     math.inf past double range, a subnormal or 0 below the normal doubles."""
-    (p, e_p), (m, e_m) = math.frexp(p), math.frexp(m)
+    (p, e_p), (m, e_m) = _split(p), _split(m)
     return ldexp_or_inf(p * p / (2.0 * m) / k_B, 2 * e_p - e_m)
 
 

@@ -13,7 +13,7 @@ from collections import namedtuple
 
 from .constants import UnitSystem, constants_for
 from .errors import _Checked, _normal, _positive
-from .specfun import ldexp_or_inf
+from .specfun import _split, ldexp_or_inf
 
 __all__ = [
     "ChainParameters",
@@ -49,15 +49,17 @@ ClosureResult = namedtuple("ClosureResult", "T ratio residual")
 def fermi_velocity(chain, unit_system=UnitSystem.REDUCED):
     """v_F = hbar pi / (m d), formed at the mantissas of m and d; math.inf past
     double range, a subnormal or 0 below the normal doubles."""
-    (m, e_m), (d, e_d) = math.frexp(chain.m), math.frexp(chain.d)
+    (m, e_m), (d, e_d) = _split(chain.m), _split(chain.d)
     return ldexp_or_inf(constants_for(unit_system).hbar * math.pi / (m * d), -e_m - e_d)
 
 
 def energy_density_1d(T, v_F, unit_system=UnitSystem.REDUCED):
-    """1D radiation energy density e = pi (kT)^2 / (6 hbar v_F)."""
+    """1D radiation energy density e = pi (kT)^2 / (6 hbar v_F) at the mantissas of T and
+    v_F; math.inf past double range, a subnormal or 0 below the normal doubles."""
     consts = constants_for(unit_system)
-    kT = consts.k_B * _positive("T", T)
-    return math.pi * kT * kT / (6.0 * consts.hbar * _positive("v_F", v_F))
+    (T, e_T), (v_F, e_v) = _split(_positive("T", T)), _split(_positive("v_F", v_F))
+    kT = consts.k_B * T
+    return ldexp_or_inf(math.pi * kT * kT / (6.0 * consts.hbar * v_F), 2 * e_T - e_v)
 
 
 def closure_temperature(chain, unit_system=UnitSystem.REDUCED):
@@ -72,7 +74,7 @@ def closure_temperature(chain, unit_system=UnitSystem.REDUCED):
     normal.
     """
     consts = constants_for(unit_system)
-    (m, e_m), (d, e_d) = math.frexp(chain.m), math.frexp(chain.d)
+    (m, e_m), (d, e_d) = _split(chain.m), _split(chain.d)
     scale = -e_m - 2 * e_d
     kT = 6.0 * consts.hbar ** 2 / (m * d * d)
     T = kT / consts.k_B

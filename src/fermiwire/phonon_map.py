@@ -11,8 +11,7 @@ from collections import namedtuple
 
 from .constants import UnitSystem, constants_for
 from .errors import _Checked, _normal, _positive
-from .gas_statistics import (GasParameters, _fermi_wavenumber, _kinetic, fermi_energy,
-                             fermi_momentum)
+from .gas_statistics import GasParameters, _fermi_wavenumber, _kinetic, fermi_momentum
 
 __all__ = [
     "PhononMedium",
@@ -69,10 +68,10 @@ def correspondence_check(medium, m, unit_system=UnitSystem.REDUCED):
     one of eps_m, p_m, eps_F, p_F is not a positive normal double.
     """
     params = GasParameters(m=m, T=1.0, nu=medium.nu, unit_system=unit_system)
-    eps_m = _normal("eps_m", phonon_max_energy(medium, m, unit_system))
     p_m = _normal("p_m", debye_momentum(medium, unit_system))
-    eps_f = _normal("eps_F", fermi_energy(params))
+    eps_m = _normal("eps_m", _kinetic(p_m, params.m))
     p_f = _normal("p_F", fermi_momentum(params))
+    eps_f = _normal("eps_F", _kinetic(p_f, params.m))
     return CorrespondenceReport(
         eps_m=eps_m,
         eps_F=eps_f,

@@ -70,9 +70,17 @@ def exp_or_inf(x):
         return math.inf
 
 
+def _split(x, d=1):
+    """(f, q), x = f 2^(d q) exactly with f in [1/2, 2^(d-1)): the mantissa rule of every
+    dimensional formula, as one in x^(p/d) is formed at f and scales back by 2^(p q)."""
+    f, e = math.frexp(x)
+    q, r = divmod(e, d)
+    return math.ldexp(f, r), q
+
+
 def ldexp_or_inf(x, e):
     """x 2^e, or math.inf once that overflows a double: the scale-back of every
-    dimensional formula, formed at its inputs' frexp mantissas, as a power of two
+    dimensional formula, formed at _split's mantissas, as a power of two
     changes no rounding (below the normal doubles it rounds once more)."""
     try:
         return math.ldexp(x, e)
@@ -239,10 +247,8 @@ def thermal_wavelength(m, T, unit_system=UnitSystem.REDUCED):
 
 
 def _thermal_wavelength(m, T, unit_system):
-    """thermal_wavelength of an m and a T already checked, as GasParameters holds them.
-    2 pi/(m k T) is formed at the mantissas of m and T, doubled (exactly) where their
-    exponents sum to an odd e, so its root scales back by 2^-((e + 1)//2)."""
+    """thermal_wavelength of an m and a T already checked, as GasParameters holds them,
+    formed at their mantissas split at d = 2: the root scales back by 2^-(q_m + q_T)."""
     consts = constants_for(unit_system)
-    (m, e_m), (T, e_T) = math.frexp(m), math.frexp(T)
-    ratio = math.ldexp(2.0 * math.pi / (m * consts.k_B * T), (e_m + e_T) & 1)
-    return ldexp_or_inf(consts.hbar * math.sqrt(ratio), -((e_m + e_T + 1) // 2))
+    (m, q_m), (T, q_T) = _split(m, 2), _split(T, 2)
+    return ldexp_or_inf(consts.hbar * math.sqrt(2.0 * math.pi / (m * consts.k_B * T)), -q_m - q_T)

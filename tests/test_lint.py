@@ -462,3 +462,44 @@ def test_source_keeps_to_the_python_floor(path):
     # the suite may run on a newer Python than the oldest one the package claims
     assert 'requires-python = ">=%s"' % PYTHON_FLOOR in (ROOT / "pyproject.toml").read_text()
     assert newer_stdlib_uses(path.read_text()) == []
+
+
+def frexp_reads(source):
+    """(line, enclosing function or None) of each read of math.frexp in source: as an
+    attribute of math under any alias, or imported by name."""
+    tree = ast.parse(source)
+    aliases = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names}
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name)
+                    and aliases.get(child.value.id) == "math" and child.attr == "frexp"):
+                found.append((child.lineno, function))
+            elif (isinstance(child, ast.ImportFrom) and child.module == "math"
+                  and any(alias.name == "frexp" for alias in child.names)):
+                found.append((child.lineno, function))
+            visit(child, function)
+
+    visit(tree, None)
+    return sorted(found)
+
+
+def test_detector_flags_a_frexp_read():
+    source = ("import math\nimport math as m\nfrom math import frexp as fx, ldexp\n"
+              "def _split(x):\n    return math.frexp(x)\n"
+              "def other(x):\n    f = m.frexp(x)\n    def inner():\n        return math.frexp\n"
+              "    return f\ny = math.frexp(2.0)\nz = y.frexp\n")
+    assert frexp_reads(source) == [(3, None), (5, "_split"), (7, "other"), (9, "inner"),
+                                   (11, None)]
+
+
+def test_mantissa_rule_has_one_home():
+    # every dimensional formula takes its mantissas from specfun._split, so none
+    # hand-rolls the exponent arithmetic of the mantissa rule again
+    assert [(path.name, function) for path in sorted(SRC.glob("*.py"))
+            for _, function in frexp_reads(path.read_text())] == [("specfun.py", "_split")]
